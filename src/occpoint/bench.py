@@ -86,12 +86,6 @@ def measure_latencies(config: EncoderConfig, sizes, runs: int,
     return {s: float(np.median(ts) * 1e3) for s, ts in samples.items()}
 
 
-def measure_latency(config: EncoderConfig, s_tokens: int, runs: int,
-                    seed: int = 0) -> float:
-    """Median forward wall time (ms) for one token count."""
-    return measure_latencies(config, (s_tokens,), runs, seed)[s_tokens]
-
-
 def run_benchmark(config: EncoderConfig, sizes=DEFAULT_SIZES, runs: int = 20,
                   seed: int = 0) -> list[BenchRow]:
     latencies = measure_latencies(config, sizes, runs, seed)

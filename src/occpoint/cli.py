@@ -183,8 +183,12 @@ def cmd_eval(args) -> int:
             f"dataset feature dim {dataset.feature_dim}"
         )
     train_set, heldout = dataset.split_views(model.train_config.holdout_views)
-    eval_set = heldout if heldout.records else dataset
-    caches = build_cache(eval_set, model.encoder_config)
+    if not heldout.records:
+        raise ConfigError(
+            f"dataset has no held-out views (the last "
+            f"{model.train_config.holdout_views} view ids) to evaluate on"
+        )
+    caches = build_cache(heldout, model.encoder_config)
     labels = np.array([c.label for c in caches])
     params = model.params()
     report = {}

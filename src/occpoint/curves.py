@@ -36,7 +36,7 @@ class CurveKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Permutation:
-    """A sort order and its inverse over S token slots.
+    """A sort order and its inverse over S token slots, (S,) or batched (B, S).
 
     ``forward[i]`` is the original index of the token placed at sorted slot i,
     so ``x[forward]`` sorts and ``sorted_x[inverse]`` restores the original
@@ -48,9 +48,11 @@ class Permutation:
 
     @classmethod
     def from_forward(cls, forward: np.ndarray) -> "Permutation":
+        """Inverse of a sort order, or of a batch of them along the last axis."""
         forward = np.asarray(forward, dtype=np.int64)
         inverse = np.empty_like(forward)
-        inverse[forward] = np.arange(forward.size, dtype=np.int64)
+        slots = np.broadcast_to(np.arange(forward.shape[-1], dtype=np.int64), forward.shape)
+        np.put_along_axis(inverse, forward, slots, axis=-1)
         return cls(forward=forward, inverse=inverse)
 
     @classmethod
@@ -153,7 +155,8 @@ def _trans(coords: np.ndarray) -> np.ndarray:
 
 
 def curve_codes(points: np.ndarray, kind: CurveKind, bits: int = DEFAULT_BITS) -> np.ndarray:
-    """Curve code per point; FPS order maps every point to its own index."""
+    """Curve code per point of (M, 3); FPS order maps every point to its own
+    index, which sorts any row of consecutive points into identity order."""
     if kind is CurveKind.FPS_ORDER:
         return np.arange(np.asarray(points).shape[0], dtype=np.uint64)
     cells = quantize(points, bits)
@@ -169,12 +172,12 @@ def curve_codes(points: np.ndarray, kind: CurveKind, bits: int = DEFAULT_BITS) -
 
 
 def sort_by_curve(points: np.ndarray, kind: CurveKind, bits: int = DEFAULT_BITS) -> Permutation:
-    """Stable ascending-code sort order for S points (ties keep original index order)."""
+    """Stable ascending-code sort order for S points (ties keep original index
+    order): (S, 3) -> (S,), or per cloud, (B, S, 3) -> (B, S), with one
+    `curve_codes` pass over the whole batch."""
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise InvalidInput(f"expected non-empty (S, 3) points, got shape {points.shape}")
-    if kind is CurveKind.FPS_ORDER:
-        return Permutation.identity(points.shape[0])
-    codes = curve_codes(points, kind, bits)
-    forward = np.argsort(codes, kind="stable")
-    return Permutation.from_forward(forward)
+    if points.ndim not in (2, 3) or points.shape[-2] < 1 or points.shape[-1] != 3:
+        raise InvalidInput(f"expected non-empty (S, 3) or (B, S, 3) points, "
+                           f"got shape {points.shape}")
+    codes = curve_codes(points.reshape(-1, 3), kind, bits).reshape(points.shape[:-1])
+    return Permutation.from_forward(np.argsort(codes, axis=-1, kind="stable"))

@@ -233,21 +233,10 @@ def _perm_arrays(perm) -> tuple[np.ndarray, np.ndarray]:
 
 def compute_permutations(centers: np.ndarray, config: EncoderConfig):
     """(perm_a, perm_b) for one cloud's (S, 3) centers or a batch (B, S, 3)."""
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim == 2:
-        return (
-            sort_by_curve(centers, config.curve_a, config.curve_bits),
-            sort_by_curve(centers, config.curve_b, config.curve_bits),
-        )
-    fa, fb, ia, ib = [], [], [], []
-    for row in centers:
-        pa = sort_by_curve(row, config.curve_a, config.curve_bits)
-        pb = sort_by_curve(row, config.curve_b, config.curve_bits)
-        fa.append(pa.forward)
-        ia.append(pa.inverse)
-        fb.append(pb.forward)
-        ib.append(pb.inverse)
-    return (np.stack(fa), np.stack(ia)), (np.stack(fb), np.stack(ib))
+    return (
+        sort_by_curve(centers, config.curve_a, config.curve_bits),
+        sort_by_curve(centers, config.curve_b, config.curve_bits),
+    )
 
 
 def encoder_forward(tokens: TokenSequence, config: EncoderConfig,

@@ -2,8 +2,13 @@
 
 Ordering is fully canonical so the whole encoder is invariant to input point
 order: FPS starts from the lexicographically smallest point and breaks
-min-distance ties lexicographically, kNN breaks distance ties by index, and
-the patch embedding max-pools over the k neighbors.
+max-distance ties lexicographically, kNN orders points by the key
+(squared distance, x, y, z, r, g, b) and falls back to the index only between
+identical rows, and the patch embedding max-pools over the k neighbors.
+
+FPS and kNN work on a batch of clouds with equal point counts at once,
+(B, N, 3) -> (B, S) centers -> (B, S, k) patches, and give each cloud
+bitwise what it gets alone; a single (N, 3) cloud is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,74 +24,143 @@ from .errors import InvalidConfig, InvalidInput, NumericalError, ShapeError
 COLOR_CONSTANT = 0.4  # substituted per channel when a cloud has no colors
 
 
+def _as_batch(points: np.ndarray) -> tuple[np.ndarray, bool]:
+    points = np.asarray(points, dtype=np.float64)
+    single = points.ndim == 2
+    if single:
+        points = points[None]
+    if points.ndim != 3 or points.shape[1] < 1 or points.shape[2] != 3:
+        raise InvalidInput(f"expected non-empty (N, 3) or (B, N, 3) points, "
+                           f"got {points.shape}")
+    return points, single
+
+
+def _squared_distance(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """sum of (a - b)**2 over the (a, b) coordinate pairs, written to `out` and
+    added in order, ((x + y) + z): bitwise ((c - p) ** 2).sum(-1)."""
+    for j, (a, b) in enumerate(pairs):
+        dst = out if j == 0 else tmp
+        np.subtract(a, b, out=dst)
+        np.multiply(dst, dst, out=dst)
+        if j:
+            np.add(out, tmp, out=out)
+    return out
+
+
 def farthest_point_sampling(points: np.ndarray, s: int) -> np.ndarray:
-    """Indices of s greedy farthest-point centers.
+    """Indices of s greedy farthest-point centers: (N, 3) -> (s,), (B, N, 3) -> (B, s).
 
     The first center is the lexicographically smallest point; each next center
     maximizes the distance to the chosen set, ties broken lexicographically by
     coordinates. For s > N the emission order repeats cyclically.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise InvalidInput(f"expected non-empty (N, 3) points, got {points.shape}")
+    points, single = _as_batch(points)
     if s < 1:
         raise InvalidInput(f"need at least one center, got s={s}")
-    n = points.shape[0]
+    b, n, _ = points.shape
 
-    lex = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
+    # Keep each cloud in lexicographic rank order, one contiguous column per
+    # axis: argmax then returns the smallest rank among the farthest points,
+    # which is the tie-break, and needs no gather per iteration.
+    rank = np.lexsort((points[..., 2], points[..., 1], points[..., 0]), axis=-1)
+    cols = [np.take_along_axis(points[..., j], rank, axis=1) for j in range(3)]
+    rows = np.arange(b)
     base = min(s, n)
-    chosen = np.empty(base, dtype=np.int64)
-    chosen[0] = lex[0]
-    dist = np.linalg.norm(points - points[chosen[0]], axis=1)
-    # Rank points lexicographically once; ties in max-distance pick the
-    # smallest rank, which the argmax below honors via a rank-ordered view.
-    rank_order = lex
-    dist_ranked = dist[rank_order]
-    for i in range(1, base):
-        far = rank_order[int(np.argmax(dist_ranked))]
-        chosen[i] = far
-        d_new = np.linalg.norm(points - points[far], axis=1)
-        np.minimum(dist, d_new, out=dist)
-        dist_ranked = dist[rank_order]
-    if s <= n:
-        return chosen
-    reps = -(-s // n)
-    return np.tile(chosen, reps)[:s]
+    chosen = np.zeros((b, base), dtype=np.int64)   # ranks; rank 0 starts
+    dist = np.full((b, n), np.inf)
+    d, t = np.empty((b, n)), np.empty((b, n))
+    for i in range(base):
+        # The square root of it is bitwise np.linalg.norm(axis=-1).
+        _squared_distance(((col, col[rows, chosen[:, i], None]) for col in cols), d, t)
+        np.sqrt(d, out=d)
+        np.minimum(dist, d, out=dist)
+        if i + 1 < base:
+            chosen[:, i + 1] = np.argmax(dist, axis=1)
+    idx = np.take_along_axis(rank, chosen, axis=1)
+    if s > n:
+        idx = np.tile(idx, (1, -(-s // n)))[:, :s]
+    return idx[0] if single else idx
 
 
 @dataclass
 class PatchSet:
-    centers: np.ndarray           # (S, 3)
-    neighbor_indices: np.ndarray  # (S, k)
+    centers: np.ndarray           # (S, 3) or (B, S, 3)
+    neighbor_indices: np.ndarray  # (S, k) or (B, S, k)
     relative_points: np.ndarray   # (S, k, 3) = neighbor - center
     patch_colors: np.ndarray      # (S, k, 3)
 
 
 def knn_group(points: np.ndarray, colors: np.ndarray | None,
               center_indices: np.ndarray, k: int) -> PatchSet:
-    """Group the k nearest neighbors (L2, ties by index) around each center."""
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
+    """The k nearest points around each center: (N, 3) points with (S,) center
+    indices, or a batch, (B, N, 3) with (B, S).
+
+    Each patch lists its points by the key (squared distance, x, y, z, r, g,
+    b), so exact distance ties, the k-th neighbor's included, are broken by
+    content and the patch does not depend on point order. The index decides
+    only between identical rows, which makes no difference to the patch.
+    """
+    points, single = _as_batch(points)
+    b, n, _ = points.shape
     if k < 1:
         raise InvalidConfig(f"k must be >= 1, got {k}")
     if k > n:
         raise InvalidConfig(f"k={k} exceeds cloud size {n}")
-    centers = points[center_indices]
-    d2 = ((centers[:, None, :] - points[None, :, :]) ** 2).sum(-1)  # (S, N)
-    # Stable sort realizes the (distance, index) tie-break exactly.
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    rel = points[neighbors] - centers[:, None, :]
-    if colors is None:
-        pcol = np.full((len(centers), k, 3), COLOR_CONSTANT)
+    center_indices = np.asarray(center_indices, dtype=np.int64).reshape(b, -1)
+    centers = np.take_along_axis(points, center_indices[..., None], axis=1)
+    s = centers.shape[1]
+
+    # One cloud at a time, so that the temporaries stay in cache.
+    columns = points.transpose(0, 2, 1).copy()   # (B, 3, N)
+    d2, t = np.empty((b, s, n)), np.empty((s, n))
+    for i in range(b):
+        _squared_distance(((centers[i, :, j, None], columns[i, j]) for j in range(3)),
+                          d2[i], t)
+    d2 = d2.reshape(b * s, n)
+    flat_points = points.reshape(b * n, 3)
+    flat_colors = (None if colors is None
+                   else np.asarray(colors, dtype=np.float64).reshape(b * n, 3))
+    offset = (np.arange(b * s) // s * n)[:, None]   # each row's cloud in the flat arrays
+
+    def by_key(rows, cand: np.ndarray) -> np.ndarray:
+        """Candidate indices (R, m) of the given distance rows, sorted by the key."""
+        flat = cand + offset[rows]
+        keys = [cand]
+        if flat_colors is not None:
+            keys += [flat_colors[flat, j] for j in (2, 1, 0)]
+        keys += [flat_points[flat, j] for j in (2, 1, 0)]
+        keys.append(np.take_along_axis(d2[rows], cand, axis=1))
+        return np.take_along_axis(cand, np.lexsort(keys, axis=-1), axis=1)
+
+    # Partitioning at k puts the (k+1)-th smallest distance at position k and
+    # the k smallest before it.
+    part = np.argpartition(d2, min(k, n - 1), axis=1)
+    neighbors = by_key(slice(None), part[:, :k])
+    if k < n:
+        # A row whose (k+1)-th distance equals its k-th has a tie at the
+        # boundary: the key then chooses among all points that near.
+        edge = np.take_along_axis(d2, neighbors[:, -1:], axis=1)
+        tied = np.flatnonzero(np.take_along_axis(d2, part[:, k:k + 1], axis=1) == edge)
+        if tied.size:
+            m = int(np.count_nonzero(d2[tied] <= edge[tied], axis=1).max())
+            wide = np.argpartition(d2[tied], m - 1, axis=1)[:, :m]
+            neighbors[tied] = by_key(tied, wide)[:, :k]
+
+    flat = neighbors + offset
+    rel = flat_points[flat].reshape(b, s, k, 3) - centers[:, :, None, :]
+    if flat_colors is None:
+        pcol = np.full((b, s, k, 3), COLOR_CONSTANT)
     else:
-        colors = np.asarray(colors, dtype=np.float64)
-        pcol = colors[neighbors]
-    return PatchSet(
+        pcol = flat_colors[flat].reshape(b, s, k, 3)
+    patches = PatchSet(
         centers=centers,
-        neighbor_indices=neighbors,
+        neighbor_indices=neighbors.reshape(b, s, k),
         relative_points=rel,
         patch_colors=pcol,
     )
+    if single:
+        return PatchSet(*(getattr(patches, f.name)[0] for f in fields(PatchSet)))
+    return patches
 
 
 @dataclass
@@ -148,13 +222,14 @@ def mini_pointnet_embed(features, params: MiniPointNetParams) -> Tensor:
 
 
 def patch_features(patches: PatchSet) -> np.ndarray:
-    """(S, k, 6) array: relative xyz concatenated with RGB."""
+    """(..., S, k, 6) array: relative xyz concatenated with RGB."""
     return np.concatenate([patches.relative_points, patches.patch_colors], axis=-1)
 
 
 def tokenize(points: np.ndarray, colors: np.ndarray | None, s_tokens: int,
              k_neighbors: int, params: MiniPointNetParams) -> TokenSequence:
-    """Full tokenizer: FPS -> kNN -> embedding, for one cloud."""
+    """Full tokenizer for one cloud: FPS -> kNN -> embedding, on the batched
+    geometry `training.build_cache` runs, with a batch of one."""
     centers_idx = farthest_point_sampling(points, s_tokens)
     patches = knn_group(points, colors, centers_idx, k_neighbors)
     tokens = mini_pointnet_embed(patch_features(patches), params)

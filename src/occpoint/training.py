@@ -32,7 +32,7 @@ from .contrastive import (
     total_loss,
 )
 from .curves import sort_by_curve
-from .dataset import TripletDataset
+from .dataset import N_VIEWS, TripletDataset
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -73,6 +73,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # A batch of one gives an identically zero contrastive loss.
+        if self.batch_size < 2:
+            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        if not 1 <= self.holdout_views <= N_VIEWS - 1:
+            raise ConfigError(
+                f"holdout_views must be in [1, {N_VIEWS - 1}], got {self.holdout_views}"
+            )
         if not 0.0 <= self.color_drop_prob <= 1.0:
             raise ConfigError(f"color_drop_prob out of [0, 1]: {self.color_drop_prob}")
         if self.warmup_epochs > self.epochs:
@@ -240,27 +247,48 @@ class CloudCache:
     text_features: np.ndarray
 
 
+# Each chunk's (clouds x S x N) kNN distance block stays within this many
+# elements; the chunk size never changes a cache.
+_TOKENIZE_BLOCK_LIMIT = 1 << 19
+
+
 def build_cache(dataset: TripletDataset, config: EncoderConfig) -> list[CloudCache]:
+    """Tokenized geometry per record, in record order.
+
+    Clouds with equal point counts are tokenized together, in chunks of up
+    to _TOKENIZE_BLOCK_LIMIT / (S * N) clouds; each cloud gets bitwise what
+    it gets alone.
+    """
+    records = dataset.records
     object_ids: dict[str, int] = {}
-    caches = []
-    for rec in dataset.records:
-        if rec.object_id not in object_ids:
-            object_ids[rec.object_id] = len(object_ids)
-        centers_idx = farthest_point_sampling(rec.points, config.s_tokens)
-        patches = knn_group(rec.points, rec.colors, centers_idx, config.k_neighbors)
-        pa = sort_by_curve(patches.centers, config.curve_a, config.curve_bits)
-        pb = sort_by_curve(patches.centers, config.curve_b, config.curve_bits)
-        caches.append(CloudCache(
-            centers=patches.centers,
-            rel_points=patches.relative_points,
-            patch_colors=patches.patch_colors,
-            perm_a=(pa.forward, pa.inverse),
-            perm_b=(pb.forward, pb.inverse),
-            label=rec.label,
-            object_index=object_ids[rec.object_id],
-            image_feature=rec.image_feature,
-            text_features=rec.text_features,
-        ))
+    by_size: dict[int, list[int]] = {}
+    for i, rec in enumerate(records):
+        object_ids.setdefault(rec.object_id, len(object_ids))
+        by_size.setdefault(len(rec.points), []).append(i)
+    caches: list[CloudCache] = [None] * len(records)
+    for n, members in by_size.items():
+        chunk = max(1, _TOKENIZE_BLOCK_LIMIT // (config.s_tokens * n))
+        for start in range(0, len(members), chunk):
+            group = members[start : start + chunk]
+            points = np.stack([records[i].points for i in group])
+            colors = np.stack([records[i].colors for i in group])
+            centers_idx = farthest_point_sampling(points, config.s_tokens)
+            patches = knn_group(points, colors, centers_idx, config.k_neighbors)
+            pa = sort_by_curve(patches.centers, config.curve_a, config.curve_bits)
+            pb = sort_by_curve(patches.centers, config.curve_b, config.curve_bits)
+            for j, i in enumerate(group):
+                rec = records[i]
+                caches[i] = CloudCache(
+                    centers=patches.centers[j],
+                    rel_points=patches.relative_points[j],
+                    patch_colors=patches.patch_colors[j],
+                    perm_a=(pa.forward[j], pa.inverse[j]),
+                    perm_b=(pb.forward[j], pb.inverse[j]),
+                    label=rec.label,
+                    object_index=object_ids[rec.object_id],
+                    image_feature=rec.image_feature,
+                    text_features=rec.text_features,
+                )
     return caches
 
 

@@ -177,6 +177,31 @@ def test_eval_dimension_mismatch_is_config_error(small_dataset, tmp_path, capsys
     assert "embed_dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--batch-size", "1"), ("--holdout-views", "0"),
+                                        ("--holdout-views", "12")])
+def test_pretrain_rejects_degenerate_config(small_dataset, tmp_path, capsys, flag, value):
+    rc = main(["pretrain", "--data", str(small_dataset), "--out", str(tmp_path / "m.occt"),
+               "--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6",
+               "--c-dim", "16", "--epochs", "1", "--warmup-epochs", "0", flag, value])
+    assert rc == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
+def test_eval_without_heldout_views_is_config_error(small_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "m.occt"
+    assert main(["pretrain", "--data", str(small_dataset), "--out", str(ckpt),
+                 "--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6",
+                 "--c-dim", "16", "--epochs", "0", "--warmup-epochs", "0",
+                 "--seed", "0"]) == 0
+    data = load_dataset(small_dataset)
+    train_only = tmp_path / "train_only.occt"
+    data.records = data.split_views(2)[0].records
+    save_dataset(train_only, data)
+    rc = main(["eval", "--data", str(train_only), "--checkpoint", str(ckpt)])
+    assert rc == 1
+    assert "held-out" in capsys.readouterr().err
+
+
 def test_bench_outputs_table_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "bench.csv"
     rc = main(["bench", "--preset", "toy", "--sizes", "16,32", "--runs", "3",

@@ -165,3 +165,15 @@ def test_curve_kind_parsing():
 def test_permutation_from_forward_inverse():
     perm = Permutation.from_forward(np.array([2, 0, 1]))
     assert np.array_equal(perm.inverse, [1, 2, 0])
+
+
+def test_batched_sort_matches_per_row_sort():
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1, 1, size=(4, 33, 3))
+    pts[1, 5] = pts[1, 6]                      # a code tie inside one row
+    for kind in CurveKind:
+        batched = sort_by_curve(pts, kind, 10)
+        for row, want in zip(range(4), pts):
+            single = sort_by_curve(want, kind, 10)
+            assert np.array_equal(batched.forward[row], single.forward)
+            assert np.array_equal(batched.inverse[row], single.inverse)

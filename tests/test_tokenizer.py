@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from occpoint import training
 from occpoint.autodiff import Tensor
+from occpoint.dataset import TripletDataset, generate_triplets
+from occpoint.encoder import toy_config
 from occpoint.errors import InvalidConfig, InvalidInput
+from occpoint.synthetic import toy_object_set
 from occpoint.tokenizer import (
     COLOR_CONSTANT,
     farthest_point_sampling,
@@ -12,6 +18,72 @@ from occpoint.tokenizer import (
     patch_features,
     tokenize,
 )
+
+
+# --- oracles: one cloud at a time, written without the batched geometry -------
+
+
+def fps_oracle(points, s):
+    """The per-cloud greedy loop: a gather and a norm per iteration."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    lex = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
+    base = min(s, n)
+    chosen = np.empty(base, dtype=np.int64)
+    chosen[0] = lex[0]
+    dist = np.linalg.norm(points - points[chosen[0]], axis=1)
+    dist_ranked = dist[lex]
+    for i in range(1, base):
+        far = lex[int(np.argmax(dist_ranked))]
+        chosen[i] = far
+        d_new = np.linalg.norm(points - points[far], axis=1)
+        np.minimum(dist, d_new, out=dist)
+        dist_ranked = dist[lex]
+    if s <= n:
+        return chosen
+    return np.tile(chosen, -(-s // n))[:s]
+
+
+def knn_oracle(points, colors, center_indices, k):
+    """Full sort of every point per center by (d2, x, y, z, r, g, b, index)."""
+    points = np.asarray(points, dtype=np.float64)
+    cols = (np.full_like(points, COLOR_CONSTANT) if colors is None
+            else np.asarray(colors, dtype=np.float64))
+    index = np.arange(len(points))
+    out = []
+    for c in points[center_indices]:
+        d2 = ((c - points) ** 2).sum(-1)
+        keys = (index, cols[:, 2], cols[:, 1], cols[:, 0],
+                points[:, 2], points[:, 1], points[:, 0], d2)
+        out.append(np.lexsort(keys)[:k])
+    return np.array(out)
+
+
+def lattice_cloud(shape=(16, 16, 8)):
+    """Points 1/8 apart, so squared distances are exact and tie everywhere."""
+    grid = np.stack(np.meshgrid(*(np.arange(n) for n in shape), indexing="ij"), -1)
+    points = grid.reshape(-1, 3) / 8.0 - np.array([1.0, 1.0, 0.5])
+    return points, grid.reshape(-1, 3) / (np.array(shape) - 1.0)
+
+
+@pytest.fixture(scope="module")
+def rendered():
+    """Two toy meshes x 12 views at 64x64, 512 points: pixel-lattice clouds
+    with many exact distance ties."""
+    return generate_triplets(toy_object_set(0)[:2], feature_dim=8, resolution=64,
+                             n_points=512, seed=3)
+
+
+def awkward_clouds(rng):
+    """(points, colors) clouds with ties and repeats that rendered clouds lack."""
+    lattice, lattice_colors = lattice_cloud((8, 8, 4))
+    perm = rng.permutation(len(lattice))
+    dup = rng.uniform(-1, 1, size=(40, 3))
+    dup = np.concatenate([dup, dup[:25], dup[:10]])
+    dup_colors = rng.random((len(dup), 3))
+    dup_colors[40:50] = dup_colors[:10]          # some rows fully identical
+    return [(lattice, lattice_colors), (lattice[perm], lattice_colors[perm]),
+            (dup, dup_colors), (dup, None)]
 
 
 # --- farthest point sampling -------------------------------------------------
@@ -103,11 +175,20 @@ def test_knn_relative_norm_bound():
     assert np.linalg.norm(patches.relative_points, axis=-1).max() <= max_pair + 1e-12
 
 
-def test_knn_distance_tie_broken_by_index():
+def test_knn_distance_tie_broken_by_coordinates_then_colors():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0], [0.0, 1.0, 0]])
     patches = knn_group(pts, None, np.array([0]), 3)
-    # distances: self 0, then three ties at 1.0 -> indices 1, 2 win over 3
-    assert list(patches.neighbor_indices[0]) == [0, 1, 2]
+    # distances: self 0, then three ties at 1.0 -> smallest x, then y, first
+    assert list(patches.neighbor_indices[0]) == [0, 2, 3]
+    # Equal coordinates go by color; only identical rows go by index.
+    pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]])
+    cols = np.array([[0.0, 0, 0], [0.5, 0, 0], [0.2, 0, 0], [0.2, 0, 0]])
+    patches = knn_group(pts, cols, np.array([0]), 3)
+    assert list(patches.neighbor_indices[0]) == [0, 2, 3]
+    for perm in ([0, 3, 1, 2], [0, 1, 3, 2]):
+        shuffled = knn_group(pts[perm], cols[perm], np.array([0]), 3)
+        assert np.array_equal(shuffled.relative_points, patches.relative_points)
+        assert np.array_equal(shuffled.patch_colors, patches.patch_colors)
 
 
 def test_knn_k_exceeding_cloud_rejected():
@@ -164,17 +245,30 @@ def test_shape_mismatch_rejected():
 # --- full tokenizer ---------------------------------------------------------------
 
 
-def test_cloud_permutation_invariance_end_to_end():
+def test_cloud_permutation_invariance_end_to_end(rendered):
     rng = np.random.default_rng(10)
     params = init_mini_pointnet(32, rng)
     pts = rng.uniform(-1, 1, size=(200, 3))
     cols = rng.random((200, 3))
     base = tokenize(pts, cols, 16, 8, params)
+    record = dataclasses.replace(rendered.records[0], points=pts, colors=cols)
+    shuffled = []
     for _ in range(3):
         perm = rng.permutation(200)
         out = tokenize(pts[perm], cols[perm], 16, 8, params)
         assert np.array_equal(out.tokens.data, base.tokens.data)
         assert np.array_equal(out.centers, base.centers)
+        shuffled.append(dataclasses.replace(record, points=pts[perm], colors=cols[perm]))
+    # The same geometry through the training cache, whole batch at once.
+    caches = training.build_cache(
+        TripletDataset([record] + shuffled, rendered.class_names,
+                       rendered.class_features, rendered.meta),
+        toy_config(s_tokens=16, k_neighbors=8))
+    for cache in caches:
+        assert np.array_equal(cache.centers, base.centers)
+        feats = np.concatenate([cache.rel_points, cache.patch_colors], axis=-1)
+        assert np.array_equal(mini_pointnet_embed(Tensor(feats), params).data,
+                              base.tokens.data)
 
 
 def test_absent_colors_equal_explicit_constant_colors():
@@ -196,3 +290,94 @@ def test_patch_features_layout():
     assert feats.shape == (4, 5, 6)
     assert np.array_equal(feats[..., :3], patches.relative_points)
     assert np.array_equal(feats[..., 3:], patches.patch_colors)
+
+
+# --- batched geometry against the oracles ----------------------------------------
+
+
+def assert_matches_oracles(points, colors, s, k):
+    """Batched FPS and kNN over a stack of clouds equal the per-cloud oracles."""
+    centers = farthest_point_sampling(points, s)
+    patches = knn_group(points, colors, centers, k)
+    for i, cloud in enumerate(points):
+        want_centers = fps_oracle(cloud, s)
+        assert np.array_equal(centers[i], want_centers)
+        want = knn_oracle(cloud, None if colors is None else colors[i], want_centers, k)
+        assert np.array_equal(patches.neighbor_indices[i], want)
+        assert np.array_equal(patches.relative_points[i],
+                              cloud[want] - cloud[want_centers][:, None, :])
+
+
+def test_batched_geometry_matches_oracles_on_rendered_clouds(rendered):
+    points = np.stack([r.points for r in rendered.records])
+    colors = np.stack([r.colors for r in rendered.records])
+    assert_matches_oracles(points, colors, 32, 16)
+    assert_matches_oracles(points[:3], None, 20, 9)
+
+
+@pytest.mark.parametrize("s,k", [(24, 16), (300, 7), (1, 1)])
+def test_batched_geometry_matches_oracles_on_awkward_clouds(s, k):
+    rng = np.random.default_rng(13)
+    for points, colors in awkward_clouds(rng):
+        assert_matches_oracles(points[None], None if colors is None else colors[None],
+                               s, k)
+    lattice, lattice_colors = lattice_cloud((8, 8, 4))
+    perms = [rng.permutation(len(lattice)) for _ in range(3)]
+    assert_matches_oracles(np.stack([lattice[p] for p in perms]),
+                           np.stack([lattice_colors[p] for p in perms]), s, k)
+
+
+def test_single_cloud_equals_its_row_of_a_batch(rendered):
+    points = np.stack([r.points for r in rendered.records[:4]])
+    colors = np.stack([r.colors for r in rendered.records[:4]])
+    batch = knn_group(points, colors, farthest_point_sampling(points, 12), 10)
+    for i in range(4):
+        alone = knn_group(points[i], colors[i], farthest_point_sampling(points[i], 12), 10)
+        for field in dataclasses.fields(alone):
+            assert np.array_equal(getattr(alone, field.name),
+                                  getattr(batch, field.name)[i])
+
+
+def cache_arrays(cache):
+    return (cache.centers, cache.rel_points, cache.patch_colors,
+            *cache.perm_a, *cache.perm_b)
+
+
+def test_build_cache_independent_of_chunk_size_and_point_counts(rendered, monkeypatch):
+    rng = np.random.default_rng(14)
+    records = list(rendered.records[:6])
+    # Mixed point counts: drop points from some clouds, add awkward clouds.
+    records[1] = dataclasses.replace(records[1], points=records[1].points[:300],
+                                     colors=records[1].colors[:300])
+    records[4] = dataclasses.replace(records[4], points=records[4].points[:300],
+                                     colors=records[4].colors[:300])
+    for points, colors in awkward_clouds(rng)[:3]:
+        records.append(dataclasses.replace(records[0], points=points, colors=colors))
+    data = TripletDataset(records, rendered.class_names, rendered.class_features,
+                          rendered.meta)
+    cfg = toy_config(s_tokens=24, k_neighbors=12)
+
+    monkeypatch.setattr(training, "_TOKENIZE_BLOCK_LIMIT", 1)
+    one_by_one = training.build_cache(data, cfg)
+    monkeypatch.setattr(training, "_TOKENIZE_BLOCK_LIMIT", 1 << 40)
+    whole = training.build_cache(data, cfg)
+    for rec, a, b in zip(records, one_by_one, whole):
+        for x, y in zip(cache_arrays(a), cache_arrays(b)):
+            assert np.array_equal(x, y)
+        centers = fps_oracle(rec.points, cfg.s_tokens)
+        neighbors = knn_oracle(rec.points, rec.colors, centers, cfg.k_neighbors)
+        assert np.array_equal(a.centers, rec.points[centers])
+        assert np.array_equal(a.patch_colors, rec.colors[neighbors])
+
+
+def test_shuffled_lattice_tokenizes_identically_through_build_cache(rendered):
+    points, colors = lattice_cloud()
+    perm = np.random.default_rng(15).permutation(len(points))
+    template = rendered.records[0]
+    data = TripletDataset(
+        [dataclasses.replace(template, points=points, colors=colors),
+         dataclasses.replace(template, points=points[perm], colors=colors[perm])],
+        rendered.class_names, rendered.class_features, rendered.meta)
+    a, b = training.build_cache(data, toy_config(s_tokens=128, k_neighbors=32))
+    for x, y in zip(cache_arrays(a), cache_arrays(b)):
+        assert np.array_equal(x, y)

@@ -78,6 +78,16 @@ def test_config_validation():
         TrainConfig(epochs=5, warmup_epochs=10)
 
 
+@pytest.mark.parametrize("bad", [dict(batch_size=1), dict(batch_size=0),
+                                 dict(holdout_views=0), dict(holdout_views=12)])
+def test_config_rejects_degenerate_batches_and_splits(bad):
+    with pytest.raises(ConfigError):
+        TrainConfig(**bad)
+    # The edges of the accepted ranges.
+    TrainConfig(batch_size=2, holdout_views=1)
+    TrainConfig(holdout_views=11)
+
+
 # --- optimizer ------------------------------------------------------------------
 
 
