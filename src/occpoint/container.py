@@ -17,7 +17,10 @@ parser to test and fuzz.
 from __future__ import annotations
 
 import json
+import math
+import os
 import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -101,12 +104,33 @@ def write_container(entries: dict[str, np.ndarray], meta: dict | None = None) ->
     return bytes(out)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _tensor_spec(i: int, spec) -> tuple[str, str, tuple[int, ...], int]:
+    """(name, dtype, shape, offset) of tensor table entry i, checked."""
+    if not isinstance(spec, dict):
+        raise FormatError(f"tensor entry {i} is not an object in the header at offset 16")
+    name, dname = spec.get("name"), spec.get("dtype")
+    shape, offset = spec.get("shape"), spec.get("offset")
+    if not isinstance(name, str):
+        raise FormatError(f"tensor entry {i} has no name in the header at offset 16")
+    if not isinstance(dname, str) or dname not in _DTYPES:
+        raise FormatError(f"tensor {name!r}: unknown dtype {dname!r}")
+    if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+        raise FormatError(f"tensor {name!r}: shape {shape!r} is not a list of counts")
+    if not _is_count(offset):
+        raise FormatError(f"tensor {name!r}: offset {offset!r} is not a count")
+    return name, dname, tuple(shape), offset
+
+
 def read_container(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
     """Parse container bytes back into (entries, metadata).
 
     Raises FormatError (with the offending byte offset) on any structural
-    damage: bad magic, truncation, overlapping or unaligned tensors, CRC
-    mismatch, or shape/byte-length disagreement.
+    damage: bad magic, truncation, a malformed tensor table, overlapping or
+    unaligned tensors, CRC mismatch, or shape/byte-length disagreement.
     """
     if len(data) < 16:
         raise FormatError(f"truncated container: {len(data)} bytes < 16-byte preamble at offset 0")
@@ -122,7 +146,7 @@ def read_container(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
         doc = json.loads(data[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable header at offset 16: {exc}") from exc
-    if not isinstance(doc, dict) or "tensors" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("tensors"), list):
         raise FormatError("header missing 'tensors' table at offset 16")
 
     payload_start = 16 + header_len
@@ -136,20 +160,19 @@ def read_container(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
 
     entries: dict[str, np.ndarray] = {}
     spans = []
-    for spec in doc["tensors"]:
-        name, dname = spec["name"], spec["dtype"]
-        shape = tuple(int(s) for s in spec["shape"])
-        offset = int(spec["offset"])
-        if dname not in _DTYPES:
-            raise FormatError(f"tensor {name!r}: unknown dtype {dname!r}")
+    for i, spec in enumerate(doc["tensors"]):
+        name, dname, shape, offset = _tensor_spec(i, spec)
+        if name in entries:
+            raise FormatError(f"tensor {name!r} listed twice in the header at offset 16")
         dt = _DTYPES[dname]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
+        count = math.prod(shape)
+        nbytes = count * dt.itemsize
         if offset % ALIGN != 0:
             raise FormatError(f"tensor {name!r}: offset {offset} not {ALIGN}-byte aligned")
         if offset < payload_start or offset + nbytes > len(data):
             raise FormatError(f"tensor {name!r}: span [{offset}, {offset + nbytes}) out of bounds")
         spans.append((offset, offset + nbytes, name))
-        arr = np.frombuffer(data, dtype=dt, count=int(np.prod(shape, dtype=np.int64)), offset=offset)
+        arr = np.frombuffer(data, dtype=dt, count=count, offset=offset)
         entries[name] = arr.reshape(shape).copy()
 
     spans.sort()
@@ -162,8 +185,18 @@ def read_container(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def write_container_file(path, entries: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write_container(entries, meta))
+    """Write atomically: the bytes go to a temporary file beside `path`, which
+    then replaces it, so a write that fails leaves an old file as it was."""
+    data = write_container(entries, meta)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_container_file(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -13,12 +13,16 @@ import numpy as np
 
 from .cameras import camera_ring
 from .container import read_container_file, write_container_file
-from .errors import InvalidConfig
+from .errors import ConfigError, InvalidConfig
 from .fixtures import class_anchors, object_features
 from .meshio import TriangleMesh, normalize_mesh
 from .render import backproject, rasterize, sample_points
+from .tokenizer import _squared_distance
 
 N_VIEWS = 12
+# Surface samples per block of visible_fraction's distance search: a
+# (32, 2048) float64 block is 512 KiB. The block size never changes a result.
+_VISIBLE_BLOCK_ROWS = 32
 
 
 @dataclass
@@ -100,11 +104,24 @@ def visible_fraction(mesh: TriangleMesh, cloud_points: np.ndarray,
     near = (surf - center) @ toward > 0
     if not np.any(near):
         return 0.0
-    near_pts = surf[near]
-    d2 = ((near_pts[:, None, :] - cloud_points[None, :, :]) ** 2).sum(-1)
     tol = 12.0 / resolution  # ~3 pixel footprints at the working distance
-    covered = d2.min(axis=1) < tol * tol
+    covered = _nearest_squared_distance(surf[near], cloud_points) < tol * tol
     return float(covered.mean())
+
+
+def _nearest_squared_distance(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per sample, the least ((sample - point) ** 2).sum(-1) over the points,
+    bitwise, computed _VISIBLE_BLOCK_ROWS samples at a time."""
+    cols = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    nearest = np.empty(len(samples))
+    d2 = np.empty((min(_VISIBLE_BLOCK_ROWS, len(samples)), cols.shape[1]))
+    tmp = np.empty_like(d2)
+    for s in range(0, len(samples), _VISIBLE_BLOCK_ROWS):
+        block = samples[s : s + _VISIBLE_BLOCK_ROWS]
+        m = len(block)
+        _squared_distance(((block[:, j, None], cols[j]) for j in range(3)), d2[:m], tmp[:m])
+        nearest[s : s + m] = d2[:m].min(axis=1)
+    return nearest
 
 
 def generate_triplets(meshes: list[tuple[str, str, TriangleMesh]],
@@ -187,21 +204,26 @@ def save_dataset(path, dataset: TripletDataset) -> None:
 
 def load_dataset(path) -> TripletDataset:
     entries, meta = read_container_file(path)
-    records = []
-    for i, info in enumerate(meta["records"]):
-        key = f"rec{i:05d}"
-        records.append(TripletRecord(
-            object_id=info["object_id"],
-            label=int(info["label"]),
-            view_id=int(info["view_id"]),
-            points=entries[f"{key}/points"].astype(np.float64),
-            colors=entries[f"{key}/colors"].astype(np.float64),
-            image_feature=entries[f"{key}/image_feature"].astype(np.float64),
-            text_features=entries[f"{key}/text_features"].astype(np.float64),
-        ))
+    try:
+        records = []
+        for i, info in enumerate(meta["records"]):
+            key = f"rec{i:05d}"
+            records.append(TripletRecord(
+                object_id=info["object_id"],
+                label=int(info["label"]),
+                view_id=int(info["view_id"]),
+                points=entries[f"{key}/points"].astype(np.float64),
+                colors=entries[f"{key}/colors"].astype(np.float64),
+                image_feature=entries[f"{key}/image_feature"].astype(np.float64),
+                text_features=entries[f"{key}/text_features"].astype(np.float64),
+            ))
+        class_names = list(meta["class_names"])
+        class_features = entries["class_features"].astype(np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"dataset {path}: missing or malformed entry {exc}") from exc
     return TripletDataset(
         records=records,
-        class_names=list(meta["class_names"]),
-        class_features=entries["class_features"].astype(np.float64),
+        class_names=class_names,
+        class_features=class_features,
         meta={k: v for k, v in meta.items() if k not in ("records", "class_names")},
     )

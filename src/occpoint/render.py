@@ -8,6 +8,17 @@ Uncovered pixels hold +inf depth, which doubles as the transparent-background
 flag. Interpolation is perspective-correct: world positions and colors are
 blended with screen barycentrics weighted by 1/z, which places every
 back-projected point exactly on a triangle plane (up to float rounding).
+
+`rasterize` works on flat arrays of fragments (one per pixel of each face's
+bounding box), a chunk of faces at a time, and gives bitwise what a loop over
+the faces in order gives:
+
+- Depth test: a pixel takes its nearest fragment, and on an exact tie in
+  distance the earlier face wins (a strict `<` against the depth so far).
+- Interpolated positions and colors come from one GEMM per face over its own
+  fragment rows, `weights @ corners`. BLAS GEMM fuses multiply-adds, so an
+  einsum or an elementwise sum over all fragments differs from it in the last
+  bit, and the dataset with it; a GEMM row does not depend on other rows.
 """
 
 from __future__ import annotations
@@ -46,6 +57,22 @@ class PartialPointCloud:
             raise EmptyCloud("point cloud has no points")
 
 
+# Each chunk's fragment count (bounding-box pixels of its faces) stays within
+# this many, unless one face alone has more; the chunk size never changes an
+# image.
+_FRAGMENT_BLOCK_LIMIT = 1 << 16
+
+# Edge k of a face runs from corner _EDGE_FROM[k] to corner _EDGE_TO[k]; its
+# edge function over the area is corner k's screen barycentric.
+_EDGE_FROM = [1, 2, 0]
+_EDGE_TO = [2, 0, 1]
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each c in counts, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def rasterize(mesh: TriangleMesh, pose: CameraPose) -> tuple[DepthImage, np.ndarray]:
     """Render (DepthImage, (H, W, 3) color image) of the mesh from one pose.
 
@@ -57,67 +84,93 @@ def rasterize(mesh: TriangleMesh, pose: CameraPose) -> tuple[DepthImage, np.ndar
     if w < 1 or h < 1:
         raise InvalidConfig(f"zero-resolution image {pose.resolution}")
 
-    depth = np.full((h, w), np.inf, dtype=np.float64)
-    color = np.full((h, w, 3), BACKGROUND_GRAY, dtype=np.float64)
+    depth = np.full(h * w, np.inf, dtype=np.float64)
+    color = np.full((h * w, 3), BACKGROUND_GRAY, dtype=np.float64)
 
-    verts = mesh.vertices
-    pix, zc = pose.project(verts)
+    pix, zc = pose.project(mesh.vertices)
     if mesh.vertex_colors is not None:
         vcol = mesh.vertex_colors
     else:
-        vcol = np.full((verts.shape[0], 3), BACKGROUND_GRAY)
+        vcol = np.full((mesh.vertices.shape[0], 3), BACKGROUND_GRAY)
 
-    cam = pose.position
-    for face in mesh.faces:
-        z = zc[face]
-        if np.any(z <= 1e-9):
-            continue  # behind or at the pinhole; normalized meshes never hit this
-        p = pix[face]  # (3, 2) screen corners
-        # Signed doubled area of the projected triangle; degenerate -> skip.
-        area = (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1]) - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])
-        if abs(area) < 1e-12:
-            continue
+    # Faces behind or at the pinhole are dropped (normalized meshes never have
+    # any), then degenerate ones and those whose bounding box misses the image.
+    faces = mesh.faces[~np.any(zc[mesh.faces] <= 1e-9, axis=1)]
+    px, py = pix[faces, 0], pix[faces, 1]  # (F, 3) screen corners
+    area = ((px[:, 1] - px[:, 0]) * (py[:, 2] - py[:, 0])
+            - (px[:, 2] - px[:, 0]) * (py[:, 1] - py[:, 0]))
+    x0 = np.maximum(np.floor(px.min(1) - 0.5), 0)
+    x1 = np.minimum(np.ceil(px.max(1) + 0.5), w - 1)
+    y0 = np.maximum(np.floor(py.min(1) - 0.5), 0)
+    y1 = np.minimum(np.ceil(py.max(1) + 0.5), h - 1)
+    keep = ~(np.abs(area) < 1e-12) & (x0 <= x1) & (y0 <= y1)
+    faces, px, py, area = faces[keep], px[keep], py[keep], area[keep]
+    x0, y0 = x0[keep].astype(np.int64), y0[keep].astype(np.int64)
+    nx = x1[keep].astype(np.int64) - x0 + 1
+    ny = y1[keep].astype(np.int64) - y0 + 1
+    # Edge functions (bx - ax) * (gy - ay) - (by - ay) * (gx - ax), per edge
+    # (rows of these (3, F) arrays): a face's bounding-box rows share the
+    # first product and its columns the second.
+    ex = (px[:, _EDGE_TO] - px[:, _EDGE_FROM]).T
+    ey = (py[:, _EDGE_TO] - py[:, _EDGE_FROM]).T
+    ax, ay = px[:, _EDGE_FROM].T, py[:, _EDGE_FROM].T
+    zt = zc[faces].T
+    corners, corner_colors = mesh.vertices[faces], vcol[faces]  # (F, 3, 3)
 
-        x0 = max(int(np.floor(p[:, 0].min() - 0.5)), 0)
-        x1 = min(int(np.ceil(p[:, 0].max() + 0.5)), w - 1)
-        y0 = max(int(np.floor(p[:, 1].min() - 0.5)), 0)
-        y1 = min(int(np.ceil(p[:, 1].max() + 0.5)), h - 1)
-        if x0 > x1 or y0 > y1:
-            continue
+    ends = np.cumsum(nx * ny)
+    splits = [0]
+    while splits[-1] < len(faces):
+        lo = splits[-1]
+        room = ends[lo] - nx[lo] * ny[lo] + _FRAGMENT_BLOCK_LIMIT
+        splits.append(max(lo + 1, int(np.searchsorted(ends, room, side="right"))))
+    for lo, hi in zip(splits, splits[1:]):
+        # Bounding-box rows and columns of the chunk's faces, then one
+        # fragment per bounding-box pixel, face by face, rows then columns.
+        rf = np.repeat(np.arange(lo, hi), ny[lo:hi])
+        cf = np.repeat(np.arange(lo, hi), nx[lo:hi])
+        iy = y0[rf] + _ranks(ny[lo:hi])
+        ix = x0[cf] + _ranks(nx[lo:hi])
+        row_term = ex[:, rf] * ((iy + 0.5) - ay[:, rf])
+        col_term = ey[:, cf] * ((ix + 0.5) - ax[:, cf])
+        span = nx[rf]
+        first_col = np.cumsum(nx[lo:hi]) - nx[lo:hi]
+        at_col = np.repeat(first_col[rf - lo], span) + _ranks(span)
 
-        xs = np.arange(x0, x1 + 1) + 0.5
-        ys = np.arange(y0, y1 + 1) + 0.5
-        gx, gy = np.meshgrid(xs, ys)
-
-        # Screen-space barycentrics from edge functions.
-        def edge(ax, ay, bx, by):
-            return (bx - ax) * (gy - ay) - (by - ay) * (gx - ax)
-
-        w0 = edge(p[1, 0], p[1, 1], p[2, 0], p[2, 1])
-        w1 = edge(p[2, 0], p[2, 1], p[0, 0], p[0, 1])
-        w2 = edge(p[0, 0], p[0, 1], p[1, 0], p[1, 1])
-        lam = np.stack([w0, w1, w2], axis=-1) / area
-        inside = np.all(lam >= 0.0, axis=-1)
+        # Screen-space barycentrics (3, fragments) from edge functions.
+        lam = np.repeat(row_term, span, axis=1) - col_term[:, at_col]
+        lam /= np.repeat(area[lo:hi], nx[lo:hi] * ny[lo:hi])
+        inside = lam.min(axis=0) >= 0.0
         if not np.any(inside):
             continue
+        lam = lam[:, inside]
+        f = np.repeat(rf, span)[inside]
+        pixel = (np.repeat(iy * w, span) + ix[at_col])[inside]
+        # Perspective-correct weights: screen barycentrics over vertex depth,
+        # normalized by their sum ((w0 + w1) + w2).
+        pw = lam / zt[:, f]
+        pw = np.ascontiguousarray((pw / ((pw[0] + pw[1]) + pw[2])).T)
 
-        lam = lam[inside]  # (M, 3)
-        # Perspective-correct weights: screen barycentrics over vertex depth.
-        pw = lam / z[None, :]
-        pw = pw / pw.sum(axis=1, keepdims=True)
+        # One GEMM per face over its contiguous fragment rows: exact ray/plane
+        # intersection points and colors, bitwise what the face gives alone.
+        world = np.empty_like(pw)
+        rgb = np.empty_like(pw)
+        cuts = (np.flatnonzero(f[1:] != f[:-1]) + 1).tolist()
+        for s, e in zip([0] + cuts, cuts + [len(f)]):
+            np.matmul(pw[s:e], corners[f[s]], out=world[s:e])
+            np.matmul(pw[s:e], corner_colors[f[s]], out=rgb[s:e])
+        dist = np.linalg.norm(world - pose.position, axis=1)
 
-        world = pw @ mesh.vertices[face]  # exact ray/plane intersection points
-        dist = np.linalg.norm(world - cam, axis=1)
-        col = np.clip(pw @ vcol[face], 0.0, 1.0)
+        # Nearest fragment per pixel, the first in face order among equal
+        # distances, replaces the depth only when strictly nearer.
+        nearest = depth.copy()
+        np.fmin.at(nearest, pixel, dist)
+        tied = np.flatnonzero(dist == nearest[pixel])
+        win = tied[np.unique(pixel[tied], return_index=True)[1]]
+        win = win[dist[win] < depth[pixel[win]]]
+        depth[pixel[win]] = dist[win]
+        color[pixel[win]] = np.clip(rgb[win], 0.0, 1.0)
 
-        yy, xx = np.nonzero(inside)
-        yy = yy + y0
-        xx = xx + x0
-        better = dist < depth[yy, xx]
-        depth[yy[better], xx[better]] = dist[better]
-        color[yy[better], xx[better]] = col[better]
-
-    return DepthImage(values=depth), color
+    return DepthImage(values=depth.reshape(h, w)), color.reshape(h, w, 3)
 
 
 def backproject(depth: DepthImage, color: np.ndarray, pose: CameraPose) -> PartialPointCloud:

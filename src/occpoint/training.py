@@ -370,7 +370,10 @@ def make_batches(caches: list[CloudCache], batch_size: int, epoch: int,
                  seed: int) -> list[list[CloudCache]]:
     """Batches for one epoch: every view used once, one view per object per
     batch, and no two objects of the same class inside a batch whenever
-    batch_size <= number of classes.
+    it holds no more objects than there are classes.
+
+    Each pass over the objects is cut into batches of batch_size; the last
+    one holds the rest, and a rest of one object joins the batch before it.
 
     Same-class collisions matter at desk scale: with per-object text/image
     fixtures, a color-dropped cloud and its same-class partner are near
@@ -404,8 +407,13 @@ def make_batches(caches: list[CloudCache], batch_size: int, epoch: int,
             for cls in class_order:
                 if d < len(members[cls]):
                     rotation.append(members[cls][d])
-        for start in range(0, len(rotation), batch_size):
-            group = rotation[start : start + batch_size]
+        groups = [rotation[start : start + batch_size]
+                  for start in range(0, len(rotation), batch_size)]
+        if len(groups) > 1 and len(groups[-1]) == 1:
+            # A batch of one has an identically zero contrastive loss.
+            lone = groups.pop()
+            groups[-1] += lone
+        for group in groups:
             batches.append([
                 by_object[obj][view_orders[obj][v] % len(by_object[obj])]
                 for obj in group
@@ -719,25 +727,32 @@ def save_checkpoint(path, model: ModelState) -> None:
 
 def load_checkpoint(path) -> ModelState:
     entries, meta = read_container_file(path)
-    encoder_config = EncoderConfig.from_dict(meta["encoder_config"])
-    train_config = TrainConfig(**meta["train_config"])
+    try:
+        encoder_config = EncoderConfig.from_dict(meta["encoder_config"])
+        train_config = TrainConfig(**meta["train_config"])
+        step, opt_step = int(meta["step"]), int(meta["opt_step"])
+        ema_updates = int(meta.get("ema_updates", step))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path}: missing or malformed metadata {exc}") from exc
     model = init_model(encoder_config, train_config)
     params = model.params()
-    missing = [k for k in params if f"param/{k}" not in entries]
+    slots = ("param", "ema", "opt/m", "opt/v")
+    missing = [f"{slot}/{k}" for k in params for slot in slots if f"{slot}/{k}" not in entries]
     if missing:
-        raise ConfigError(f"checkpoint missing parameters: {missing[:3]}...")
+        raise ConfigError(f"checkpoint missing tensors: {missing[:3]}...")
     for name, t in params.items():
-        stored = entries[f"param/{name}"]
-        if stored.shape != t.data.shape:
-            raise ConfigError(
-                f"checkpoint tensor {name} has shape {stored.shape}, "
-                f"model expects {t.data.shape}"
-            )
-        t.data = stored.astype(np.float64)
+        for slot in slots:
+            stored = entries[f"{slot}/{name}"]
+            if stored.shape != t.data.shape:
+                raise ConfigError(
+                    f"checkpoint tensor {slot}/{name} has shape {stored.shape}, "
+                    f"model expects {t.data.shape}"
+                )
+        t.data = entries[f"param/{name}"].astype(np.float64)
         model.ema.shadow[name] = entries[f"ema/{name}"].astype(np.float64)
         model.opt.m[name] = entries[f"opt/m/{name}"].astype(np.float64)
         model.opt.v[name] = entries[f"opt/v/{name}"].astype(np.float64)
-    model.step = int(meta["step"])
-    model.opt.step = int(meta["opt_step"])
-    model.ema.updates = int(meta.get("ema_updates", model.step))
+    model.step = step
+    model.opt.step = opt_step
+    model.ema.updates = ema_updates
     return model

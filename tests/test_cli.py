@@ -225,3 +225,74 @@ def test_dataset_save_load_round_trip(tmp_path):
     assert r0.object_id == l0.object_id and r0.label == l0.label
     assert np.allclose(r0.points, l0.points, atol=1e-6)
     assert np.allclose(r0.text_features, l0.text_features, atol=1e-7)
+
+
+def rewrite(src, dst, edit):
+    """Copy container `src` to `dst` with edit(entries, meta) applied."""
+    from occpoint.container import read_container_file, write_container_file
+
+    entries, meta = read_container_file(src)
+    edit(entries, meta)
+    write_container_file(dst, entries, meta)
+    return dst
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda e, m: m.pop("records"), id="no-records"),
+    pytest.param(lambda e, m: m.pop("class_names"), id="no-class-names"),
+    pytest.param(lambda e, m: m["records"][3].pop("label"), id="record-without-label"),
+    pytest.param(lambda e, m: m["records"][3].__setitem__("view_id", "x"), id="bad-view-id"),
+    pytest.param(lambda e, m: m.__setitem__("records", 4), id="int-records"),
+    pytest.param(lambda e, m: e.pop("rec00005/points"), id="no-points"),
+    pytest.param(lambda e, m: e.pop("class_features"), id="no-class-features"),
+])
+def test_load_dataset_incomplete_is_config_error(small_dataset, tmp_path, capsys, edit):
+    from occpoint.errors import ConfigError
+
+    broken = rewrite(small_dataset, tmp_path / "broken.occt", edit)
+    with pytest.raises(ConfigError):
+        load_dataset(broken)
+    rc = main(["pretrain", "--data", str(broken), "--out", str(tmp_path / "m.occt"),
+               "--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6",
+               "--c-dim", "16", "--epochs", "0", "--warmup-epochs", "0"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(small_dataset, tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("ckpt") / "m.occt"
+    assert main(["pretrain", "--data", str(small_dataset), "--out", str(ckpt),
+                 "--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6",
+                 "--c-dim", "16", "--epochs", "0", "--warmup-epochs", "0",
+                 "--seed", "0"]) == 0
+    return ckpt
+
+
+def first_param(entries):
+    return next(k for k in entries if k.startswith("param/"))[len("param/"):]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda e, m: m.pop("step"), id="no-step"),
+    pytest.param(lambda e, m: m.pop("opt_step"), id="no-opt-step"),
+    pytest.param(lambda e, m: m.pop("encoder_config"), id="no-encoder-config"),
+    pytest.param(lambda e, m: m["encoder_config"].pop("curve_a"), id="no-curve"),
+    pytest.param(lambda e, m: m["train_config"].__setitem__("surprise", 1), id="unknown-key"),
+    pytest.param(lambda e, m: m.__setitem__("train_config", [1, 2]), id="list-config"),
+    pytest.param(lambda e, m: e.pop(f"ema/{first_param(e)}"), id="no-ema-tensor"),
+    pytest.param(lambda e, m: e.pop(f"param/{first_param(e)}"), id="no-param-tensor"),
+    pytest.param(lambda e, m: e.__setitem__(f"opt/v/{first_param(e)}", np.zeros(3)),
+                 id="wrong-shape-moment"),
+])
+def test_load_checkpoint_incomplete_is_config_error(small_checkpoint, small_dataset, tmp_path,
+                                                     capsys, edit):
+    from occpoint.errors import ConfigError
+    from occpoint.training import load_checkpoint
+
+    broken = rewrite(small_checkpoint, tmp_path / "broken.occt", edit)
+    with pytest.raises(ConfigError):
+        load_checkpoint(broken)
+    rc = main(["eval", "--data", str(small_dataset), "--checkpoint", str(broken)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err

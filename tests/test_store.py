@@ -113,3 +113,114 @@ def test_unknown_header_fields_preserved(tmp_path):
     blob1 = path.read_bytes()
     write_container_file(path, entries, meta)
     assert path.read_bytes() == blob1
+
+
+def rewrite_header(blob: bytes, edit) -> bytes:
+    """`blob` with its JSON header passed through edit(doc), at the same length."""
+    header_len = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+    doc = json.loads(blob[16 : 16 + header_len])
+    edit(doc)
+    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert len(header) <= header_len
+    return blob[:16] + header + b" " * (header_len - len(header)) + blob[16 + header_len:]
+
+
+def drop(key):
+    return lambda doc: doc["tensors"][0].pop(key)
+
+
+def put(key, value):
+    return lambda doc: doc["tensors"][0].__setitem__(key, value)
+
+
+def set_tensors(value):
+    return lambda doc: doc.__setitem__("tensors", value)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(drop("shape"), id="no-shape"),
+    pytest.param(drop("name"), id="no-name"),
+    pytest.param(drop("dtype"), id="no-dtype"),
+    pytest.param(drop("offset"), id="no-offset"),
+    pytest.param(put("shape", [-3, 2]), id="negative-dim"),
+    pytest.param(put("shape", 6), id="int-shape"),
+    pytest.param(put("shape", [3.0, 2]), id="float-dim"),
+    pytest.param(put("shape", [True, 2]), id="bool-dim"),
+    pytest.param(put("shape", ["3", 2]), id="string-dim"),
+    pytest.param(put("shape", [3, None]), id="null-dim"),
+    pytest.param(put("shape", [2**70, 2**70]), id="huge-dims"),
+    pytest.param(put("name", 7), id="int-name"),
+    pytest.param(put("dtype", ["f32"]), id="list-dtype"),
+    pytest.param(put("dtype", {"a": 1}), id="object-dtype"),
+    pytest.param(put("offset", -64), id="negative-offset"),
+    pytest.param(put("offset", 64.0), id="float-offset"),
+    pytest.param(put("offset", "64"), id="string-offset"),
+    pytest.param(set_tensors(5), id="int-tensors"),
+    pytest.param(set_tensors({"alpha": 1}), id="object-tensors"),
+    pytest.param(lambda doc: doc["tensors"].append(7), id="int-entry"),
+    pytest.param(lambda doc: doc["tensors"].append(dict(doc["tensors"][0])), id="duplicate"),
+    pytest.param(lambda doc: doc.pop("tensors"), id="no-tensors"),
+])
+def test_malformed_tensor_table_rejected(edit):
+    blob = rewrite_header(write_container(sample_entries()), edit)
+    with pytest.raises(FormatError):
+        read_container(blob)
+
+
+def test_v1_layout_unchanged():
+    entries = {"x": np.arange(3, dtype=np.float32)}
+    blob = write_container(entries, {"k": 1})
+    assert blob[:4] == MAGIC
+    assert int(np.frombuffer(blob[4:8], dtype="<u4")[0]) == 1
+    header_len = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+    doc = json.loads(blob[16 : 16 + header_len])
+    assert doc["tensors"] == [{"dtype": "f32", "name": "x", "offset": 16 + header_len,
+                               "shape": [3]}]
+    assert (16 + header_len) % ALIGN == 0
+    assert blob[16 + header_len:] == entries["x"].tobytes()
+
+
+def test_byte_mutations_raise_format_error_or_parse():
+    blob = write_container(sample_entries(), {"note": "fixture", "step": 3})
+    header_end = 16 + int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+    rng = np.random.Generator(np.random.PCG64(20240))
+    parsed = rejected = 0
+    for trial in range(3000):
+        data = bytearray(blob)
+        # Two thirds of the mutations land in the preamble and header.
+        end = header_end if trial % 3 else len(blob)
+        for _ in range(rng.integers(1, 4)):
+            data[rng.integers(0, end)] = rng.integers(0, 256)
+        try:
+            read_container(bytes(data))
+        except FormatError:
+            rejected += 1
+        else:
+            parsed += 1
+    assert rejected > 1000 and parsed > 0
+
+
+def test_failed_write_leaves_old_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / "c.occt"
+    write_container_file(path, {"x": np.arange(4, dtype=np.float32)})
+    before = path.read_bytes()
+    with pytest.raises(FormatError):
+        write_container_file(path, {"x": np.zeros(3, dtype=np.int16)})
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("occpoint.container.os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_container_file(path, {"x": np.ones(8, dtype=np.float64)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.occt"]
+
+
+def test_write_replaces_existing_file(tmp_path):
+    path = tmp_path / "c.occt"
+    write_container_file(path, {"x": np.arange(4, dtype=np.float32)})
+    write_container_file(path, {"y": np.ones(2, dtype=np.float64)}, {"tag": 1})
+    entries, meta = read_container_file(path)
+    assert list(entries) == ["y"] and meta == {"tag": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["c.occt"]

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,25 @@ def test_batches_cover_every_view_each_epoch():
     seen = [id(c) for batch in batches for c in batch]
     assert len(seen) == len(caches)
     assert len(set(seen)) == len(caches)
+
+
+def fake_caches(n_objects, n_classes, views):
+    return [SimpleNamespace(object_index=obj, label=obj % n_classes, view=v)
+            for obj in range(n_objects) for v in range(views)]
+
+
+@pytest.mark.parametrize("n_objects,batch_size,sizes", [
+    (17, 8, [8, 9]), (9, 4, [4, 5]), (5, 4, [5]), (16, 8, [8, 8]), (6, 4, [4, 2]),
+])
+def test_lone_leftover_joins_the_batch_before(n_objects, batch_size, sizes):
+    caches = fake_caches(n_objects, 8, views=10)
+    for epoch in range(2):
+        batches = make_batches(caches, batch_size, epoch, seed=3)
+        assert [len(b) for b in batches] == sizes * 10
+        seen = [id(c) for batch in batches for c in batch]
+        assert sorted(seen) == sorted(id(c) for c in caches)
+        for batch in batches:
+            assert len({c.object_index for c in batch}) == len(batch)
 
 
 def test_color_dropout_changes_inputs_not_geometry():
