@@ -15,10 +15,10 @@ the faces in order gives:
 
 - Depth test: a pixel takes its nearest fragment, and on an exact tie in
   distance the earlier face wins (a strict `<` against the depth so far).
-- Interpolated positions and colors come from one GEMM per face over its own
-  fragment rows, `weights @ corners`. BLAS GEMM fuses multiply-adds, so an
-  einsum or an elementwise sum over all fragments differs from it in the last
-  bit, and the dataset with it; a GEMM row does not depend on other rows.
+- Interpolated positions and colors come from one GEMM per face over that
+  face's fragment rows, `weights @ corners`, the call the loop made. BLAS
+  GEMM fuses multiply-adds, so an einsum or an elementwise sum over all
+  fragments at once differs from it in the last bit, and the dataset with it.
 """
 
 from __future__ import annotations
