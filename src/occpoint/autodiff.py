@@ -7,6 +7,15 @@ reductions, gathers, a depthwise 1D convolution, and the selective scan,
 whose recurrence gets a hand-derived adjoint in `ssm.py`). Everything is
 double precision so analytic gradients can be held to finite-difference
 checks at 1e-4 relative error.
+
+Gradients are never copied and never updated in place. `accumulate` keeps a
+node's first gradient by reference and adds later ones out of place, because
+closures hand the same array to several nodes: `add` passes its `g` to both
+parents and `reshape` passes a view of it, so two `.grad`s may be one buffer.
+A closure computes nothing for a parent that does not require a gradient, and
+under `no_grad` ops skip the work only the backward pass needs. `backward`
+drops each interior node's `.grad` once its closure has run; leaf gradients
+stay and accumulate across calls.
 """
 
 from __future__ import annotations
@@ -17,6 +26,15 @@ from .errors import ShapeError
 
 
 _GRAD_ENABLED = True
+
+
+def grad_enabled() -> bool:
+    return _GRAD_ENABLED
+
+
+def needs_grad(*tensors: "Tensor") -> bool:
+    """Whether an op over these inputs records a backward closure."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
 
 
 class no_grad:
@@ -58,9 +76,9 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # g may be shared with other nodes (see the module docstring), so it
+        # is stored as it is and never added to in place.
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -86,6 +104,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # interior: its parents hold what they need
 
     # Operator sugar; scalars and ndarrays are promoted to constant Tensors.
     def __add__(self, other):
@@ -154,8 +173,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        a.accumulate(_unbroadcast(g, a.data.shape))
-        b.accumulate(_unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(g, b.data.shape))
 
     return Tensor(out_data, parents=(a, b), backward=backward)
 
@@ -168,8 +189,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b.accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return Tensor(out_data, parents=(a, b), backward=backward)
 
@@ -178,10 +201,18 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        a.accumulate(_unbroadcast(g / b.data, a.data.shape))
-        b.accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return Tensor(out_data, parents=(a, b), backward=backward)
+
+
+def weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of W in a @ W from the output gradient g: one GEMM over all
+    leading axes, (..., k) x (..., j) -> (k, j)."""
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -191,8 +222,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        a.accumulate(g @ b.data.T)
-        b.accumulate(np.einsum("...ik,...ij->kj", a.data, g, optimize=True))
+        if a.requires_grad:
+            a.accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate(weight_grad(a.data, g))
 
     return Tensor(out_data, parents=(a, b), backward=backward)
 
@@ -215,20 +248,33 @@ def square(a: Tensor) -> Tensor:
     return Tensor(a.data * a.data, parents=(a,), backward=lambda g: a.accumulate(g * 2.0 * a.data))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)), into `out` when given (which may be x itself)."""
     # exp overflow for very negative x saturates to 1/inf = 0, which is exact.
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+def silu_array(x: np.ndarray) -> np.ndarray:
+    """x * sigmoid(x) in place, with one temporary; returns x."""
+    x *= sigmoid_array(x)
+    return x
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
+    s = sigmoid_array(a.data)
     return Tensor(s, parents=(a,), backward=lambda g: a.accumulate(g * s * (1.0 - s)))
 
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x) (the SiLU / swish nonlinearity)."""
-    s = _sigmoid(a.data)
+    s = sigmoid_array(a.data)
+    if not needs_grad(a):
+        s *= a.data
+        return Tensor(s)
     out = a.data * s
 
     def backward(g):
@@ -240,7 +286,9 @@ def silu(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed overflow-free."""
     out = np.logaddexp(0.0, a.data)
-    s = _sigmoid(a.data)
+    if not needs_grad(a):
+        return Tensor(out)
+    s = sigmoid_array(a.data)
     return Tensor(out, parents=(a,), backward=lambda g: a.accumulate(g * s))
 
 
@@ -248,12 +296,9 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            a.accumulate(np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a.accumulate(np.broadcast_to(g, a.data.shape).copy())
+        a.accumulate(np.broadcast_to(g, a.data.shape))
 
     return Tensor(out_data, parents=(a,), backward=backward)
 
@@ -279,42 +324,37 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
     def backward(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t.accumulate(piece)
+            if t.requires_grad:
+                t.accumulate(piece)
 
     return Tensor(out_data, parents=tuple(tensors), backward=backward)
 
 
-def take_rows(a: Tensor, index: np.ndarray, axis: int) -> Tensor:
-    """Gather slices along `axis` with an integer index array (same length layout).
+def gather_rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Token gather row by row: out[..., b, i, :] = x[..., b, index[..., b, i], :].
 
-    Used for curve sort/unsort; the index is a bijection per batch row, so the
-    backward scatter has no collisions and put_along_axis is exact.
+    x is (..., B, S, C) and index (..., B, S); leading axes that x lacks are
+    broadcast, so one (B, S, C) array can be gathered once per stream.
     """
-    index = np.asarray(index, dtype=np.int64)
-    expand = [1] * a.data.ndim
-    expand[axis] = -1
-    # Broadcast a (B, S) or (S,) index against (B, S, C)-style data.
-    if index.ndim == a.data.ndim:
-        idx = index
-    elif index.ndim == a.data.ndim - 1:
-        idx = np.expand_dims(index, -1)
-    else:
-        idx = index.reshape(expand)
-    idx_full = np.broadcast_to(idx, a.data.shape)
-    out_data = np.take_along_axis(a.data, idx_full, axis=axis)
+    lead = x.shape[:-2]
+    rows = [np.arange(n).reshape((n,) + (1,) * (len(lead) - i)) for i, n in enumerate(lead)]
+    return x[(*rows, index)]
 
-    def backward(g):
-        gin = np.zeros_like(a.data)
-        np.put_along_axis(gin, idx_full, g, axis=axis)
-        a.accumulate(gin)
 
-    return Tensor(out_data, parents=(a,), backward=backward)
+def take_rows(a: Tensor, forward: np.ndarray, inverse: np.ndarray) -> Tensor:
+    """Reorder the tokens of (B, S, C) by one permutation per row, given as
+    (B, S) forward and inverse indices; the backward pass is the gather by the
+    inverse, since each row's index is a bijection."""
+    return Tensor(gather_rows(a.data, forward), parents=(a,),
+                  backward=lambda g: a.accumulate(gather_rows(g, inverse)))
 
 
 def amax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max over one axis; gradient routes to the first argmax (ties are rare
     and measure-zero for continuous inputs)."""
     out_data = a.data.max(axis=axis, keepdims=keepdims)
+    if not needs_grad(a):
+        return Tensor(out_data)
     arg = np.expand_dims(a.data.argmax(axis=axis), axis)
 
     def backward(g):
@@ -330,12 +370,10 @@ def amax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp with pass-through gradient strictly inside [lo, hi]."""
     out_data = np.clip(a.data, lo, hi)
+    if not needs_grad(a):
+        return Tensor(out_data)
     mask = (a.data >= lo) & (a.data <= hi)
-
-    def backward(g):
-        a.accumulate(g * mask)
-
-    return Tensor(out_data, parents=(a,), backward=backward)
+    return Tensor(out_data, parents=(a,), backward=lambda g: a.accumulate(g * mask))
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -372,6 +410,34 @@ def l2_normalize_rows(x: Tensor, eps: float = 0.0) -> Tensor:
     return div(x, norms)
 
 
+def conv1d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                   pad_left: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array core of `depthwise_conv1d` with a leading stream axis: x is
+    (Z, B, S, C), kernel (Z, C, w) and bias (Z, C), one kernel per stream.
+    Returns the output and the padded input that `conv1d_backward` reads."""
+    s = x.shape[-2]
+    w = kernel.shape[-1]
+    xp = np.zeros(x.shape[:-2] + (s + w - 1, x.shape[-1]))
+    xp[..., pad_left : pad_left + s, :] = x
+    out = np.zeros(x.shape)
+    for j in range(w):
+        out += xp[..., j : j + s, :] * kernel[:, None, None, :, j]
+    out += bias[:, None, None, :]
+    return out, xp
+
+
+def conv1d_backward(g: np.ndarray, xp: np.ndarray, kernel: np.ndarray,
+                    pad_left: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (input, kernel, bias) of `conv1d_forward`'s output."""
+    s = g.shape[-2]
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(kernel)
+    for j in range(kernel.shape[-1]):
+        gxp[..., j : j + s, :] += g * kernel[:, None, None, :, j]
+        gk[:, :, j] = np.einsum("zbsc,zbsc->zc", g, xp[..., j : j + s, :])
+    return gxp[..., pad_left : pad_left + s, :], gk, g.sum(axis=(1, 2))
+
+
 def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor,
                      pad_left: int, pad_right: int) -> Tensor:
     """Per-channel 1D convolution along the token axis.
@@ -382,25 +448,15 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor,
     """
     if x.data.ndim != 3:
         raise ShapeError(f"depthwise_conv1d expects (B, S, C), got {x.data.shape}")
-    nb, s, c = x.data.shape
     w = kernel.data.shape[1]
     if pad_left + pad_right != w - 1:
         raise ShapeError(f"padding ({pad_left}, {pad_right}) incompatible with width {w}")
-    xp = np.zeros((nb, s + w - 1, c))
-    xp[:, pad_left : pad_left + s] = x.data
-    out_data = np.zeros((nb, s, c))
-    for j in range(w):
-        out_data += xp[:, j : j + s, :] * kernel.data[:, j]
-    out_data += bias.data
+    out_data, xp = conv1d_forward(x.data[None], kernel.data[None], bias.data[None], pad_left)
 
     def backward(g):
-        gxp = np.zeros_like(xp)
-        gk = np.zeros_like(kernel.data)
-        for j in range(w):
-            gxp[:, j : j + s, :] += g * kernel.data[:, j]
-            gk[:, j] = np.einsum("bsc,bsc->c", g, xp[:, j : j + s, :])
-        x.accumulate(gxp[:, pad_left : pad_left + s])
-        kernel.accumulate(gk)
-        bias.accumulate(g.sum(axis=(0, 1)))
+        grads = conv1d_backward(g[None], xp, kernel.data[None], pad_left)
+        for t, gt in zip((x, kernel, bias), grads):
+            if t.requires_grad:
+                t.accumulate(gt[0])
 
-    return Tensor(out_data, parents=(x, kernel, bias), backward=backward)
+    return Tensor(out_data[0], parents=(x, kernel, bias), backward=backward)

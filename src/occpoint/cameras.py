@@ -75,13 +75,19 @@ class CameraPose:
         py = (1.0 - yn) * 0.5 * h
         return np.stack([px, py], axis=-1), zc
 
-    def pixel_rays(self) -> np.ndarray:
-        """(H, W, 3) unit direction of the ray through each pixel center."""
+    def pixel_rays(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """(H, W, 3) unit direction of the ray through each pixel center, or
+        (M, 3) for the M pixels set in an (H, W) mask, in row-major order: the
+        same operations per pixel, so bitwise pixel_rays()[mask]."""
         w, h = self.resolution
         tx, ty = self.tan_half_fov
         xs = ((np.arange(w) + 0.5) / w * 2.0 - 1.0) * tx
         ys = (1.0 - (np.arange(h) + 0.5) / h * 2.0) * ty
-        xn, yn = np.meshgrid(xs, ys)
+        if mask is None:
+            xn, yn = np.meshgrid(xs, ys)
+        else:
+            rows, cols = np.nonzero(mask)
+            xn, yn = xs[cols], ys[rows]
         dirs = (
             xn[..., None] * self.right
             + yn[..., None] * self.up

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import format_csv, format_table, run_benchmark
+from .container import write_atomic
 from .curves import CurveKind
 from .dataset import generate_triplets, load_dataset, save_dataset
 from .encoder import EncoderConfig, count_params, desk_config, full_scale_config, toy_config
@@ -64,7 +65,7 @@ def write_manifest(path: Path, config: dict, seed: int, started: str,
         "started": started,
         "finished": finished,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _now() -> str:
@@ -209,7 +210,7 @@ def cmd_eval(args) -> int:
     for key, value in report.items():
         print(f"{key}: {value:.4f}")
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        write_atomic(args.out, json.dumps(report, indent=2) + "\n")
         write_manifest(Path(args.out).with_suffix(".manifest.json"),
                        {"checkpoint": str(args.checkpoint), "mode": args.mode},
                        args.seed, started, _now(), command_line=args._argv)
@@ -223,7 +224,7 @@ def cmd_bench(args) -> int:
     rows = run_benchmark(config, sizes=sizes, runs=args.runs, seed=args.seed)
     print(format_table(rows))
     if args.out:
-        Path(args.out).write_text(format_csv(rows))
+        write_atomic(args.out, format_csv(rows))
         write_manifest(Path(args.out).with_suffix(".manifest.json"),
                        {"config": config.to_dict(), "sizes": sizes, "runs": args.runs},
                        args.seed, started, _now(), command_line=args._argv)

@@ -184,10 +184,11 @@ def read_container(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
     return entries, meta
 
 
-def write_container_file(path, entries: dict[str, np.ndarray], meta: dict | None = None) -> None:
+def write_atomic(path, data: bytes | str) -> None:
     """Write atomically: the bytes go to a temporary file beside `path`, which
     then replaces it, so a write that fails leaves an old file as it was."""
-    data = write_container(entries, meta)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -197,6 +198,10 @@ def write_container_file(path, entries: dict[str, np.ndarray], meta: dict | None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_container_file(path, entries: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    write_atomic(path, write_container(entries, meta))
 
 
 def read_container_file(path) -> tuple[dict[str, np.ndarray], dict]:

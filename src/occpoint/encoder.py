@@ -16,6 +16,14 @@ The sort permutations depend only on token centers, so they are computed once
 per cloud and shared by all blocks. A linear head plus average pooling turns
 the final tokens into a single embedding vector.
 
+The two branches run as one autodiff op (`stream_branches`) with a hand
+adjoint. Its intermediates are arrays with a leading stream axis of size 2
+(curve a, curve b), shape (2, B, S, C_inner): the sort and unsort gathers,
+the convolution, the SiLUs and the gating act on both streams at once, the
+projections take one GEMM per stream, and one recurrence loop over the
+tokens serves both curves. Each weight keeps its own tensor (and checkpoint
+name); the op stacks them per call.
+
 This module also carries the closed-form parameter and FLOPs accounting used
 for scale reporting, including the analytic attention-equivalent model
 (4*S^2*C + 8*S*C^2 per block) that stands in for a Transformer comparison.
@@ -184,17 +192,63 @@ def _conv_padding(config: EncoderConfig) -> tuple[int, int]:
     return (w - 1) // 2, w - 1 - (w - 1) // 2
 
 
-def _branch(z_in: Tensor, gate: Tensor, perm_fwd: np.ndarray, perm_inv: np.ndarray,
-            weight: Tensor, bias: Tensor, conv_kernel: Tensor, conv_bias: Tensor,
-            s6: S6Params, config: EncoderConfig) -> Tensor:
-    pre = ad.affine(z_in, weight, bias)
-    sorted_tokens = ad.take_rows(pre, perm_fwd, axis=1)
-    if config.conv_mode != "none":
-        pl, pr = _conv_padding(config)
-        sorted_tokens = ad.depthwise_conv1d(sorted_tokens, conv_kernel, conv_bias, pl, pr)
-    mixed = ad.silu(sorted_tokens)
-    scanned = selective_scan(mixed, s6)
-    return ad.mul(ad.take_rows(scanned, perm_inv, axis=1), gate)
+def stream_branches(z_in: Tensor, gate: Tensor, fwd: np.ndarray, inv: np.ndarray,
+                     params: BlockParams, config: EncoderConfig) -> Tensor:
+    """Both stream branches as one op, h + t of the module docstring.
+
+    fwd/inv are (2, B, S) sort and unsort indices. Every intermediate is an
+    array with a leading stream axis: (2, B, S, C_inner). The projections and
+    the scan's projections are one GEMM per stream; the gathers, the
+    convolution, the SiLU and the gating run on both streams at once, and one
+    recurrence loop (inside `selective_scan`) serves both curves.
+    """
+    conv = config.conv_mode != "none"
+    weights = (params.branch_h_w, params.branch_t_w)
+    biases = (params.branch_h_b, params.branch_t_b)
+    kernels, conv_biases = (((params.conv_h_kernel, params.conv_t_kernel),
+                             (params.conv_h_bias, params.conv_t_bias)) if conv else ((), ()))
+    s6 = (params.s6_h.tensors(), params.s6_t.tensors())
+    parents = (z_in, gate, *weights, *biases, *kernels, *conv_biases,
+               *(t for tensors in s6 for t in tensors.values()))
+    grad = ad.needs_grad(*parents)
+    z = z_in.data
+    x = ad.gather_rows(np.stack([z @ w.data + b.data for w, b in zip(weights, biases)]), fwd)
+    if conv:
+        pad = _conv_padding(config)[0]
+        kernel = np.stack([k.data for k in kernels])
+        x, padded = ad.conv1d_forward(x, kernel, np.stack([c.data for c in conv_biases]), pad)
+    if grad:
+        sig = ad.sigmoid_array(x)
+        mixed = x * sig
+    else:
+        mixed = ad.silu_array(x)
+    y, adjoint = selective_scan(mixed, (params.s6_h, params.s6_t))
+    u = ad.gather_rows(y, inv)
+    if not grad:
+        u *= gate.data
+        return Tensor(u[0] + u[1])
+    out_data = u[0] * gate.data + u[1] * gate.data
+
+    def backward(g):
+        if gate.requires_grad:
+            gate.accumulate(g * u[0] + g * u[1])
+        gmixed, s6_grads = adjoint(ad.gather_rows(g * gate.data, fwd))
+        gx = gmixed * (sig + mixed * (1.0 - sig))
+        grads = []
+        if conv:
+            gx, gkernel, gbias = ad.conv1d_backward(gx, padded, kernel, pad)
+            grads += [*zip(kernels, gkernel), *zip(conv_biases, gbias)]
+        gpre = ad.gather_rows(gx, inv)
+        grads += [(w, ad.weight_grad(z, gpre[i])) for i, w in enumerate(weights)]
+        grads += [(b, gpre[i].sum(axis=(0, 1))) for i, b in enumerate(biases)]
+        grads += [(t, sg[name]) for tensors, sg in zip(s6, s6_grads) for name, t in tensors.items()]
+        if z_in.requires_grad:
+            grads += [(z_in, gpre[i] @ w.data.T) for i, w in enumerate(weights)]
+        for t, gt in grads:
+            if t.requires_grad:
+                t.accumulate(gt)
+
+    return Tensor(out_data, parents=parents, backward=backward)
 
 
 def block_forward(z_prev: Tensor, perm_h: Permutation | tuple, perm_t: Permutation | tuple,
@@ -207,20 +261,17 @@ def block_forward(z_prev: Tensor, perm_h: Permutation | tuple, perm_t: Permutati
     squeeze = z_prev.ndim == 2
     if squeeze:
         z_prev = ad.reshape(z_prev, (1,) + z_prev.shape)
-    fwd_h, inv_h = _perm_arrays(perm_h)
-    fwd_t, inv_t = _perm_arrays(perm_t)
-    s = z_prev.shape[1]
-    for name, arr in (("perm_h", fwd_h), ("perm_t", fwd_t)):
+    nb, s = z_prev.shape[:2]
+    perms = [_perm_arrays(perm_h), _perm_arrays(perm_t)]
+    for name, (arr, _) in zip(("perm_h", "perm_t"), perms):
         if arr.shape[-1] != s:
             raise ShapeError(f"{name} has size {arr.shape[-1]}, tokens have {s}")
+    fwd, inv = (np.stack([np.broadcast_to(p[k], (nb, s)) for p in perms]) for k in (0, 1))
 
     z_in = ad.layer_norm(z_prev, params.norm_gain, params.norm_bias)
     gate = ad.silu(ad.affine(z_in, params.gate_w, params.gate_b))
-    h = _branch(z_in, gate, fwd_h, inv_h, params.branch_h_w, params.branch_h_b,
-                params.conv_h_kernel, params.conv_h_bias, params.s6_h, config)
-    t = _branch(z_in, gate, fwd_t, inv_t, params.branch_t_w, params.branch_t_b,
-                params.conv_t_kernel, params.conv_t_bias, params.s6_t, config)
-    out = ad.add(z_prev, ad.affine(ad.add(h, t), params.out_w, params.out_b))
+    branches = stream_branches(z_in, gate, fwd, inv, params, config)
+    out = ad.add(z_prev, ad.affine(branches, params.out_w, params.out_b))
     return ad.reshape(out, out.shape[1:]) if squeeze else out
 
 

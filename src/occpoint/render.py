@@ -183,7 +183,7 @@ def backproject(depth: DepthImage, color: np.ndarray, pose: CameraPose) -> Parti
     mask = depth.covered
     if not np.any(mask):
         raise EmptyCloud("depth image is all background")
-    rays = pose.pixel_rays()[mask]
+    rays = pose.pixel_rays(mask)
     d = depth.values[mask][:, None]
     points = pose.position + d * rays
     return PartialPointCloud(points=points, colors=color[mask].copy(), view_id=pose.view_id)

@@ -13,8 +13,9 @@ A = -exp(a_log) stays strictly negative, so |abar| < 1 for any delta > 0 and
 the recurrence is stable. The simplified zero-order hold uses bbar = delta*B
 (the exact form (exp(delta*A)-1)/A * B is kept in the test oracles to measure
 the gap). `selective_scan` runs one vectorized python step per time index
-(linear time and memory); `selective_scan_reference` is the literal loop kept
-as the correctness oracle.
+(linear time and memory), for one stream or for several stacked on a leading
+axis, with a hand adjoint for the recurrence and the projections;
+`selective_scan_reference` is the literal loop kept as the correctness oracle.
 """
 
 from __future__ import annotations
@@ -98,47 +99,48 @@ def init_s6(channels: int, n_state: int, rng: np.random.Generator,
     )
 
 
-# Memory guard for the training path: above this many B*L*C*N elements the
-# state trajectory is not cached and the backward pass recomputes it.
+# Memory guard for the training path: above this many B*L*C*N elements per
+# stream the state trajectory is not cached and the backward pass recomputes it.
 _KEEP_STATES_LIMIT = 1 << 24
 
 
 def _scan_forward(x, delta, bmat, cmat, a, d, check: bool = True,
                   keep_states: bool = False):
-    """Core recurrence on plain arrays. x/delta: (B, L, C); bmat/cmat: (B, L, N);
-    a: (C, N); d: (C,). Returns y (B, L, C), plus (h_all, abar_all) when
-    keep_states is set (both None on the memory-light path).
+    """Core recurrence on plain arrays, every stream in one loop over L.
+    x/delta: (Z, B, L, C); bmat/cmat: (Z, B, L, N); a: (Z, C, N); d: (Z, C).
+    Returns y (Z, B, L, C), plus (h_all, abar_all) when keep_states is set
+    (both None on the memory-light path).
 
     The inference path evaluates exp(delta*A) one step at a time: memory stays
     flat in L and the wall time scales uniformly with sequence length. The
     training path precomputes and keeps the discretized transition and state
     trajectory because the adjoint needs both.
     """
-    nb, length, channels = x.shape
-    n = a.shape[1]
-    h = np.zeros((nb, channels, n))
+    nz, nb, length, channels = x.shape
+    n = a.shape[-1]
+    h = np.zeros((nz, nb, channels, n))
     y = np.empty_like(x)
-    dx = delta * x  # (B, L, C)
+    dx = delta * x  # (Z, B, L, C)
     keep = keep_states and nb * length * channels * n <= _KEEP_STATES_LIMIT
-    abar_all = np.exp(delta[..., None] * a) if keep else None
-    h_all = np.empty((nb, length, channels, n)) if keep else None
+    abar_all = np.exp(delta[..., None] * a[:, None, None]) if keep else None
+    h_all = np.empty((nz, nb, length, channels, n)) if keep else None
     # Preallocated step buffers keep the loop's working set cache-resident,
     # which is what makes the wall time scale uniformly in L.
-    abar = np.empty((nb, channels, n))
-    bx = np.empty((nb, channels, n))
+    abar = np.empty((nz, nb, channels, n))
+    bx = np.empty((nz, nb, channels, n))
     for t in range(length):
         if keep:
-            abar = abar_all[:, t]
+            abar = abar_all[:, :, t]
         else:
-            np.multiply(delta[:, t, :, None], a, out=abar)
+            np.multiply(delta[:, :, t, :, None], a[:, None], out=abar)
             np.exp(abar, out=abar)
         h *= abar
-        np.multiply(dx[:, t, :, None], bmat[:, t, None, :], out=bx)
+        np.multiply(dx[:, :, t, :, None], bmat[:, :, t, None, :], out=bx)
         h += bx
         if h_all is not None:
-            h_all[:, t] = h
-        y[:, t] = np.einsum("bcn,bn->bc", h, cmat[:, t])
-        y[:, t] += d * x[:, t]
+            h_all[:, :, t] = h
+        y[:, :, t] = np.einsum("zbcn,zbn->zbc", h, cmat[:, :, t])
+        y[:, :, t] += d[:, None] * x[:, :, t]
         if check and (t % FINITE_CHECK_STRIDE == 0 or t == length - 1):
             if not np.all(np.isfinite(h)):
                 raise NumericalError(f"non-finite state at step {t}")
@@ -149,71 +151,103 @@ def _scan_backward(g, x, delta, bmat, cmat, a, d, h_all=None, abar_all=None):
     """Adjoint of _scan_forward: reverse recurrence over the saved (or
     recomputed) state trajectory. Returns gradients for (x, delta, bmat,
     cmat, a, d)."""
-    nb, length, channels = x.shape
-    n = a.shape[1]
+    nz, nb, length, channels = x.shape
+    n = a.shape[-1]
     dx = delta * x
 
     if abar_all is None:
-        abar_all = np.exp(delta[..., None] * a)
+        abar_all = np.exp(delta[..., None] * a[:, None, None])
     if h_all is None:
-        h_all = np.empty((nb, length, channels, n))
-        h = np.zeros((nb, channels, n))
+        h_all = np.empty((nz, nb, length, channels, n))
+        h = np.zeros((nz, nb, channels, n))
         for t in range(length):
-            h = abar_all[:, t] * h + dx[:, t, :, None] * bmat[:, t, None, :]
-            h_all[:, t] = h
+            h = abar_all[:, :, t] * h + dx[:, :, t, :, None] * bmat[:, :, t, None, :]
+            h_all[:, :, t] = h
 
-    gx = g * d  # d_skip feedthrough term
+    gx = g * d[:, None, None]  # d_skip feedthrough term
     gdelta = np.empty_like(delta)
     gbmat = np.empty_like(bmat)
-    gcmat = np.einsum("blcn,blc->bln", h_all, g)
+    gcmat = np.einsum("zblcn,zblc->zbln", h_all, g)
     ga = np.zeros_like(a)
-    gd = np.einsum("blc,blc->c", g, x)
+    gd = np.einsum("zblc,zblc->zc", g, x)
 
-    gh = np.zeros((nb, channels, n))
+    gh = np.zeros((nz, nb, channels, n))
     for t in range(length - 1, -1, -1):
-        gh += g[:, t, :, None] * cmat[:, t, None, :]
-        abar = abar_all[:, t]
-        h_prev = h_all[:, t - 1] if t > 0 else np.zeros((nb, channels, n))
+        gh += g[:, :, t, :, None] * cmat[:, :, t, None, :]
+        abar = abar_all[:, :, t]
+        h_prev = h_all[:, :, t - 1] if t > 0 else np.zeros((nz, nb, channels, n))
         scaled = gh * h_prev * abar
-        gh_b = np.einsum("bcn,bn->bc", gh, bmat[:, t])
+        gh_b = np.einsum("zbcn,zbn->zbc", gh, bmat[:, :, t])
         # h_t = exp(delta*a) h_prev + delta*B*x: differentiate each factor.
-        gdelta[:, t] = np.einsum("bcn,cn->bc", scaled, a) + gh_b * x[:, t]
-        ga += np.einsum("bcn,bc->cn", scaled, delta[:, t])
-        gbmat[:, t] = np.einsum("bcn,bc->bn", gh, dx[:, t])
-        gx[:, t] += gh_b * delta[:, t]
+        gdelta[:, :, t] = np.einsum("zbcn,zcn->zbc", scaled, a) + gh_b * x[:, :, t]
+        ga += np.einsum("zbcn,zbc->zcn", scaled, delta[:, :, t])
+        gbmat[:, :, t] = np.einsum("zbcn,zbc->zbn", gh, dx[:, :, t])
+        gx[:, :, t] += gh_b * delta[:, :, t]
         gh = gh * abar
     return gx, gdelta, gbmat, gcmat, ga, gd
 
 
-def _scan_op(x: Tensor, delta: Tensor, bmat: Tensor, cmat: Tensor,
-             a: Tensor, d: Tensor) -> Tensor:
-    needs_grad = any(t.requires_grad for t in (x, delta, bmat, cmat, a, d))
-    out_data, h_all, abar_all = _scan_forward(
-        x.data, delta.data, bmat.data, cmat.data, a.data, d.data,
-        keep_states=needs_grad,
-    )
+def _scan_streams(x: np.ndarray, streams, keep: bool):
+    """Selective scan of a stream-stacked (Z, B, L, C) array, one S6Params
+    per stream: the input-dependent projections, then one recurrence loop.
 
-    def backward(g):
+    Returns y and, when keep is set, the adjoint, which maps dL/dy to
+    (dL/dx, one {parameter name: gradient} per stream); else None.
+    """
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("non-finite input to selective_scan")
+    low = np.stack([x[z] @ p.dt_low.data for z, p in enumerate(streams)])
+    pre = np.stack([low[z] @ p.dt_up.data + p.dt_bias.data for z, p in enumerate(streams)])
+    delta = np.logaddexp(0.0, pre)
+    bmat = np.stack([x[z] @ p.b_weight.data + p.b_bias.data for z, p in enumerate(streams)])
+    cmat = np.stack([x[z] @ p.c_weight.data + p.c_bias.data for z, p in enumerate(streams)])
+    a = -np.exp(np.stack([p.a_log.data for p in streams]))
+    d = np.stack([p.d_skip.data for p in streams])
+    y, h_all, abar_all = _scan_forward(x, delta, bmat, cmat, a, d, keep_states=keep)
+    if not keep:
+        return y, None
+
+    def adjoint(gy):
         gx, gdelta, gbmat, gcmat, ga, gd = _scan_backward(
-            g, x.data, delta.data, bmat.data, cmat.data, a.data, d.data,
-            h_all=h_all, abar_all=abar_all,
+            gy, x, delta, bmat, cmat, a, d, h_all=h_all, abar_all=abar_all,
         )
-        x.accumulate(gx)
-        delta.accumulate(gdelta)
-        bmat.accumulate(gbmat)
-        cmat.accumulate(gcmat)
-        a.accumulate(ga)
-        d.accumulate(gd)
+        gpre = gdelta * ad.sigmoid_array(pre)  # softplus' = sigmoid
+        grads = []
+        for z, p in enumerate(streams):
+            glow = gpre[z] @ p.dt_up.data.T
+            # The input's four paths, summed in the order of the composed graph.
+            gx[z] = (((gx[z] + glow @ p.dt_low.data.T) + gbmat[z] @ p.b_weight.data.T)
+                     + gcmat[z] @ p.c_weight.data.T)
+            grads.append({
+                "a_log": ga[z] * a[z],  # a = -exp(a_log) is its own derivative
+                "b_weight": ad.weight_grad(x[z], gbmat[z]),
+                "b_bias": gbmat[z].sum(axis=(0, 1)),
+                "c_weight": ad.weight_grad(x[z], gcmat[z]),
+                "c_bias": gcmat[z].sum(axis=(0, 1)),
+                "dt_low": ad.weight_grad(x[z], glow),
+                "dt_up": ad.weight_grad(low[z], gpre[z]),
+                "dt_bias": gpre[z].sum(axis=(0, 1)),
+                "d_skip": gd[z],
+            })
+        return gx, grads
 
-    return Tensor(out_data, parents=(x, delta, bmat, cmat, a, d), backward=backward)
+    return y, adjoint
 
 
-def selective_scan(x, params: S6Params):
+def selective_scan(x, params):
     """Run the selective scan over x: (L, C), (B, L, C) array, or Tensor.
 
     Returns the same container kind it was given (Tensor in, Tensor out, with
     gradients flowing to every parameter; array in, array out).
+
+    Given a sequence of S6Params instead of one, x is a stream-stacked
+    (Z, B, L, C) array with one stream per entry, every stream runs in one
+    recurrence loop, and the result is (y, adjoint) as `_scan_streams` returns
+    it, with the adjoint None under no_grad. The fused block branch of
+    `encoder` calls it this way.
     """
+    if not isinstance(params, S6Params):
+        return _scan_streams(x, params, keep=ad.grad_enabled())
     is_tensor = isinstance(x, Tensor)
     xt = x if is_tensor else Tensor(np.asarray(x, dtype=np.float64))
     squeeze = xt.ndim == 2
@@ -223,16 +257,19 @@ def selective_scan(x, params: S6Params):
         raise InvalidInput(
             f"selective_scan expects (..., L, {params.channels}), got {xt.shape}"
         )
-    if not np.all(np.isfinite(xt.data)):
-        raise NumericalError("non-finite input to selective_scan")
+    tensors = params.tensors()
+    out_data, adjoint = _scan_streams(xt.data[None], (params,),
+                                      keep=ad.needs_grad(xt, *tensors.values()))
 
-    delta = ad.softplus(
-        ad.affine(ad.affine(xt, params.dt_low), params.dt_up, params.dt_bias)
-    )
-    bmat = ad.affine(xt, params.b_weight, params.b_bias)
-    cmat = ad.affine(xt, params.c_weight, params.c_bias)
-    a = ad.neg(ad.exp(params.a_log))
-    y = _scan_op(xt, delta, bmat, cmat, a, params.d_skip)
+    def backward(g):
+        gx, (grads,) = adjoint(g[None])
+        if xt.requires_grad:
+            xt.accumulate(gx[0])
+        for name, t in tensors.items():
+            if t.requires_grad:
+                t.accumulate(grads[name])
+
+    y = Tensor(out_data[0], parents=(xt, *tensors.values()), backward=backward)
     if squeeze:
         y = ad.reshape(y, y.shape[1:])
     return y if is_tensor else y.data

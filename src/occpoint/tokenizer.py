@@ -200,6 +200,58 @@ class TokenSequence:
     centers: np.ndarray   # matching (S, 3) / (B, S, 3); kept for serialization
 
 
+def pointnet_pool(feats: Tensor, p: MiniPointNetParams) -> Tensor:
+    """Per-point affine -> SiLU -> affine -> SiLU, max over the k points, as
+    one op: (..., S, k, 6) -> (..., S, C).
+
+    Its hand adjoint routes the pooled gradient through the second SiLU only
+    at the argmax rows, the only rows it reaches. Without a gradient to take,
+    the arrays are updated in place and nothing is kept.
+    """
+    x = feats.data
+    w1, b1, w2, b2 = p.w1, p.b1, p.w2, p.b2
+    if not ad.needs_grad(feats, w1, b1, w2, b2):
+        h = x @ w1.data
+        h += b1.data
+        h = ad.silu_array(h) @ w2.data
+        h += b2.data
+        return Tensor(ad.silu_array(h).max(axis=-2))
+
+    h1 = x @ w1.data
+    h1 += b1.data
+    s1 = ad.sigmoid_array(h1)
+    h1 *= s1
+    h2 = h1 @ w2.data
+    h2 += b2.data
+    s2 = ad.sigmoid_array(h2)
+    h2 *= s2
+    arg = np.expand_dims(h2.argmax(axis=-2), -2)
+    top = np.take_along_axis(h2, arg, axis=-2)
+    dtop = np.take_along_axis(s2, arg, axis=-2)
+    dtop += top * (1.0 - dtop)   # SiLU' = s + silu * (1 - s) at the argmax rows
+    shape2 = h2.shape
+    del h2, s2
+
+    def backward(g):
+        g2 = np.zeros(shape2)
+        np.put_along_axis(g2, arg, np.expand_dims(g, -2) * dtop, axis=-2)
+        lead = tuple(range(g2.ndim - 1))
+        if w2.requires_grad:
+            w2.accumulate(ad.weight_grad(h1, g2))
+        if b2.requires_grad:
+            b2.accumulate(g2.sum(axis=lead))
+        g1 = g2 @ w2.data.T
+        g1 *= s1 + h1 * (1.0 - s1)
+        if w1.requires_grad:
+            w1.accumulate(ad.weight_grad(x, g1))
+        if b1.requires_grad:
+            b1.accumulate(g1.sum(axis=lead))
+        if feats.requires_grad:
+            feats.accumulate(g1 @ w1.data.T)
+
+    return Tensor(top[..., 0, :], parents=(feats, w1, b1, w2, b2), backward=backward)
+
+
 def mini_pointnet_embed(features, params: MiniPointNetParams) -> Tensor:
     """Embed patch features (..., S, k, 6) into tokens (..., S, C).
 
@@ -212,10 +264,7 @@ def mini_pointnet_embed(features, params: MiniPointNetParams) -> Tensor:
         raise ShapeError(
             f"patch features last dim {feats.shape[-1]} != {params.w1.shape[0]}"
         )
-    h = ad.silu(ad.affine(feats, params.w1, params.b1))
-    h = ad.silu(ad.affine(h, params.w2, params.b2))
-    pooled = ad.amax(h, axis=-2)
-    out = ad.affine(pooled, params.w3, params.b3)
+    out = ad.affine(pointnet_pool(feats, params), params.w3, params.b3)
     if not np.all(np.isfinite(out.data)):
         raise NumericalError("non-finite token produced by mini_pointnet_embed")
     return out

@@ -42,6 +42,7 @@ from .encoder import (
     init_block,
     init_encoder,
     named_parameters,
+    stream_branches,
     toy_config,
 )
 from .errors import ConfigError, InvalidInput, NumericalError
@@ -52,6 +53,7 @@ from .tokenizer import (
     init_mini_pointnet,
     knn_group,
     mini_pointnet_embed,
+    pointnet_pool,
     TokenSequence,
 )
 
@@ -535,7 +537,8 @@ def grad_check(op_id: str, h: float = 1e-5, seed: int = 0,
                samples_per_tensor: int = 6) -> float:
     """Worst relative error between analytic and central-difference gradients
     for the named operation's parameters. Registered ops: affine,
-    mini_pointnet, conv1d, selective_scan, block, heads, tau, total_loss."""
+    mini_pointnet, pointnet_pool, conv1d, selective_scan, stream_branches,
+    block, heads, tau, total_loss."""
     if op_id not in GRAD_CHECK_OPS:
         raise InvalidInput(f"unknown op {op_id!r}; have {sorted(GRAD_CHECK_OPS)}")
     params, fn = GRAD_CHECK_OPS[op_id](seed)
@@ -597,6 +600,18 @@ def _gc_mini_pointnet(seed):
     return dict(named_parameters(params)), fn
 
 
+def _gc_pointnet_pool(seed):
+    rng = np.random.default_rng(seed)
+    params = init_mini_pointnet(8, rng, hidden=6)
+    feats = Tensor(rng.normal(size=(2, 4, 5, 6)), requires_grad=True)
+
+    def fn():
+        return ad.tensor_sum(ad.square(pointnet_pool(feats, params)))
+
+    tensors = {k: v for k, v in params.tensors().items() if k not in ("w3", "b3")}
+    return {"features": feats, **tensors}, fn
+
+
 def _gc_conv1d(seed):
     rng = np.random.default_rng(seed)
     kernel = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
@@ -619,6 +634,25 @@ def _gc_selective_scan(seed):
         return ad.tensor_sum(ad.square(selective_scan(Tensor(x), params)))
 
     return dict(named_parameters(params)), fn
+
+
+def _gc_stream_branches(seed):
+    rng = np.random.default_rng(seed)
+    cfg = toy_config(c_dim=6, s_tokens=5, n_state=3, l_blocks=1,
+                     conv_mode=("standard", "causal")[seed % 2])
+    block = init_block(cfg, rng)
+    z_in = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+    gate = Tensor(rng.normal(size=(2, 5, cfg.c_inner)), requires_grad=True)
+    perm_a, perm_b = compute_permutations(rng.uniform(-1, 1, size=(2, 5, 3)), cfg)
+    fwd = np.stack([perm_a.forward, perm_b.forward])
+    inv = np.stack([perm_a.inverse, perm_b.inverse])
+
+    def fn():
+        return ad.tensor_sum(ad.square(stream_branches(z_in, gate, fwd, inv, block, cfg)))
+
+    tensors = {k: v for k, v in named_parameters(block)
+               if k.startswith(("branch_", "conv_", "s6_"))}
+    return {"z_in": z_in, "gate": gate, **tensors}, fn
 
 
 def _gc_block(seed):
@@ -694,8 +728,10 @@ def _gc_total_loss(seed):
 GRAD_CHECK_OPS = {
     "affine": _gc_affine,
     "mini_pointnet": _gc_mini_pointnet,
+    "pointnet_pool": _gc_pointnet_pool,
     "conv1d": _gc_conv1d,
     "selective_scan": _gc_selective_scan,
+    "stream_branches": _gc_stream_branches,
     "block": _gc_block,
     "heads": _gc_heads,
     "tau": _gc_tau,

@@ -104,14 +104,34 @@ def test_take_rows_grads_and_round_trip():
         inv[b, perm[b]] = np.arange(6)
     weight = rng.normal(size=(2, 6, 3))
 
-    sorted_x = ad.take_rows(x, perm, axis=1)
-    restored = ad.take_rows(sorted_x, inv, axis=1)
+    sorted_x = ad.take_rows(x, perm, inv)
+    assert np.array_equal(sorted_x.data, np.take_along_axis(x.data, perm[..., None], axis=1))
+    restored = ad.take_rows(sorted_x, inv, perm)
     assert np.array_equal(restored.data, x.data)
 
     def fn():
-        return ad.tensor_sum(ad.mul(ad.take_rows(x, perm, axis=1), Tensor(weight)))
+        return ad.tensor_sum(ad.mul(ad.take_rows(x, perm, inv), Tensor(weight)))
 
     assert finite_diff(fn, x) < 1e-6
+    # The backward gather by the inverse is the scatter by the forward index.
+    x.zero_grad()
+    fn().backward()
+    scattered = np.zeros_like(x.data)
+    np.put_along_axis(scattered, perm[..., None], np.broadcast_to(weight, x.shape), axis=1)
+    assert np.array_equal(x.grad, scattered)
+
+
+def test_gather_rows_broadcasts_leading_axes():
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(3, 5, 2))
+    index = np.stack([np.stack([rng.permutation(5) for _ in range(3)]) for _ in range(2)])
+    stacked = ad.gather_rows(np.stack([x, 2 * x]), index)
+    shared = ad.gather_rows(x, index)
+    assert stacked.shape == shared.shape == (2, 3, 5, 2)
+    for z in range(2):
+        for b in range(3):
+            assert np.array_equal(shared[z, b], x[b, index[z, b]])
+            assert np.array_equal(stacked[z, b], (1 + z) * x[b, index[z, b]])
 
 
 def test_amax_grads():
@@ -208,3 +228,45 @@ def test_gradients_accumulate_across_backward_calls():
     first = x.grad.copy()
     ad.tensor_sum(ad.square(x)).backward()
     assert np.allclose(x.grad, 2 * first)
+
+
+def test_shared_gradient_buffer_is_never_updated_in_place():
+    # add hands the same g to both parents, so a.grad and b.grad start as one
+    # buffer; a later contribution to a must not leak into b.
+    a = param(np.array([1.0, 2.0]))
+    b = param(np.array([3.0, 4.0]))
+    s = ad.add(a, b)
+    loss = ad.tensor_sum(ad.add(ad.mul(s, Tensor(2.0)), ad.square(a)))
+    loss.backward()
+    assert np.array_equal(a.grad, [2.0 + 2.0, 2.0 + 4.0])
+    assert np.array_equal(b.grad, [2.0, 2.0])
+    loss.backward()
+    assert np.array_equal(a.grad, [8.0, 12.0])
+    assert np.array_equal(b.grad, [4.0, 4.0])
+
+
+def test_backward_frees_interior_gradients_and_keeps_leaf_gradients():
+    rng = np.random.default_rng(15)
+    w = param(rng.normal(size=(3, 2)))
+    x = Tensor(rng.normal(size=(4, 3)))
+    hidden = ad.silu(ad.matmul(x, w))
+    loss = ad.tensor_sum(ad.square(hidden))
+    loss.backward()
+    first = w.grad.copy()
+    assert hidden.grad is None and loss.grad is None
+    assert x.grad is None  # a constant input gets no gradient at all
+    loss.backward()
+    assert np.array_equal(w.grad, 2 * first)
+
+
+def test_no_grad_ops_match_recorded_ops():
+    rng = np.random.default_rng(16)
+    x = param(rng.normal(size=(4, 5)) * 3)
+    ops = [ad.silu, ad.softplus, lambda t: ad.amax(t, axis=1), lambda t: ad.clip(t, -1.0, 1.0)]
+    for op in ops:
+        recorded = op(x)
+        with ad.no_grad():
+            bare = op(x)
+        assert recorded.requires_grad and not bare.requires_grad
+        assert bare._backward is None
+        assert np.array_equal(recorded.data, bare.data)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from occpoint.cli import main
+from occpoint.cli import main, write_manifest
 from occpoint.dataset import generate_triplets, load_dataset, save_dataset
 from occpoint.synthetic import make_class_mesh, toy_object_set
 
@@ -212,6 +212,24 @@ def test_bench_outputs_table_and_csv(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "s_tokens,encoder_gflops,attention_gflops,latency_ms"
     assert len(lines) == 3
+
+
+def test_failed_report_write_leaves_old_files_and_no_temp_file(tmp_path, monkeypatch):
+    csv_path = tmp_path / "bench.csv"
+    argv = ["bench", "--preset", "toy", "--sizes", "16", "--runs", "1", "--out", str(csv_path)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["bench.csv", "bench.manifest.json"]
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("occpoint.container.os.replace", fail)
+    assert main(argv) == 2
+    manifest = tmp_path / "bench.manifest.json"
+    with pytest.raises(OSError, match="disk full"):
+        write_manifest(manifest, {"runs": 2}, 0, "start", "end", command_line=["bench"])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_dataset_save_load_round_trip(tmp_path):

@@ -17,11 +17,14 @@ from occpoint.encoder import (
     init_block,
     init_encoder,
     full_scale_config,
+    named_parameters,
     toy_config,
 )
 from occpoint.errors import InvalidConfig, ShapeError
 from occpoint.ssm import selective_scan_reference
 from occpoint.tokenizer import TokenSequence
+
+from composed import assert_grads_match, composed_block_forward, forward_and_grads
 
 # The transcription oracle below restates the block as literal numpy, one
 # line per equation, independent of the tape implementation.
@@ -95,6 +98,40 @@ def test_block_matches_transcription_oracle_100_instances():
         want = block_oracle(z, perm_h, perm_t, params, cfg)
         worst = max(worst, np.abs(got - want).max())
     assert worst <= 1e-10
+
+
+def batched_instance(rng, conv_mode="standard", nb=3):
+    cfg, params, _, _, _ = random_instance(rng, conv_mode)
+    z = rng.normal(size=(nb, cfg.s_tokens, cfg.c_dim))
+    perm_h, perm_t = compute_permutations(rng.uniform(-1, 1, size=(nb, cfg.s_tokens, 3)), cfg)
+    return cfg, params, z, perm_h, perm_t
+
+
+def test_fused_block_matches_composed_oracle():
+    rng = np.random.default_rng(20)
+    for i in range(30):
+        mode = ("standard", "causal", "none")[i % 3]
+        make = random_instance if i % 2 else batched_instance
+        cfg, params, z, perm_h, perm_t = make(rng, mode)
+        x = Tensor(z, requires_grad=True)
+        tensors = {"input": x, **dict(named_parameters(params))}
+        (got, got_grads), (want, want_grads) = (
+            forward_and_grads(lambda: fn(x, perm_h, perm_t, params, cfg), tensors, i)
+            for fn in (block_forward, composed_block_forward)
+        )
+        assert np.array_equal(got, want)
+        assert_grads_match(got_grads, want_grads)
+
+
+def test_block_forward_without_gradients_equals_recorded_forward():
+    rng = np.random.default_rng(21)
+    for mode in ("standard", "causal", "none"):
+        cfg, params, z, perm_h, perm_t = batched_instance(rng, mode)
+        recorded = block_forward(Tensor(z, requires_grad=True), perm_h, perm_t, params, cfg)
+        with ad.no_grad():
+            bare = block_forward(Tensor(z), perm_h, perm_t, params, cfg)
+        assert recorded.requires_grad and not bare.requires_grad
+        assert np.array_equal(bare.data, recorded.data)
 
 
 def test_zero_out_proj_gives_identity_block():

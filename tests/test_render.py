@@ -195,6 +195,19 @@ def test_visible_fraction_matches_oracle_bitwise():
                 assert got == want
 
 
+def test_rays_at_covered_pixels_match_the_full_grid_bitwise():
+    for mesh in corpus_meshes(("cube_00", "torus_01")):
+        for pose in camera_ring((128, 128)) + camera_ring((72, 40))[::5]:
+            depth, color = rasterize(mesh, pose)
+            mask = depth.covered
+            assert np.array_equal(pose.pixel_rays(mask), pose.pixel_rays()[mask])
+            cloud = backproject(depth, color, pose)
+            want = pose.position + depth.values[mask][:, None] * pose.pixel_rays()[mask]
+            assert np.array_equal(cloud.points, want)
+    pose = camera_ring((16, 16))[0]
+    assert pose.pixel_rays(np.zeros((16, 16), dtype=bool)).shape == (0, 3)
+
+
 def test_nearest_squared_distance_matches_broadcast_bitwise():
     rng = np.random.default_rng(3)
     (mesh,) = corpus_meshes(("torus_00",))

@@ -16,6 +16,8 @@ from occpoint.ssm import (
     zoh_discretize_exact,
 )
 
+from composed import assert_grads_match, composed_scan, forward_and_grads
+
 
 def constant_params(channels, n_state, b_bias, c_bias, dt_value, d_value=0.0):
     """S6 parameters with zero projections: B, C, delta are input-independent."""
@@ -226,3 +228,46 @@ def test_scan_gradients_match_finite_differences():
     from occpoint.training import grad_check
 
     assert grad_check("selective_scan", seed=11) <= 1e-4
+
+
+def random_s6(rng, channels, n_state):
+    params = init_s6(channels, n_state, rng)
+    for t in params.tensors().values():
+        t.data = t.data + 0.3 * rng.normal(size=t.shape)
+    return params
+
+
+def test_scan_gradients_match_composed_projections():
+    rng = np.random.default_rng(40)
+    for shape in ((2, 12, 5), (1, 40, 8), (3, 7, 3)):
+        params = random_s6(rng, shape[-1], 4)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        tensors = {"input": x, **params.tensors()}
+        (got, got_grads), (want, want_grads) = (
+            forward_and_grads(lambda: fn(x, params), tensors)
+            for fn in (selective_scan, composed_scan)
+        )
+        assert np.array_equal(got, want)
+        assert_grads_match(got_grads, want_grads)
+
+
+def test_stream_stacked_scan_matches_each_stream_alone():
+    rng = np.random.default_rng(41)
+    streams = (random_s6(rng, 6, 3), random_s6(rng, 6, 3))
+    x = rng.normal(size=(2, 3, 10, 6))
+    y, adjoint = selective_scan(x, streams)
+    with ad.no_grad():
+        bare, no_adjoint = selective_scan(x, streams)
+    assert no_adjoint is None and np.array_equal(bare, y)
+    gy = rng.normal(size=y.shape)
+    gx, grads = adjoint(gy)
+    for z, params in enumerate(streams):
+        xt = Tensor(x[z], requires_grad=True)
+        tensors = {"input": xt, **params.tensors()}
+        for t in tensors.values():
+            t.zero_grad()
+        alone = selective_scan(xt, params)
+        ad.tensor_sum(ad.mul(alone, Tensor(gy[z]))).backward()
+        assert np.array_equal(alone.data, y[z])
+        assert_grads_match({"input": gx[z], **grads[z]},
+                           {name: t.grad for name, t in tensors.items()})

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from occpoint import autodiff as ad
 from occpoint import training
 from occpoint.autodiff import Tensor
 from occpoint.dataset import TripletDataset, generate_triplets
@@ -18,6 +19,8 @@ from occpoint.tokenizer import (
     patch_features,
     tokenize,
 )
+
+from composed import assert_grads_match, composed_pointnet_embed, forward_and_grads
 
 
 # --- oracles: one cloud at a time, written without the batched geometry -------
@@ -203,6 +206,27 @@ def test_knn_missing_colors_use_constant():
 
 
 # --- mini pointnet ---------------------------------------------------------------
+
+
+def test_fused_pointnet_matches_composed_oracle():
+    rng = np.random.default_rng(30)
+    for shape, hidden, width in (((3, 7, 6), 16, 16), ((2, 4, 5, 6), 6, 8),
+                                 ((2, 8, 16, 6), 64, 32)):
+        params = init_mini_pointnet(width, rng, hidden=hidden)
+        feats = rng.normal(size=shape)
+        feats[..., 1, :] = feats[..., 0, :]   # exact ties in the max pool
+        x = Tensor(feats, requires_grad=True)
+        tensors = {"features": x, **params.tensors()}
+        (got, got_grads), (want, want_grads) = (
+            forward_and_grads(lambda: fn(x, params), tensors)
+            for fn in (mini_pointnet_embed, composed_pointnet_embed)
+        )
+        assert np.array_equal(got, want)
+        assert_grads_match(got_grads, want_grads)
+        with ad.no_grad():
+            bare = mini_pointnet_embed(feats, params)
+        assert bare._backward is None
+        assert np.array_equal(bare.data, got)
 
 
 def test_identical_patches_identical_tokens():

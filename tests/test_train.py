@@ -146,9 +146,9 @@ def test_use_ema_weights_swaps_and_restores():
 # --- gradients (the acceptance registry) ------------------------------------------
 
 
-@pytest.mark.parametrize("op", ["affine", "mini_pointnet", "conv1d",
-                                "selective_scan", "block", "heads", "tau",
-                                "total_loss"])
+@pytest.mark.parametrize("op", ["affine", "mini_pointnet", "pointnet_pool", "conv1d",
+                                "selective_scan", "stream_branches", "block", "heads",
+                                "tau", "total_loss"])
 def test_grad_check_registry(op):
     assert grad_check(op, seed=3) <= 1e-4
 
