@@ -3,7 +3,8 @@
 Every command writes a run manifest (resolved config, seed, command line,
 git description, timestamps) next to its primary output, and every command
 taking --seed is bit-for-bit reproducible. Exit codes: 0 success, 1 user
-error, 2 internal failure.
+or environment error (a bad input, or a path that cannot be read or
+written), 2 internal failure.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
+import platform
 import subprocess
 import sys
 import time
@@ -54,6 +57,26 @@ def _git_describe() -> str:
         return "unknown"
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Python, numpy and BLAS versions, the BLAS thread settings and the CPU
+    count: what a run's speed, and a GEMM's last bits, can depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (KeyError, TypeError, ValueError):
+        blas = {"name": None, "version": None}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def write_manifest(path: Path, config: dict, seed: int, started: str,
                    finished: str | None = None,
                    command_line: list[str] | None = None) -> None:
@@ -61,6 +84,7 @@ def write_manifest(path: Path, config: dict, seed: int, started: str,
         "config": config,
         "seed": seed,
         "git": _git_describe(),
+        "environment": _environment(),
         "command_line": command_line if command_line is not None else sys.argv,
         "started": started,
         "finished": finished,
@@ -310,6 +334,12 @@ def main(argv=None) -> int:
         return args.fn(args)
     except OccPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # A path that cannot be read or written, or a full disk: the user's
+        # or the environment's to fix, not an internal failure.
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"internal error: {exc}", file=sys.stderr)

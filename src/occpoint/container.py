@@ -186,7 +186,8 @@ def read_container(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
 
 def write_atomic(path, data: bytes | str) -> None:
     """Write atomically: the bytes go to a temporary file beside `path`, which
-    then replaces it, so a write that fails leaves an old file as it was."""
+    then replaces it, so a write that fails leaves an old file as it was. An
+    OSError is raised again naming `path`, not the temporary file."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     path = Path(path)
@@ -195,6 +196,9 @@ def write_atomic(path, data: bytes | str) -> None:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

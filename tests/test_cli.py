@@ -1,4 +1,6 @@
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -62,6 +64,15 @@ def test_gen_writes_manifest(small_dataset):
     assert doc["seed"] == 7
     assert doc["finished"] is not None
     assert "gen" in " ".join(doc["command_line"])
+
+
+def test_gen_manifest_records_the_environment(small_dataset):
+    env = json.loads(small_dataset.with_suffix(".manifest.json").read_text())["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert env["cpu_count"] == os.cpu_count()
 
 
 def test_gen_missing_dir_is_user_error(tmp_path):
@@ -214,7 +225,7 @@ def test_bench_outputs_table_and_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_failed_report_write_leaves_old_files_and_no_temp_file(tmp_path, monkeypatch):
+def test_failed_report_write_leaves_old_files_and_no_temp_file(tmp_path, monkeypatch, capsys):
     csv_path = tmp_path / "bench.csv"
     argv = ["bench", "--preset", "toy", "--sizes", "16", "--runs", "1", "--out", str(csv_path)]
     assert main(argv) == 0
@@ -225,11 +236,30 @@ def test_failed_report_write_leaves_old_files_and_no_temp_file(tmp_path, monkeyp
         raise OSError("disk full")
 
     monkeypatch.setattr("occpoint.container.os.replace", fail)
-    assert main(argv) == 2
+    assert main(argv) == 1
+    assert f"error: {csv_path}: disk full" in capsys.readouterr().err
     manifest = tmp_path / "bench.manifest.json"
     with pytest.raises(OSError, match="disk full"):
         write_manifest(manifest, {"runs": 2}, 0, "start", "end", command_line=["bench"])
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_missing_data_file_is_user_error_naming_the_path(small_checkpoint, tmp_path, capsys):
+    missing = tmp_path / "missing.occt"
+    for argv in (["eval", "--data", str(missing), "--checkpoint", str(small_checkpoint)],
+                 ["pretrain", "--data", str(missing), "--out", str(tmp_path / "m.ckpt")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing}: ") and "internal error" not in err
+
+
+def test_unwritable_output_is_user_error_naming_the_path(small_mesh_dir, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "d.occt"
+    assert main(["gen", "--meshes", str(small_mesh_dir), "--out", str(out),
+                 "--resolution", "32", "--points", "64"]) == 1
+    assert f"error: {blocker}: " in capsys.readouterr().err
 
 
 def test_dataset_save_load_round_trip(tmp_path):

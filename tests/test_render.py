@@ -2,8 +2,9 @@
 
 `reference_rasterize` is the per-face loop `render.rasterize` used to be, and
 `reference_visible_fraction` the broadcast `dataset.visible_fraction`, both
-kept as they were. The fast versions must give bitwise the same depth, color
-and fraction, so datasets keep their bytes.
+kept as they were. The fast versions (row-span fragment pruning, the grid
+coverage search) must give bitwise the same depth, color and fraction, so
+datasets keep their bytes.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from occpoint import dataset, render
 from occpoint.cameras import CameraPose, camera_ring
-from occpoint.dataset import visible_fraction
+from occpoint.dataset import generate_triplets, visible_fraction
 from occpoint.errors import InvalidConfig
 from occpoint.meshio import TriangleMesh, normalize_mesh
 from occpoint.render import (
@@ -159,6 +160,28 @@ def corpus_meshes(names=("cube_00", "cone_01", "sphere_00", "torus_01")):
 FRONT = CameraPose(position=np.array([2.0, 0.0, 0.0]), resolution=(40, 40))
 
 
+class ScreenPose(CameraPose):
+    """A camera whose projection is the identity on (x, y): a vertex's x and
+    y are its exact pixel coordinates and its z the forward depth, so tests
+    can put corners on pixel centres and edges through them."""
+
+    def project(self, points):
+        points = np.asarray(points, dtype=np.float64)
+        return points[:, :2].copy(), points[:, 2].copy()
+
+
+SCREEN = ScreenPose(position=np.array([0.0, 0.0, -1.0]), resolution=(24, 20))
+
+
+def screen_mesh(corners):
+    """Faces of three (x, y, depth) corners each, colored by position, in
+    both windings."""
+    verts = np.asarray(corners, dtype=np.float64).reshape(-1, 3)
+    faces = np.arange(len(verts)).reshape(-1, 3)
+    colors = (verts - verts.min(0)) / np.maximum(np.ptp(verts, axis=0), 1e-9)
+    return [TriangleMesh(verts, f, colors) for f in (faces, faces[:, ::-1])]
+
+
 # ---------------------------------------------------------------------------
 # Corpus meshes x 12 views
 
@@ -166,6 +189,19 @@ FRONT = CameraPose(position=np.array([2.0, 0.0, 0.0]), resolution=(40, 40))
 def test_corpus_views_match_oracle_bitwise():
     for mesh in corpus_meshes():
         for pose in camera_ring((128, 128)):
+            assert_same_render(mesh, pose)
+
+
+def test_corpus_views_one_face_per_chunk_match_oracle_bitwise(monkeypatch):
+    monkeypatch.setattr(render, "_FRAGMENT_BLOCK_LIMIT", 1)
+    for mesh in corpus_meshes():
+        for pose in camera_ring((128, 128)):
+            assert_same_render(mesh, pose)
+
+
+def test_corpus_views_at_512_match_oracle_bitwise():
+    for mesh in corpus_meshes(("torus_01", "cone_01")):
+        for pose in camera_ring((512, 512))[::4]:
             assert_same_render(mesh, pose)
 
 
@@ -208,29 +244,135 @@ def test_rays_at_covered_pixels_match_the_full_grid_bitwise():
     assert pose.pixel_rays(np.zeros((16, 16), dtype=bool)).shape == (0, 3)
 
 
+def broadcast_covered(samples, points, tol):
+    """The full search: the least squared distance of each sample, under tol²."""
+    return ((samples[:, None, :] - points[None, :, :]) ** 2).sum(-1).min(axis=1) < tol * tol
+
+
+def assert_same_coverage(samples, points, tol):
+    got = dataset._covered(samples, points, tol)
+    want = broadcast_covered(samples, points, tol)
+    assert got.dtype == bool and np.array_equal(got, want)
+    return got
+
+
 def test_nearest_squared_distance_matches_broadcast_bitwise():
+    """The grid search's booleans are the full search's, on rendered clouds,
+    random clouds much wider than tol, and a cloud of one point."""
     rng = np.random.default_rng(3)
     (mesh,) = corpus_meshes(("torus_00",))
     pose = camera_ring((128, 128))[7]
     depth, color = rasterize(mesh, pose)
     rendered = backproject(depth, color, pose).points
-    for samples, points in ((rng.normal(size=(100, 3)), rendered),
-                            (rng.normal(size=(33, 3)) * 1e3, rng.normal(size=(50, 3))),
-                            (rng.normal(size=(1, 3)), rng.normal(size=(1, 3)))):
-        want = ((samples[:, None, :] - points[None, :, :]) ** 2).sum(-1).min(axis=1)
-        got = dataset._nearest_squared_distance(samples, points)
-        assert got.tobytes() == want.tobytes()
+    for samples, points, tol in ((rng.normal(size=(100, 3)), rendered, 12 / 128),
+                                 (rng.normal(size=(100, 3)), rendered, 12 / 512),
+                                 (rng.normal(size=(33, 3)) * 1e3, rng.normal(size=(50, 3)), 0.5),
+                                 (rng.normal(size=(300, 3)), rng.normal(size=(400, 3)), 0.2),
+                                 (rng.normal(size=(1, 3)), rng.normal(size=(1, 3)), 3.0)):
+        assert_same_coverage(samples, points, tol)
+
+
+@pytest.mark.parametrize("offset", [0.0, -5.25, 1e3])
+def test_coverage_at_exactly_tol_and_one_ulp_either_side(offset):
+    tol = 12 / 128
+    centre = np.array([0.3, -0.2, 0.1]) + offset
+    points, samples = [], []
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            step = np.zeros(3)
+            step[axis] = sign * tol
+            point = centre + step
+            for target in (point, np.nextafter(point, np.inf), np.nextafter(point, -np.inf)):
+                points.append(target)
+                samples.append(centre)
+    # Each sample against each point alone, so no other point can cover it.
+    for sample, point in zip(samples, points):
+        assert_same_coverage(np.array([sample]), np.array([point]), tol)
+    # Samples exactly tol, and an ulp either way, from the points.
+    points = np.array(points)
+    samples = np.concatenate([points + d for d in (tol, -tol)])
+    samples = np.concatenate([samples, np.nextafter(samples, np.inf),
+                              np.nextafter(samples, -np.inf)])
+    assert_same_coverage(samples, points, tol)
+
+
+def test_coverage_on_cell_boundaries_and_duplicate_points():
+    """A lattice of spacing tol puts points and samples on (or an ulp off)
+    cell boundaries; every point appears twice."""
+    tol = 0.125
+    grid = np.stack(np.meshgrid(*[np.arange(-2, 3) * tol] * 3, indexing="ij"), -1).reshape(-1, 3)
+    points = np.concatenate([grid, grid[::-1]]) - 0.5
+    samples = np.concatenate([points, points + tol / 2, points + tol, points - 2 * tol,
+                              np.nextafter(points + tol, np.inf)])
+    assert_same_coverage(samples, points, tol)
+    side = tol * (1 + 2.0 ** -20)
+    assert_same_coverage(samples, grid * side / tol, tol)
+    assert_same_coverage(samples, np.nextafter(grid * side / tol, -np.inf), tol)
+
+
+def test_coverage_just_inside_tol_from_every_place_in_a_cell():
+    """Each sample has its own point just under tol away in x (rows far apart
+    in y and z), and the samples sweep across a cell's width, so a cell
+    side shorter than tol splits some pair two cells apart."""
+    tol = 0.1
+    yz = np.stack(np.meshgrid(np.arange(32), np.arange(32), indexing="ij"), -1).reshape(-1, 2)
+    x = np.arange(len(yz)) * (tol / len(yz))
+    for gap in (tol * (1 - 2.0 ** -40), -tol * (1 - 2.0 ** -40)):
+        samples = np.column_stack([x, yz * 3 * tol])
+        points = samples + [gap, 0.0, 0.0]
+        assert assert_same_coverage(samples, points, tol).all()
+
+
+def test_coverage_of_samples_outside_the_cloud_box():
+    rng = np.random.default_rng(5)
+    tol = 0.1
+    points = rng.uniform(-1, 1, size=(500, 3))
+    samples = [rng.normal(size=(50, 3)) * 1e6, rng.normal(size=(50, 3)) * 5]
+    for axis in range(3):
+        for extreme, outward in ((points[:, axis].argmin(), -1.0), (points[:, axis].argmax(), 1.0)):
+            for d in (tol / 2, tol, 1.5 * tol, 2 * tol, 3 * tol):
+                sample = points[extreme].copy()
+                sample[axis] += outward * d
+                samples.append([sample, np.nextafter(sample, sample + outward)])
+    covered = assert_same_coverage(np.concatenate(samples), points, tol)
+    assert covered.any() and not covered.all()
+
+
+def test_coverage_with_one_point_and_all_points_equal():
+    tol = 0.05
+    rng = np.random.default_rng(6)
+    samples = rng.normal(size=(200, 3)) * 0.05
+    for points in (np.zeros((1, 3)), np.full((30, 3), -2.5), np.full((1, 3), 7e8)):
+        assert_same_coverage(np.concatenate([samples, samples + points[0]]), points, tol)
 
 
 def test_visible_fraction_block_size_does_not_matter(monkeypatch):
+    """The grid's cell count per axis (its block size) never changes a result."""
     (mesh,) = corpus_meshes(("sphere_00",))
     pose = camera_ring((64, 64))[5]
     depth, color = rasterize(mesh, pose)
     points = backproject(depth, color, pose).points
     want = visible_fraction(mesh, points, pose.position)
-    for rows in (1, 7, 10_000):
-        monkeypatch.setattr(dataset, "_VISIBLE_BLOCK_ROWS", rows)
+    assert want == reference_visible_fraction(mesh, points, pose.position)
+    for cells in (1, 2, 7, 10_000):
+        monkeypatch.setattr(dataset, "_GRID_CELLS", cells)
         assert visible_fraction(mesh, points, pose.position) == want
+
+
+def test_every_view_fraction_of_the_corpus_matches_oracle_at_96(monkeypatch):
+    pairs = []
+
+    def both(*args, **kwargs):
+        got = visible_fraction(*args, **kwargs)
+        pairs.append((got, reference_visible_fraction(*args, **kwargs)))
+        return got
+
+    monkeypatch.setattr(dataset, "visible_fraction", both)
+    _, summary = generate_triplets(toy_object_set(0), resolution=96, with_summary=True)
+    assert len(pairs) == 16 * 12
+    got, want = zip(*pairs)
+    assert got == want
+    assert summary.mean_visible_fraction == float(np.mean(want))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +457,46 @@ def test_mesh_without_vertex_colors_renders_gray():
         depth, color = assert_same_render(plain, pose)
         assert np.allclose(color[depth.covered], BACKGROUND_GRAY, atol=1e-12)
         assert np.all(color[~depth.covered] == BACKGROUND_GRAY)
+
+
+# ---------------------------------------------------------------------------
+# Exact screen corners: slivers, edges along scanlines and through pixel
+# centres, where an edge function is exactly 0
+
+
+@pytest.mark.parametrize("limit", [1, 1 << 16])
+def test_exact_screen_corners_match_oracle_bitwise(monkeypatch, limit):
+    monkeypatch.setattr(render, "_FRAGMENT_BLOCK_LIMIT", limit)
+    cases = {
+        "corners on pixel centres": [[2.5, 3.5, 1.0], [15.5, 3.5, 1.2], [6.5, 14.5, 1.1]],
+        "edges through pixel centres": [[0.5, 0.5, 1.0], [20.5, 10.5, 1.3], [4.5, 16.5, 1.0],
+                                        [3.5, 2.5, 0.9], [9.5, 8.5, 1.1], [21.5, 2.5, 1.0]],
+        "edge along a scanline": [[1.0, 4.0, 1.0], [19.0, 4.0, 1.5], [9.0, 17.3, 1.2],
+                                  [2.2, 18.5, 1.0], [21.7, 18.5, 1.0], [12.0, 6.1, 1.4]],
+        "edge along a column": [[7.5, 1.0, 1.0], [7.5, 18.0, 1.2], [20.0, 9.0, 1.1]],
+        "slivers": [[0.0, 0.0, 1.0], [24.0, 20.0, 1.3], [24.0, 20.02, 1.2],
+                    [1.5, 10.5, 1.0], [22.5, 10.5, 1.0], [12.0, 10.5 + 1e-7, 1.0],
+                    [11.2, -3.0, 1.0], [11.3, 25.0, 1.0], [11.25, 25.0, 1.0],
+                    [3.0, 2.0, 1.0], [21.0, 2.000001, 1.0], [3.0, 2.0000001, 1.0]],
+        "off screen and huge": [[-30.0, -40.0, 1.0], [60.0, 7.5, 1.0], [-5.0, 90.0, 1.0],
+                                [1e9, 5.5, 1.0], [-1e9, 5.0, 1.0], [3.0, 9.0, 1.0]],
+    }
+    for corners in cases.values():
+        for mesh in screen_mesh(corners):
+            assert_same_render(mesh, SCREEN)
+
+
+def test_random_screen_triangles_match_oracle_bitwise():
+    """Small, large, thin and half-integer triangles in both windings."""
+    rng = np.random.default_rng(11)
+    for scale in (0.7, 3.0, 30.0):
+        xy = rng.uniform(-4, 28, size=(60, 2))
+        corners = xy[:, None] + rng.normal(scale=scale, size=(60, 3, 2))
+        corners[::3] = np.round(corners[::3] * 2) / 2  # on pixel corners and centres
+        corners[1::3, 2] = corners[1::3, 0] + 1e-6 * rng.normal(size=(20, 2))  # slivers
+        depth = rng.uniform(0.5, 2.0, size=(60, 3, 1))
+        for mesh in screen_mesh(np.concatenate([corners, depth], axis=-1)):
+            assert_same_render(mesh, SCREEN)
 
 
 def test_view_that_misses_the_mesh_is_all_background():
