@@ -10,19 +10,18 @@ frozen text/image feature fixtures through a four-term contrastive objective.
 __version__ = "0.1.0"
 
 from .cameras import CameraPose, camera_ring
-from .curves import CurveKind, Permutation, hilbert_index, morton_index, sort_by_curve
+from .curves import CurveKind, hilbert_index, morton_index, sort_by_curve
 from .encoder import EncoderConfig, desk_config, full_scale_config, toy_config
 from .errors import OccPointError
 from .meshio import TriangleMesh, load_obj, normalize_mesh
 from .render import PartialPointCloud, backproject, rasterize, sample_points
-from .ssm import S6Params, selective_scan, selective_scan_reference, zoh_discretize
+from .ssm import S6Params, selective_scan
 from .training import TrainConfig
 
 __all__ = [
     "CameraPose",
     "camera_ring",
     "CurveKind",
-    "Permutation",
     "hilbert_index",
     "morton_index",
     "sort_by_curve",
@@ -40,8 +39,6 @@ __all__ = [
     "sample_points",
     "S6Params",
     "selective_scan",
-    "selective_scan_reference",
-    "zoh_discretize",
     "TrainConfig",
     "__version__",
 ]

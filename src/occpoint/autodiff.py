@@ -3,15 +3,16 @@
 A Tensor wraps a float64 ndarray and records the operation that produced it;
 `backward()` replays the graph in reverse topological order. The op set is
 exactly what the pipeline needs (affine maps, pointwise nonlinearities,
-reductions, gathers, a depthwise 1D convolution, and the selective scan,
-whose recurrence gets a hand-derived adjoint in `ssm.py`). Everything is
+reductions, a clamp, a concatenation), plus array kernels with hand adjoints
+for the fused ops of `encoder`, `tokenizer` and `ssm`: row gathers and a
+depthwise 1D convolution. Everything is
 double precision so analytic gradients can be held to finite-difference
 checks at 1e-4 relative error.
 
 Gradients are never copied and never updated in place. `accumulate` keeps a
 node's first gradient by reference and adds later ones out of place, because
 closures hand the same array to several nodes: `add` passes its `g` to both
-parents and `reshape` passes a view of it, so two `.grad`s may be one buffer.
+parents and `concat` passes views of it, so two `.grad`s may share a buffer.
 A closure computes nothing for a parent that does not require a gradient, and
 under `no_grad` ops skip the work only the backward pass needs. `backward`
 drops each interior node's `.grad` once its closure has run; leaf gradients
@@ -264,11 +265,6 @@ def silu_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = sigmoid_array(a.data)
-    return Tensor(s, parents=(a,), backward=lambda g: a.accumulate(g * s * (1.0 - s)))
-
-
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x) (the SiLU / swish nonlinearity)."""
     s = sigmoid_array(a.data)
@@ -281,15 +277,6 @@ def silu(a: Tensor) -> Tensor:
         a.accumulate(g * (s + out * (1.0 - s)))
 
     return Tensor(out, parents=(a,), backward=backward)
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)), computed overflow-free."""
-    out = np.logaddexp(0.0, a.data)
-    if not needs_grad(a):
-        return Tensor(out)
-    s = sigmoid_array(a.data)
-    return Tensor(out, parents=(a,), backward=lambda g: a.accumulate(g * s))
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -306,15 +293,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
     return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    orig = a.data.shape
-    return Tensor(
-        a.data.reshape(shape),
-        parents=(a,),
-        backward=lambda g: a.accumulate(g.reshape(orig)),
-    )
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
@@ -339,32 +317,6 @@ def gather_rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     lead = x.shape[:-2]
     rows = [np.arange(n).reshape((n,) + (1,) * (len(lead) - i)) for i, n in enumerate(lead)]
     return x[(*rows, index)]
-
-
-def take_rows(a: Tensor, forward: np.ndarray, inverse: np.ndarray) -> Tensor:
-    """Reorder the tokens of (B, S, C) by one permutation per row, given as
-    (B, S) forward and inverse indices; the backward pass is the gather by the
-    inverse, since each row's index is a bijection."""
-    return Tensor(gather_rows(a.data, forward), parents=(a,),
-                  backward=lambda g: a.accumulate(gather_rows(g, inverse)))
-
-
-def amax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Max over one axis; gradient routes to the first argmax (ties are rare
-    and measure-zero for continuous inputs)."""
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
-    if not needs_grad(a):
-        return Tensor(out_data)
-    arg = np.expand_dims(a.data.argmax(axis=axis), axis)
-
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        gin = np.zeros_like(a.data)
-        np.put_along_axis(gin, arg, g, axis=axis)
-        a.accumulate(gin)
-
-    return Tensor(out_data, parents=(a,), backward=backward)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -412,9 +364,11 @@ def l2_normalize_rows(x: Tensor, eps: float = 0.0) -> Tensor:
 
 def conv1d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                    pad_left: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array core of `depthwise_conv1d` with a leading stream axis: x is
-    (Z, B, S, C), kernel (Z, C, w) and bias (Z, C), one kernel per stream.
-    Returns the output and the padded input that `conv1d_backward` reads."""
+    """Per-channel 1D convolution along the token axis, with a leading stream
+    axis: x is (Z, B, S, C), kernel (Z, C, w) and bias (Z, C), one kernel per
+    stream. The output has length S: the input is zero-padded by pad_left
+    before and w - 1 - pad_left after. Returns the output and the padded
+    input that `conv1d_backward` reads."""
     s = x.shape[-2]
     w = kernel.shape[-1]
     xp = np.zeros(x.shape[:-2] + (s + w - 1, x.shape[-1]))
@@ -436,27 +390,3 @@ def conv1d_backward(g: np.ndarray, xp: np.ndarray, kernel: np.ndarray,
         gxp[..., j : j + s, :] += g * kernel[:, None, None, :, j]
         gk[:, :, j] = np.einsum("zbsc,zbsc->zc", g, xp[..., j : j + s, :])
     return gxp[..., pad_left : pad_left + s, :], gk, g.sum(axis=(1, 2))
-
-
-def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor,
-                     pad_left: int, pad_right: int) -> Tensor:
-    """Per-channel 1D convolution along the token axis.
-
-    x: (B, S, C); kernel: (C, w); bias: (C,). Output length equals S, so the
-    caller chooses padding: symmetric (w-1)//2 for a same-length standard
-    kernel, or (w-1, 0) for a causal one.
-    """
-    if x.data.ndim != 3:
-        raise ShapeError(f"depthwise_conv1d expects (B, S, C), got {x.data.shape}")
-    w = kernel.data.shape[1]
-    if pad_left + pad_right != w - 1:
-        raise ShapeError(f"padding ({pad_left}, {pad_right}) incompatible with width {w}")
-    out_data, xp = conv1d_forward(x.data[None], kernel.data[None], bias.data[None], pad_left)
-
-    def backward(g):
-        grads = conv1d_backward(g[None], xp, kernel.data[None], pad_left)
-        for t, gt in zip((x, kernel, bias), grads):
-            if t.requires_grad:
-                t.accumulate(gt[0])
-
-    return Tensor(out_data[0], parents=(x, kernel, bias), backward=backward)

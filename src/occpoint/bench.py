@@ -17,7 +17,7 @@ from .encoder import (
     encoder_forward,
     init_encoder,
 )
-from .tokenizer import TokenSequence
+from .training import curve_orders
 
 DEFAULT_SIZES = (128, 256, 512, 1024, 2048)
 
@@ -55,7 +55,8 @@ class BenchRow:
 
 def measure_latencies(config: EncoderConfig, sizes, runs: int,
                       seed: int = 0) -> dict[int, float]:
-    """Median forward wall time (ms) per token count.
+    """Median forward wall time (ms) per token count: one cloud's curve
+    orders, then the encoder over its (1, S, C) tokens.
 
     The sizes are interleaved within each measurement cycle (after a warmup
     pass per size), so clock-speed and scheduler drift hit every size equally
@@ -67,21 +68,19 @@ def measure_latencies(config: EncoderConfig, sizes, runs: int,
         rng = np.random.Generator(np.random.PCG64([seed, s]))
         cfg = replace(config, s_tokens=s)
         params = init_encoder(cfg, rng)
-        tokens = TokenSequence(
-            tokens=Tensor(rng.normal(size=(s, cfg.c_dim))),
-            centers=rng.uniform(-1.0, 1.0, size=(s, 3)),
-        )
-        setups[s] = (cfg, params, tokens)
+        tokens = Tensor(rng.normal(size=(1, s, cfg.c_dim)))
+        centers = rng.uniform(-1.0, 1.0, size=(1, s, 3))
+        setups[s] = (cfg, params, tokens, centers)
     samples: dict[int, list[float]] = {s: [] for s in sizes}
     with ad.no_grad():
         for s in sizes:
-            cfg, params, tokens = setups[s]
-            encoder_forward(tokens, cfg, params)
+            cfg, params, tokens, centers = setups[s]
+            encoder_forward(tokens, *curve_orders(centers, cfg), params, cfg)
         for _ in range(runs):
             for s in sizes:
-                cfg, params, tokens = setups[s]
+                cfg, params, tokens, centers = setups[s]
                 t0 = time.perf_counter()
-                encoder_forward(tokens, cfg, params)
+                encoder_forward(tokens, *curve_orders(centers, cfg), params, cfg)
                 samples[s].append(time.perf_counter() - t0)
     return {s: float(np.median(ts) * 1e3) for s, ts in samples.items()}
 

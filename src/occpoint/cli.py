@@ -33,6 +33,7 @@ from .synthetic import toy_object_set
 from .training import (
     TrainConfig,
     build_cache,
+    check_resume,
     embed_clouds,
     linear_probe,
     load_checkpoint,
@@ -139,12 +140,12 @@ def cmd_gen(args) -> int:
         print("error: no readable meshes", file=sys.stderr)
         return 1
 
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     dataset, summary = generate_triplets(
         meshes, feature_dim=args.embed_dim, resolution=args.resolution,
         n_points=args.points, seed=args.seed, with_summary=True,
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(out, dataset)
     write_manifest(out.with_suffix(".manifest.json"),
                    {"resolution": args.resolution, "points": args.points,
@@ -168,6 +169,10 @@ def cmd_pretrain(args) -> int:
         warmup_epochs=min(args.warmup_epochs, args.epochs),
         base_lr=args.lr, seed=args.seed, holdout_views=args.holdout_views,
     )
+    model = None
+    if args.resume:
+        model = load_checkpoint(args.resume)
+        check_resume(model, encoder_config, train_config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     manifest_path = out.with_suffix(".manifest.json")
@@ -180,7 +185,6 @@ def cmd_pretrain(args) -> int:
     write_manifest(manifest_path, resolved, args.seed, started,
                    command_line=args._argv)
 
-    model = load_checkpoint(args.resume) if args.resume else None
     metrics_path = out.with_suffix(".metrics.jsonl")
     t0 = time.time()
     with open(metrics_path, "w") as fh:

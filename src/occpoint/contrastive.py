@@ -101,8 +101,7 @@ def project(head: ProjectionHead, features) -> Tensor:
     return ad.l2_normalize_rows(out)
 
 
-def normalize_rows(features) -> Tensor:
-    feats = features if isinstance(features, Tensor) else Tensor(features)
+def normalize_rows(feats: Tensor) -> Tensor:
     norms = np.linalg.norm(feats.data, axis=-1)
     if np.any(norms < 1e-12):
         raise NumericalError("zero-norm row; cannot normalize")
@@ -127,27 +126,21 @@ def _directional(za: Tensor, zb: Tensor, tau: Tensor) -> Tensor:
     return diag - lse
 
 
-def cross_modal_loss(za, zb, tau, reduction: str = "sum") -> Tensor:
+def cross_modal_loss(za: Tensor, zb: Tensor, tau: Tensor,
+                     reduction: str = "sum") -> Tensor:
     """Symmetric contrastive loss between two modalities.
 
-    za, zb: (B, D) unit-norm rows (Tensor or array). tau: positive scalar,
-    float or Tensor. reduction "sum" is the printed definition; "mean"
-    divides by the batch size.
+    za, zb: (B, D) unit-norm rows. tau: positive scalar. reduction "sum" is
+    the printed definition; "mean" divides by the batch size.
     """
-    za = za if isinstance(za, Tensor) else Tensor(za)
-    zb = zb if isinstance(zb, Tensor) else Tensor(zb)
     if za.ndim != 2 or za.shape != zb.shape:
         raise ShapeError(f"cross_modal_loss shapes {za.shape} vs {zb.shape}")
     if za.shape[0] < 1:
         raise InvalidInput("empty batch")
     if reduction not in ("sum", "mean"):
         raise InvalidInput(f"unknown reduction {reduction!r}")
-    if not isinstance(tau, Tensor):
-        if tau <= 0:
-            raise InvalidInput(f"temperature must be positive, got {tau}")
-        tau = Tensor(float(tau))
-    elif np.any(tau.data <= 0):
-        raise InvalidInput("temperature must be positive")
+    if np.any(tau.data <= 0):
+        raise InvalidInput(f"temperature must be positive, got {tau.data}")
 
     loss = ad.mul(ad.add(_directional(za, zb, tau), _directional(zb, za, tau)), Tensor(-0.5))
     if reduction == "mean":
@@ -175,7 +168,7 @@ def build_embedding_batch(point_embed: Tensor, image_features, text_features,
     return EmbeddingBatch(z_text=z_text, z_image=z_image, z_point=z_point, z_mixed=z_mixed)
 
 
-def total_loss(batch: EmbeddingBatch, tau, reduction: str = "mean"):
+def total_loss(batch: EmbeddingBatch, tau: Tensor, reduction: str = "mean"):
     """Four-term objective; returns (loss Tensor, per-term float breakdown)."""
     for name in ("z_text", "z_image", "z_point", "z_mixed"):
         if getattr(batch, name, None) is None:

@@ -9,7 +9,6 @@ axes (x, y, z) -> (y, z, x), giving a second, complementary ordering.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,33 +31,6 @@ class CurveKind(enum.Enum):
                 return kind
         raise InvalidInput(f"unknown curve kind {name!r}; expected one of "
                            f"{[k.value for k in cls]}")
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A sort order and its inverse over S token slots, (S,) or batched (B, S).
-
-    ``forward[i]`` is the original index of the token placed at sorted slot i,
-    so ``x[forward]`` sorts and ``sorted_x[inverse]`` restores the original
-    order: ``forward[inverse[j]] == j`` for all j.
-    """
-
-    forward: np.ndarray
-    inverse: np.ndarray
-
-    @classmethod
-    def from_forward(cls, forward: np.ndarray) -> "Permutation":
-        """Inverse of a sort order, or of a batch of them along the last axis."""
-        forward = np.asarray(forward, dtype=np.int64)
-        inverse = np.empty_like(forward)
-        slots = np.broadcast_to(np.arange(forward.shape[-1], dtype=np.int64), forward.shape)
-        np.put_along_axis(inverse, forward, slots, axis=-1)
-        return cls(forward=forward, inverse=inverse)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(forward=idx, inverse=idx.copy())
 
 
 def quantize(points: np.ndarray, bits: int = DEFAULT_BITS) -> np.ndarray:
@@ -171,13 +143,13 @@ def curve_codes(points: np.ndarray, kind: CurveKind, bits: int = DEFAULT_BITS) -
     raise InvalidInput(f"unhandled curve kind {kind}")
 
 
-def sort_by_curve(points: np.ndarray, kind: CurveKind, bits: int = DEFAULT_BITS) -> Permutation:
+def sort_by_curve(points: np.ndarray, kind: CurveKind, bits: int = DEFAULT_BITS) -> np.ndarray:
     """Stable ascending-code sort order for S points (ties keep original index
     order): (S, 3) -> (S,), or per cloud, (B, S, 3) -> (B, S), with one
-    `curve_codes` pass over the whole batch."""
+    `curve_codes` pass over the whole batch. ``points[order]`` is sorted."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim not in (2, 3) or points.shape[-2] < 1 or points.shape[-1] != 3:
         raise InvalidInput(f"expected non-empty (S, 3) or (B, S, 3) points, "
                            f"got shape {points.shape}")
     codes = curve_codes(points.reshape(-1, 3), kind, bits).reshape(points.shape[:-1])
-    return Permutation.from_forward(np.argsort(codes, axis=-1, kind="stable"))
+    return np.argsort(codes, axis=-1, kind="stable")

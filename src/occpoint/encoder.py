@@ -12,9 +12,10 @@ back to the token width, and added to the residual stream:
     h    = Unsort(Scan(h'')) * gate       t    = Unsort(Scan(t'')) * gate
     out  = z_prev + Linear(h + t)
 
-The sort permutations depend only on token centers, so they are computed once
-per cloud and shared by all blocks. A linear head plus average pooling turns
-the final tokens into a single embedding vector.
+The sort orders depend only on token centers, so they are computed once per
+cloud (`training.curve_orders`) and shared by all blocks: (2, B, S) index
+arrays, curve a then curve b, with their inverses. A linear head plus
+average pooling turns the final tokens into a single embedding vector.
 
 The two branches run as one autodiff op (`stream_branches`) with a hand
 adjoint. Its intermediates are arrays with a leading stream axis of size 2
@@ -37,14 +38,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .curves import CurveKind, Permutation, sort_by_curve
+from .curves import CurveKind
 from .errors import InvalidConfig, ShapeError
 from .ssm import S6Params, init_s6, selective_scan
-from .tokenizer import (
-    MiniPointNetParams,
-    TokenSequence,
-    init_mini_pointnet,
-)
+from .tokenizer import MiniPointNetParams, init_mini_pointnet
 
 CONV_WIDTH_STANDARD = 5  # symmetric padding 2: same length, bidirectional
 CONV_WIDTH_CAUSAL = 4    # left padding 3: strictly past-looking
@@ -251,72 +248,39 @@ def stream_branches(z_in: Tensor, gate: Tensor, fwd: np.ndarray, inv: np.ndarray
     return Tensor(out_data, parents=parents, backward=backward)
 
 
-def block_forward(z_prev: Tensor, perm_h: Permutation | tuple, perm_t: Permutation | tuple,
+def block_forward(z_prev: Tensor, fwd: np.ndarray, inv: np.ndarray,
                   params: BlockParams, config: EncoderConfig) -> Tensor:
-    """One two-stream block over (B, S, C) tokens (an (S, C) input is promoted).
-
-    Permutations may be single `Permutation`s or (forward, inverse) index-array
-    pairs batched over B.
-    """
-    squeeze = z_prev.ndim == 2
-    if squeeze:
-        z_prev = ad.reshape(z_prev, (1,) + z_prev.shape)
-    nb, s = z_prev.shape[:2]
-    perms = [_perm_arrays(perm_h), _perm_arrays(perm_t)]
-    for name, (arr, _) in zip(("perm_h", "perm_t"), perms):
-        if arr.shape[-1] != s:
-            raise ShapeError(f"{name} has size {arr.shape[-1]}, tokens have {s}")
-    fwd, inv = (np.stack([np.broadcast_to(p[k], (nb, s)) for p in perms]) for k in (0, 1))
-
+    """One two-stream block over (B, S, C) tokens. fwd/inv are the (2, B, S)
+    sort and unsort orders of curve a and curve b (`training.curve_orders`)."""
+    if z_prev.ndim != 3:
+        raise ShapeError(f"block_forward expects (B, S, C) tokens, got {z_prev.shape}")
+    orders = (2,) + z_prev.shape[:2]
+    if fwd.shape != orders or inv.shape != orders:
+        raise ShapeError(f"curve orders have shapes {fwd.shape} and {inv.shape}, "
+                         f"tokens need {orders}")
     z_in = ad.layer_norm(z_prev, params.norm_gain, params.norm_bias)
     gate = ad.silu(ad.affine(z_in, params.gate_w, params.gate_b))
     branches = stream_branches(z_in, gate, fwd, inv, params, config)
-    out = ad.add(z_prev, ad.affine(branches, params.out_w, params.out_b))
-    return ad.reshape(out, out.shape[1:]) if squeeze else out
+    return ad.add(z_prev, ad.affine(branches, params.out_w, params.out_b))
 
 
-def _perm_arrays(perm) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(perm, Permutation):
-        return perm.forward, perm.inverse
-    fwd, inv = perm
-    return np.asarray(fwd, dtype=np.int64), np.asarray(inv, dtype=np.int64)
+def encoder_forward(tokens: Tensor, fwd: np.ndarray, inv: np.ndarray,
+                    params: EncoderParams, config: EncoderConfig) -> Tensor:
+    """(B, S, C) tokens -> (B, D) embeddings.
 
-
-def compute_permutations(centers: np.ndarray, config: EncoderConfig):
-    """(perm_a, perm_b) for one cloud's (S, 3) centers or a batch (B, S, 3)."""
-    return (
-        sort_by_curve(centers, config.curve_a, config.curve_bits),
-        sort_by_curve(centers, config.curve_b, config.curve_bits),
-    )
-
-
-def encoder_forward(tokens: TokenSequence, config: EncoderConfig,
-                    params: EncoderParams, permutations=None) -> Tensor:
-    """Token sequence -> embedding vector (D,) or batch (B, D).
-
-    Sort orders derive from the token centers once and are reused by every
-    block; after the last block a per-token affine maps C -> embed_dim and the
-    tokens are mean-pooled.
+    Every block reuses the same (2, B, S) curve orders; after the last block
+    a per-token affine maps C -> embed_dim and the tokens are mean-pooled.
     """
-    z = tokens.tokens if isinstance(tokens.tokens, Tensor) else Tensor(tokens.tokens)
-    if z.shape[-1] != config.c_dim:
-        raise ShapeError(f"tokens have width {z.shape[-1]}, config says {config.c_dim}")
-    squeeze = z.ndim == 2
-    if squeeze:
-        z = ad.reshape(z, (1,) + z.shape)
-    if z.shape[1] != config.s_tokens:
-        raise ShapeError(f"got {z.shape[1]} tokens, config says {config.s_tokens}")
+    if tokens.ndim != 3 or tokens.shape[-1] != config.c_dim:
+        raise ShapeError(f"expected (B, S, {config.c_dim}) tokens, got {tokens.shape}")
+    if tokens.shape[1] != config.s_tokens:
+        raise ShapeError(f"got {tokens.shape[1]} tokens, config says {config.s_tokens}")
     if len(params.blocks) != config.l_blocks:
         raise ShapeError(f"{len(params.blocks)} block params for l_blocks={config.l_blocks}")
-
-    if permutations is None:
-        permutations = compute_permutations(tokens.centers, config)
-    perm_a, perm_b = permutations
+    z = tokens
     for block in params.blocks:
-        z = block_forward(z, perm_a, perm_b, block, config)
-    projected = ad.affine(z, params.head_w, params.head_b)
-    pooled = ad.mean(projected, axis=1)
-    return ad.reshape(pooled, pooled.shape[1:]) if squeeze else pooled
+        z = block_forward(z, fwd, inv, block, config)
+    return ad.mean(ad.affine(z, params.head_w, params.head_b), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +305,6 @@ def count_params(config: EncoderConfig) -> int:
     )
     head = c * config.embed_dim + config.embed_dim
     return tokenizer + config.l_blocks * block + head
-
-
-def count_params_enumerated(params: EncoderParams) -> int:
-    """Shape-walking oracle: add up every tensor actually allocated."""
-    total = 0
-    for _, t in named_parameters(params):
-        total += t.data.size
-    return total
 
 
 def named_parameters(obj, prefix: str = ""):
@@ -393,7 +349,7 @@ def count_flops(config: EncoderConfig, s_tokens: int | None = None) -> float:
         2 * ci * r + 2 * r * ci    # dt bottleneck
         + 2 * (2 * ci * n)         # input-dependent B and C projections
         + SCAN_FLOPS_PER_STATE * ci * n
-        + 2 * ci                   # softplus + skip term
+        + 2 * ci                   # step-size nonlinearity + skip term
     )
     conv = 0 if config.conv_mode == "none" else 2 * w * ci
     block_per_token = (

@@ -2,7 +2,7 @@
 
 The recurrence per channel c, state n, step t:
 
-    delta_t = softplus(dt_proj(x_t))          (C,)   input-dependent step size
+    delta_t = log(1 + exp(dt_proj(x_t)))      (C,)   input-dependent step size
     B_t     = b_proj(x_t)                     (N,)   input-dependent input map
     C_t     = c_proj(x_t)                     (N,)   input-dependent readout
     abar    = exp(delta_t[c] * A[c, n])              zero-order hold
@@ -11,11 +11,11 @@ The recurrence per channel c, state n, step t:
 
 A = -exp(a_log) stays strictly negative, so |abar| < 1 for any delta > 0 and
 the recurrence is stable. The simplified zero-order hold uses bbar = delta*B
-(the exact form (exp(delta*A)-1)/A * B is kept in the test oracles to measure
-the gap). `selective_scan` runs one vectorized python step per time index
-(linear time and memory), for one stream or for several stacked on a leading
-axis, with a hand adjoint for the recurrence and the projections;
-`selective_scan_reference` is the literal loop kept as the correctness oracle.
+(the test oracles keep the exact form (exp(delta*A)-1)/A * B to measure the
+gap, and a literal per-channel loop of the recurrence). `selective_scan` runs
+one vectorized python step per time index (linear time and memory) for
+several streams stacked on a leading axis, with a hand adjoint for the
+recurrence and the projections.
 """
 
 from __future__ import annotations
@@ -29,25 +29,6 @@ from .autodiff import Tensor
 from .errors import InvalidInput, NumericalError
 
 FINITE_CHECK_STRIDE = 16  # steps between non-finite sweeps inside the scan
-
-
-def zoh_discretize(a, b, dt):
-    """Simplified zero-order hold: abar = exp(dt*a), bbar = dt*b (elementwise)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    dt = np.asarray(dt, dtype=np.float64)
-    if np.any(dt <= 0):
-        raise InvalidInput("zoh_discretize requires dt > 0")
-    if np.any(a >= 0):
-        raise InvalidInput("zoh_discretize requires a < 0")
-    return np.exp(dt * a), dt * b
-
-
-def zoh_discretize_exact(a, b, dt):
-    """Exact zero-order hold input map: bbar = (exp(dt*a) - 1)/a * b."""
-    a = np.asarray(a, dtype=np.float64)
-    abar = np.exp(np.asarray(dt) * a)
-    return abar, (abar - 1.0) / a * np.asarray(b)
 
 
 @dataclass
@@ -79,12 +60,12 @@ class S6Params:
 def init_s6(channels: int, n_state: int, rng: np.random.Generator,
             use_d_skip: bool = True) -> S6Params:
     """Initialization: A spread log-uniformly over [-16, -1] per state index,
-    softplus bias set so the initial delta lands log-uniformly in [1e-3, 1e-1]."""
+    step bias set so the initial delta lands log-uniformly in [1e-3, 1e-1]."""
     dt_rank = max(1, -(-channels // 16))
     magnitudes = np.exp(np.linspace(np.log(1.0), np.log(16.0), n_state))
     a_log = np.log(np.tile(magnitudes, (channels, 1)))
     dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=channels))
-    dt_bias = dt + np.log(-np.expm1(-dt))  # inverse softplus
+    dt_bias = dt + np.log(-np.expm1(-dt))  # inverse of log(1 + exp(x))
     return S6Params(
         a_log=Tensor(a_log, requires_grad=True),
         b_weight=ad.parameter((channels, n_state), rng),
@@ -187,13 +168,20 @@ def _scan_backward(g, x, delta, bmat, cmat, a, d, h_all=None, abar_all=None):
     return gx, gdelta, gbmat, gcmat, ga, gd
 
 
-def _scan_streams(x: np.ndarray, streams, keep: bool):
+def selective_scan(x: np.ndarray, streams):
     """Selective scan of a stream-stacked (Z, B, L, C) array, one S6Params
-    per stream: the input-dependent projections, then one recurrence loop.
+    per stream: the input-dependent projections, then one recurrence loop
+    that serves every stream.
 
-    Returns y and, when keep is set, the adjoint, which maps dL/dy to
-    (dL/dx, one {parameter name: gradient} per stream); else None.
+    Returns y (Z, B, L, C) and the adjoint, which maps dL/dy to (dL/dx, one
+    {parameter name: gradient} per stream); the adjoint is None under
+    `no_grad`, and the state trajectory is then not kept.
     """
+    if x.ndim != 4 or len(streams) != x.shape[0] or any(
+            p.channels != x.shape[-1] for p in streams):
+        raise InvalidInput(f"selective_scan expects ({len(streams)}, B, L, C) with C = "
+                           f"{[p.channels for p in streams]}, got {x.shape}")
+    keep = ad.grad_enabled()
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite input to selective_scan")
     low = np.stack([x[z] @ p.dt_low.data for z, p in enumerate(streams)])
@@ -211,7 +199,7 @@ def _scan_streams(x: np.ndarray, streams, keep: bool):
         gx, gdelta, gbmat, gcmat, ga, gd = _scan_backward(
             gy, x, delta, bmat, cmat, a, d, h_all=h_all, abar_all=abar_all,
         )
-        gpre = gdelta * ad.sigmoid_array(pre)  # softplus' = sigmoid
+        gpre = gdelta * ad.sigmoid_array(pre)  # d/dx log(1 + exp(x)) = sigmoid(x)
         grads = []
         for z, p in enumerate(streams):
             glow = gpre[z] @ p.dt_up.data.T
@@ -232,93 +220,3 @@ def _scan_streams(x: np.ndarray, streams, keep: bool):
         return gx, grads
 
     return y, adjoint
-
-
-def selective_scan(x, params):
-    """Run the selective scan over x: (L, C), (B, L, C) array, or Tensor.
-
-    Returns the same container kind it was given (Tensor in, Tensor out, with
-    gradients flowing to every parameter; array in, array out).
-
-    Given a sequence of S6Params instead of one, x is a stream-stacked
-    (Z, B, L, C) array with one stream per entry, every stream runs in one
-    recurrence loop, and the result is (y, adjoint) as `_scan_streams` returns
-    it, with the adjoint None under no_grad. The fused block branch of
-    `encoder` calls it this way.
-    """
-    if not isinstance(params, S6Params):
-        return _scan_streams(x, params, keep=ad.grad_enabled())
-    is_tensor = isinstance(x, Tensor)
-    xt = x if is_tensor else Tensor(np.asarray(x, dtype=np.float64))
-    squeeze = xt.ndim == 2
-    if squeeze:
-        xt = ad.reshape(xt, (1,) + xt.shape)
-    if xt.ndim != 3 or xt.shape[-1] != params.channels:
-        raise InvalidInput(
-            f"selective_scan expects (..., L, {params.channels}), got {xt.shape}"
-        )
-    tensors = params.tensors()
-    out_data, adjoint = _scan_streams(xt.data[None], (params,),
-                                      keep=ad.needs_grad(xt, *tensors.values()))
-
-    def backward(g):
-        gx, (grads,) = adjoint(g[None])
-        if xt.requires_grad:
-            xt.accumulate(gx[0])
-        for name, t in tensors.items():
-            if t.requires_grad:
-                t.accumulate(grads[name])
-
-    y = Tensor(out_data[0], parents=(xt, *tensors.values()), backward=backward)
-    if squeeze:
-        y = ad.reshape(y, y.shape[1:])
-    return y if is_tensor else y.data
-
-
-def selective_scan_reference(x: np.ndarray, params: S6Params) -> np.ndarray:
-    """Literal per-step, per-channel transcription of the recurrence (oracle).
-
-    Shares the projection math with `selective_scan` by construction of the
-    formulas, not by code: everything is recomputed with explicit loops.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
-    nb, length, channels = x.shape
-    n = params.n_state
-    a = -np.exp(params.a_log.data)
-    y = np.zeros_like(x)
-    for b in range(nb):
-        h = np.zeros((channels, n))
-        for t in range(length):
-            xt = x[b, t]
-            pre = xt @ params.dt_low.data @ params.dt_up.data + params.dt_bias.data
-            delta = np.logaddexp(0.0, pre)
-            bt = xt @ params.b_weight.data + params.b_bias.data
-            ct = xt @ params.c_weight.data + params.c_bias.data
-            for c in range(channels):
-                abar, bbar = np.exp(delta[c] * a[c]), delta[c] * bt
-                h[c] = abar * h[c] + bbar * xt[c]
-                y[b, t, c] = float(ct @ h[c]) + params.d_skip.data[c] * xt[c]
-            if not np.all(np.isfinite(h)):
-                raise NumericalError(f"non-finite state at step {t}")
-    return y[0] if squeeze else y
-
-
-def scan_states_reference(x: np.ndarray, params: S6Params) -> np.ndarray:
-    """State trajectory h_t (L, C, N) of the reference recurrence, for the
-    stability bound tests."""
-    x = np.asarray(x, dtype=np.float64)
-    length, channels = x.shape
-    a = -np.exp(params.a_log.data)
-    h = np.zeros((channels, params.n_state))
-    out = np.empty((length, channels, params.n_state))
-    for t in range(length):
-        xt = x[t]
-        pre = xt @ params.dt_low.data @ params.dt_up.data + params.dt_bias.data
-        delta = np.logaddexp(0.0, pre)
-        bt = xt @ params.b_weight.data + params.b_bias.data
-        h = np.exp(delta[:, None] * a) * h + (delta * xt)[:, None] * bt[None, :]
-        out[t] = h
-    return out

@@ -194,12 +194,6 @@ def init_mini_pointnet(token_dim: int, rng: np.random.Generator,
     )
 
 
-@dataclass
-class TokenSequence:
-    tokens: Tensor        # (S, C) or (B, S, C)
-    centers: np.ndarray   # matching (S, 3) / (B, S, 3); kept for serialization
-
-
 def pointnet_pool(feats: Tensor, p: MiniPointNetParams) -> Tensor:
     """Per-point affine -> SiLU -> affine -> SiLU, max over the k points, as
     one op: (..., S, k, 6) -> (..., S, C).
@@ -252,14 +246,13 @@ def pointnet_pool(feats: Tensor, p: MiniPointNetParams) -> Tensor:
     return Tensor(top[..., 0, :], parents=(feats, w1, b1, w2, b2), backward=backward)
 
 
-def mini_pointnet_embed(features, params: MiniPointNetParams) -> Tensor:
+def mini_pointnet_embed(feats: Tensor, params: MiniPointNetParams) -> Tensor:
     """Embed patch features (..., S, k, 6) into tokens (..., S, C).
 
     Per-point shared affine -> SiLU -> affine -> SiLU, max pool over the k
     points, then one affine C -> C. Pooling makes the token invariant to any
     within-patch reordering.
     """
-    feats = features if isinstance(features, Tensor) else Tensor(features)
     if feats.shape[-1] != params.w1.shape[0]:
         raise ShapeError(
             f"patch features last dim {feats.shape[-1]} != {params.w1.shape[0]}"
@@ -268,18 +261,3 @@ def mini_pointnet_embed(features, params: MiniPointNetParams) -> Tensor:
     if not np.all(np.isfinite(out.data)):
         raise NumericalError("non-finite token produced by mini_pointnet_embed")
     return out
-
-
-def patch_features(patches: PatchSet) -> np.ndarray:
-    """(..., S, k, 6) array: relative xyz concatenated with RGB."""
-    return np.concatenate([patches.relative_points, patches.patch_colors], axis=-1)
-
-
-def tokenize(points: np.ndarray, colors: np.ndarray | None, s_tokens: int,
-             k_neighbors: int, params: MiniPointNetParams) -> TokenSequence:
-    """Full tokenizer for one cloud: FPS -> kNN -> embedding, on the batched
-    geometry `training.build_cache` runs, with a batch of one."""
-    centers_idx = farthest_point_sampling(points, s_tokens)
-    patches = knn_group(points, colors, centers_idx, k_neighbors)
-    tokens = mini_pointnet_embed(patch_features(patches), params)
-    return TokenSequence(tokens=tokens, centers=patches.centers)

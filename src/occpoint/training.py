@@ -26,7 +26,6 @@ from .container import read_container_file, write_container_file
 from .contrastive import (
     AlignmentHeads,
     build_embedding_batch,
-    cross_modal_loss,
     init_alignment_heads,
     project,
     total_loss,
@@ -36,25 +35,16 @@ from .dataset import N_VIEWS, TripletDataset
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    block_forward,
-    compute_permutations,
     encoder_forward,
-    init_block,
     init_encoder,
     named_parameters,
-    stream_branches,
-    toy_config,
 )
 from .errors import ConfigError, InvalidInput, NumericalError
-from .ssm import init_s6, selective_scan
 from .tokenizer import (
     COLOR_CONSTANT,
     farthest_point_sampling,
-    init_mini_pointnet,
     knn_group,
     mini_pointnet_embed,
-    pointnet_pool,
-    TokenSequence,
 )
 
 
@@ -241,12 +231,24 @@ class CloudCache:
     centers: np.ndarray         # (S, 3)
     rel_points: np.ndarray      # (S, k, 3)
     patch_colors: np.ndarray    # (S, k, 3)
-    perm_a: tuple[np.ndarray, np.ndarray]
-    perm_b: tuple[np.ndarray, np.ndarray]
+    fwd: np.ndarray             # (2, S) sort orders along curve a, curve b
+    inv: np.ndarray             # (2, S) their inverses
     label: int
     object_index: int
     image_feature: np.ndarray
     text_features: np.ndarray
+
+
+def curve_orders(centers: np.ndarray, config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sort orders of (B, S, 3) token centers along curve a, then curve b,
+    and their inverses: (fwd, inv), each (2, B, S). ``x[fwd]`` sorts a row
+    and ``sorted_x[inv]`` restores it, so ``fwd[inv] == arange(S)``."""
+    fwd = np.stack([sort_by_curve(centers, kind, config.curve_bits)
+                    for kind in (config.curve_a, config.curve_b)])
+    inv = np.empty_like(fwd)
+    slots = np.broadcast_to(np.arange(fwd.shape[-1], dtype=fwd.dtype), fwd.shape)
+    np.put_along_axis(inv, fwd, slots, axis=-1)
+    return fwd, inv
 
 
 # Each chunk's (clouds x S x N) kNN distance block stays within this many
@@ -276,16 +278,15 @@ def build_cache(dataset: TripletDataset, config: EncoderConfig) -> list[CloudCac
             colors = np.stack([records[i].colors for i in group])
             centers_idx = farthest_point_sampling(points, config.s_tokens)
             patches = knn_group(points, colors, centers_idx, config.k_neighbors)
-            pa = sort_by_curve(patches.centers, config.curve_a, config.curve_bits)
-            pb = sort_by_curve(patches.centers, config.curve_b, config.curve_bits)
+            fwd, inv = curve_orders(patches.centers, config)
             for j, i in enumerate(group):
                 rec = records[i]
                 caches[i] = CloudCache(
                     centers=patches.centers[j],
                     rel_points=patches.relative_points[j],
                     patch_colors=patches.patch_colors[j],
-                    perm_a=(pa.forward[j], pa.inverse[j]),
-                    perm_b=(pb.forward[j], pb.inverse[j]),
+                    fwd=fwd[:, j],
+                    inv=inv[:, j],
                     label=rec.label,
                     object_index=object_ids[rec.object_id],
                     image_feature=rec.image_feature,
@@ -302,20 +303,18 @@ def _batch_arrays(batch: list[CloudCache], drop_mask: np.ndarray,
                   if drop else item.patch_colors)
         feats.append(np.concatenate([item.rel_points, colors], axis=-1))
     feats = np.stack(feats)                                  # (B, S, k, 6)
-    centers = np.stack([b.centers for b in batch])
-    perm_a = (np.stack([b.perm_a[0] for b in batch]), np.stack([b.perm_a[1] for b in batch]))
-    perm_b = (np.stack([b.perm_b[0] for b in batch]), np.stack([b.perm_b[1] for b in batch]))
+    fwd = np.stack([b.fwd for b in batch], axis=1)           # (2, B, S)
+    inv = np.stack([b.inv for b in batch], axis=1)
     image = np.stack([b.image_feature for b in batch])
     text = np.stack([b.text_features[pick] for b, pick in zip(batch, text_pick)])
-    return feats, centers, perm_a, perm_b, image, text
+    return feats, fwd, inv, image, text
 
 
-def encode_batch(feats: np.ndarray, centers: np.ndarray, perm_a, perm_b,
+def encode_batch(feats: np.ndarray, fwd: np.ndarray, inv: np.ndarray,
                  model: ModelState) -> Tensor:
+    """(B, S, k, 6) patch features and (2, B, S) curve orders -> (B, D)."""
     tokens = mini_pointnet_embed(Tensor(feats), model.encoder.pointnet)
-    seq = TokenSequence(tokens=tokens, centers=centers)
-    return encoder_forward(seq, model.encoder_config, model.encoder,
-                           permutations=(perm_a, perm_b))
+    return encoder_forward(tokens, fwd, inv, model.encoder, model.encoder_config)
 
 
 def _first_nonfinite(stages: list[tuple[str, np.ndarray]]) -> str:
@@ -333,10 +332,10 @@ def train_step(batch: list[CloudCache], model: ModelState, step: int,
     drop_mask = rng.random(len(batch)) < cfg.color_drop_prob
     text_pick = rng.integers(0, batch[0].text_features.shape[0], size=len(batch))
 
-    feats, centers, perm_a, perm_b, image, text = _batch_arrays(
+    feats, fwd, inv, image, text = _batch_arrays(
         batch, drop_mask, text_pick, cfg.color_constant
     )
-    z_point = encode_batch(feats, centers, perm_a, perm_b, model)
+    z_point = encode_batch(feats, fwd, inv, model)
     emb = build_embedding_batch(z_point, image, text, model.heads)
     tau = model.heads.temperature.value()
     loss, terms = total_loss(emb, tau, reduction="mean")
@@ -423,15 +422,35 @@ def make_batches(caches: list[CloudCache], batch_size: int, epoch: int,
     return batches
 
 
+def check_resume(model: ModelState, encoder_config: EncoderConfig,
+                 train_config: TrainConfig) -> None:
+    """Refuse to resume `model` under configs other than its own: a run
+    continues exactly only if every field but `epochs` is unchanged."""
+    for saved, given in ((model.encoder_config, encoder_config),
+                         (model.train_config, train_config)):
+        saved, given = saved.to_dict(), given.to_dict()
+        for name, value in given.items():
+            if name != "epochs" and value != saved[name]:
+                raise ConfigError(f"cannot resume with {name}={value!r}: the checkpoint "
+                                  f"was trained with {name}={saved[name]!r}")
+
+
 def run_pretraining(dataset: TripletDataset, encoder_config: EncoderConfig,
                     train_config: TrainConfig, model: ModelState | None = None,
                     log=None) -> tuple[ModelState, list[dict]]:
-    """Full deterministic training run; returns the model and per-step metrics."""
+    """Full deterministic training run; returns the model and per-step metrics.
+
+    Given a model, the run resumes it: the configs must be the model's own,
+    except that `epochs` may extend the run (see `check_resume`).
+    """
     train_set, _ = dataset.split_views(train_config.holdout_views)
     if not train_set.records:
         raise InvalidInput("no training records after the view split")
     if model is None:
         model = init_model(encoder_config, train_config)
+    else:
+        check_resume(model, encoder_config, train_config)
+        model.train_config = train_config
     caches = build_cache(train_set, encoder_config)
 
     probe = make_batches(caches, train_config.batch_size, 0, train_config.seed)
@@ -462,11 +481,11 @@ def embed_clouds(caches: list[CloudCache], model: ModelState,
     with ad.no_grad():
         for start in range(0, len(caches), batch_size):
             group = caches[start : start + batch_size]
-            feats, centers, pa, pb, _, _ = _batch_arrays(
+            feats, fwd, inv, _, _ = _batch_arrays(
                 group, np.zeros(len(group), dtype=bool),
                 np.zeros(len(group), dtype=np.int64), COLOR_CONSTANT,
             )
-            z = encode_batch(feats, centers, pa, pb, model)
+            z = encode_batch(feats, fwd, inv, model)
             out.append(z.data / np.linalg.norm(z.data, axis=1, keepdims=True))
     return np.vstack(out)
 
@@ -527,216 +546,6 @@ def linear_probe(train_features: np.ndarray, train_labels: np.ndarray,
         b -= lr * gl.sum(axis=0)
     pred = (test_features @ w + b).argmax(axis=1)
     return float((pred == np.asarray(test_labels)).mean())
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-
-
-def grad_check(op_id: str, h: float = 1e-5, seed: int = 0,
-               samples_per_tensor: int = 6) -> float:
-    """Worst relative error between analytic and central-difference gradients
-    for the named operation's parameters. Registered ops: affine,
-    mini_pointnet, pointnet_pool, conv1d, selective_scan, stream_branches,
-    block, heads, tau, total_loss."""
-    if op_id not in GRAD_CHECK_OPS:
-        raise InvalidInput(f"unknown op {op_id!r}; have {sorted(GRAD_CHECK_OPS)}")
-    params, fn = GRAD_CHECK_OPS[op_id](seed)
-
-    loss = fn()
-    for t in params.values():
-        t.zero_grad()
-    loss.backward()
-    analytic = {k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-                for k, t in params.items()}
-
-    rng = np.random.Generator(np.random.PCG64([seed, 0xFD]))
-    worst = 0.0
-    for name, t in params.items():
-        flat = t.data.ravel()
-        gflat = analytic[name].ravel()
-        count = min(samples_per_tensor, flat.size)
-        idxs = rng.choice(flat.size, size=count, replace=False)
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = float(fn().data)
-            flat[i] = orig - h
-            fm = float(fn().data)
-            flat[i] = orig
-            fd = (fp - fm) / (2.0 * h)
-            if not np.isfinite(fd):
-                raise NumericalError(f"non-finite finite-difference for {op_id}:{name}")
-            # Floor the denominator at 1e-5: entries whose true gradient is at
-            # the cancellation noise level of the central difference would
-            # otherwise compare noise against noise.
-            denom = max(abs(fd), abs(gflat[i]), 1e-5)
-            worst = max(worst, abs(fd - gflat[i]) / denom)
-    return worst
-
-
-def _gc_affine(seed):
-    rng = np.random.default_rng(seed)
-    w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=3), requires_grad=True)
-    x = rng.normal(size=(7, 5))
-    target = rng.normal(size=(7, 3))
-
-    def fn():
-        out = ad.affine(Tensor(x), w, b)
-        return ad.tensor_sum(ad.square(out - Tensor(target)))
-
-    return {"w": w, "b": b}, fn
-
-
-def _gc_mini_pointnet(seed):
-    rng = np.random.default_rng(seed)
-    params = init_mini_pointnet(8, rng, hidden=6)
-    feats = rng.normal(size=(2, 4, 5, 6))
-
-    def fn():
-        return ad.tensor_sum(ad.square(mini_pointnet_embed(Tensor(feats), params)))
-
-    return dict(named_parameters(params)), fn
-
-
-def _gc_pointnet_pool(seed):
-    rng = np.random.default_rng(seed)
-    params = init_mini_pointnet(8, rng, hidden=6)
-    feats = Tensor(rng.normal(size=(2, 4, 5, 6)), requires_grad=True)
-
-    def fn():
-        return ad.tensor_sum(ad.square(pointnet_pool(feats, params)))
-
-    tensors = {k: v for k, v in params.tensors().items() if k not in ("w3", "b3")}
-    return {"features": feats, **tensors}, fn
-
-
-def _gc_conv1d(seed):
-    rng = np.random.default_rng(seed)
-    kernel = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    bias = Tensor(rng.normal(size=4), requires_grad=True)
-    x = rng.normal(size=(2, 9, 4))
-
-    def fn():
-        out = ad.depthwise_conv1d(Tensor(x), kernel, bias, 2, 2)
-        return ad.tensor_sum(ad.square(out))
-
-    return {"kernel": kernel, "bias": bias}, fn
-
-
-def _gc_selective_scan(seed):
-    rng = np.random.default_rng(seed)
-    params = init_s6(4, 4, rng)
-    x = rng.normal(size=(16, 4))
-
-    def fn():
-        return ad.tensor_sum(ad.square(selective_scan(Tensor(x), params)))
-
-    return dict(named_parameters(params)), fn
-
-
-def _gc_stream_branches(seed):
-    rng = np.random.default_rng(seed)
-    cfg = toy_config(c_dim=6, s_tokens=5, n_state=3, l_blocks=1,
-                     conv_mode=("standard", "causal")[seed % 2])
-    block = init_block(cfg, rng)
-    z_in = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
-    gate = Tensor(rng.normal(size=(2, 5, cfg.c_inner)), requires_grad=True)
-    perm_a, perm_b = compute_permutations(rng.uniform(-1, 1, size=(2, 5, 3)), cfg)
-    fwd = np.stack([perm_a.forward, perm_b.forward])
-    inv = np.stack([perm_a.inverse, perm_b.inverse])
-
-    def fn():
-        return ad.tensor_sum(ad.square(stream_branches(z_in, gate, fwd, inv, block, cfg)))
-
-    tensors = {k: v for k, v in named_parameters(block)
-               if k.startswith(("branch_", "conv_", "s6_"))}
-    return {"z_in": z_in, "gate": gate, **tensors}, fn
-
-
-def _gc_block(seed):
-    rng = np.random.default_rng(seed)
-    cfg = toy_config(c_dim=6, s_tokens=5, n_state=3, l_blocks=1)
-    block = init_block(cfg, rng)
-    # The training init zeroes out_w (identity blocks); gradient checking
-    # needs a nontrivial output path.
-    block.out_w.data = rng.normal(size=block.out_w.shape) * block.out_w.shape[0] ** -0.5
-    x = rng.normal(size=(5, 6))
-    centers = rng.uniform(-1, 1, size=(5, 3))
-    perms = compute_permutations(centers, cfg)
-
-    def fn():
-        out = block_forward(Tensor(x), perms[0], perms[1], block, cfg)
-        return ad.tensor_sum(ad.square(out))
-
-    return dict(named_parameters(block)), fn
-
-
-def _gc_heads(seed):
-    rng = np.random.default_rng(seed)
-    heads = init_alignment_heads(6, rng)
-    z_point = rng.normal(size=(4, 6))
-    image = rng.normal(size=(4, 6))
-    text = rng.normal(size=(4, 6))
-
-    def fn():
-        emb = build_embedding_batch(Tensor(z_point), image, text, heads)
-        loss, _ = total_loss(emb, heads.temperature.value(), reduction="mean")
-        return loss
-
-    return dict(named_parameters(heads)), fn
-
-
-def _gc_tau(seed):
-    rng = np.random.default_rng(seed)
-    tau_param = init_alignment_heads(6, rng).temperature
-    za = rng.normal(size=(4, 6))
-    za /= np.linalg.norm(za, axis=1, keepdims=True)
-    zb = rng.normal(size=(4, 6))
-    zb /= np.linalg.norm(zb, axis=1, keepdims=True)
-
-    def fn():
-        return cross_modal_loss(za, zb, tau_param.value(), "mean")
-
-    return {"log_tau": tau_param.log_tau}, fn
-
-
-def _gc_total_loss(seed):
-    rng = np.random.default_rng(seed)
-    cfg = toy_config(c_dim=6, s_tokens=5, k_neighbors=3, n_state=3,
-                     l_blocks=1, embed_dim=5)
-    tc = TrainConfig(seed=seed, batch_size=3, epochs=1, warmup_epochs=0)
-    model = init_model(cfg, tc)
-    for block in model.encoder.blocks:
-        block.out_w.data = rng.normal(size=block.out_w.shape) * 0.5
-    feats = rng.normal(size=(3, cfg.s_tokens, cfg.k_neighbors, 6))
-    centers = rng.uniform(-1, 1, size=(3, cfg.s_tokens, 3))
-    perm_a, perm_b = compute_permutations(centers, cfg)
-    image = rng.normal(size=(3, cfg.embed_dim))
-    text = rng.normal(size=(3, cfg.embed_dim))
-
-    def fn():
-        z = encode_batch(feats, centers, perm_a, perm_b, model)
-        emb = build_embedding_batch(z, image, text, model.heads)
-        loss, _ = total_loss(emb, model.heads.temperature.value(), "mean")
-        return loss
-
-    return model.params(), fn
-
-
-GRAD_CHECK_OPS = {
-    "affine": _gc_affine,
-    "mini_pointnet": _gc_mini_pointnet,
-    "pointnet_pool": _gc_pointnet_pool,
-    "conv1d": _gc_conv1d,
-    "selective_scan": _gc_selective_scan,
-    "stream_branches": _gc_stream_branches,
-    "block": _gc_block,
-    "heads": _gc_heads,
-    "tau": _gc_tau,
-    "total_loss": _gc_total_loss,
-}
 
 
 # ---------------------------------------------------------------------------

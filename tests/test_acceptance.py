@@ -21,7 +21,6 @@ from occpoint.encoder import (
     attention_equivalent_flops,
     count_flops,
     count_params,
-    count_params_enumerated,
     desk_config,
     init_encoder,
     full_scale_config,
@@ -31,20 +30,21 @@ from occpoint.errors import FormatError
 from occpoint.meshio import normalize_mesh
 from occpoint.render import backproject, rasterize
 from occpoint.contrastive import EmbeddingBatch, cross_modal_loss, total_loss
-from occpoint.ssm import init_s6, selective_scan, selective_scan_reference
+from occpoint.ssm import init_s6, selective_scan
 from occpoint.synthetic import make_cube, toy_object_set
 from occpoint.training import (
-    GRAD_CHECK_OPS,
     TrainConfig,
     build_cache,
     embed_clouds,
-    grad_check,
     run_pretraining,
     save_checkpoint,
     top_k_accuracy,
     use_ema_weights,
     zero_shot_classify,
 )
+
+from gradcheck import GRAD_CHECK_OPS, grad_check
+from reference import count_params_enumerated, selective_scan_reference
 
 # Frozen desk-run configuration for the learning criterion.
 DESK_FEATURE_DIM = 64
@@ -105,7 +105,7 @@ def test_criterion_2_scan_oracle():
         n_state = int(rng.integers(1, 17))
         params = init_s6(channels, n_state, rng)
         x = rng.normal(size=(length, channels))
-        worst = max(worst, np.abs(selective_scan(x, params)
+        worst = max(worst, np.abs(selective_scan(x[None, None], [params])[0][0, 0]
                                   - selective_scan_reference(x, params)).max())
     assert worst <= 1e-12
 
@@ -119,7 +119,7 @@ def test_criterion_2_scan_oracle():
                                  dt_value=0.05, d_value=0.0)
         params.a_log.data[:] = np.log(rng.uniform(1.0, 8.0, (channels, n_state)))
         x = rng.normal(size=(length, channels))
-        y = selective_scan(x, params)
+        y = selective_scan(x[None, None], [params])[0][0, 0]
         a = -np.exp(params.a_log.data)
         dt = np.logaddexp(0.0, params.dt_bias.data)
         steps = np.arange(length)
@@ -143,20 +143,20 @@ def test_criterion_3_block_fidelity():
     worst = 0.0
     for i in range(100):
         mode = ("standard", "causal", "none")[i % 3]
-        cfg, params, z, perm_h, perm_t = random_instance(rng, mode)
-        got = block_forward(Tensor(z), perm_h, perm_t, params, cfg).data
-        worst = max(worst, np.abs(got - block_oracle(z, perm_h, perm_t, params, cfg)).max())
+        cfg, params, z, fwd, inv = random_instance(rng, mode)
+        got = block_forward(Tensor(z), fwd, inv, params, cfg).data
+        worst = max(worst, np.abs(got - block_oracle(z, fwd, inv, params, cfg)).max())
 
-    cfg, params, z, perm_h, perm_t = random_instance(rng)
+    cfg, params, z, fwd, inv = random_instance(rng)
     params.out_w.data[:] = 0.0
     params.out_b.data[:] = 0.0
     identity_exact = np.array_equal(
-        block_forward(Tensor(z), perm_h, perm_t, params, cfg).data, z)
+        block_forward(Tensor(z), fwd, inv, params, cfg).data, z)
 
-    cfg2, params2, z2, ph2, pt2 = random_instance(rng)
+    cfg2, params2, z2, fwd2, inv2 = random_instance(rng)
     params2.gate_w.data[:] = 0.0
     params2.gate_b.data[:] = 0.0
-    gate_out = block_forward(Tensor(z2), ph2, pt2, params2, cfg2).data
+    gate_out = block_forward(Tensor(z2), fwd2, inv2, params2, cfg2).data
     gate_exact = np.allclose(gate_out, z2 + params2.out_b.data, atol=1e-14)
 
     report(3, worst <= 1e-10 and identity_exact and gate_exact,
@@ -175,12 +175,12 @@ def test_criterion_4_gradients():
 
 
 def test_criterion_5_loss_values():
-    single = float(cross_modal_loss(np.array([[1.0, 0.0]]),
-                                    np.array([[1.0, 0.0]]), 1.0).data)
-    two = float(cross_modal_loss(np.eye(2), np.eye(2), 1.0, "sum").data)
+    single = float(cross_modal_loss(Tensor(np.array([[1.0, 0.0]])),
+                                    Tensor(np.array([[1.0, 0.0]])), Tensor(1.0)).data)
+    two = float(cross_modal_loss(Tensor(np.eye(2)), Tensor(np.eye(2)), Tensor(1.0), "sum").data)
     expected = 2.0 * np.log(1.0 + np.exp(-1.0))
     z = Tensor(np.eye(2))
-    total, _ = total_loss(EmbeddingBatch(z, z, z, z), 1.0, reduction="sum")
+    total, _ = total_loss(EmbeddingBatch(z, z, z, z), Tensor(1.0), reduction="sum")
     ok = (abs(single) < 1e-15 and abs(two - expected) <= 1e-9
           and abs(float(total.data) - 4 * expected) <= 1e-9)
     report(5, ok, f"B=1 -> {single}, orthonormal B=2 -> {two:.9f} "

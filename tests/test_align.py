@@ -12,12 +12,18 @@ from occpoint.contrastive import (
     init_alignment_heads,
     init_head,
     init_temperature,
+    normalize_rows,
     project,
     total_loss,
 )
 from occpoint.errors import InvalidInput, NumericalError, ShapeError
 
 TWO_TERM = 2.0 * np.log(1.0 + np.exp(-1.0))  # orthonormal B=2, tau=1, sum reduction
+
+
+def array_loss(za, zb, tau, reduction="sum"):
+    """cross_modal_loss of array rows at a float temperature."""
+    return cross_modal_loss(Tensor(za), Tensor(zb), Tensor(tau), reduction)
 
 
 def unit_rows(rng, b, d):
@@ -52,6 +58,14 @@ def test_project_zero_row_raises():
         project(head, np.ones((2, 3)))
 
 
+def test_normalize_rows_zero_row_raises():
+    rows = np.eye(3)
+    assert np.array_equal(normalize_rows(Tensor(rows)).data, rows)
+    rows[1] = 0.0
+    with pytest.raises(NumericalError):
+        normalize_rows(Tensor(rows))
+
+
 def test_project_shape_mismatch():
     head = init_head(3, 3, np.random.default_rng(4))
     with pytest.raises(ShapeError):
@@ -73,43 +87,45 @@ def test_mixed_head_concatenation_shape():
 
 def test_single_pair_loss_is_zero():
     za = np.array([[0.6, 0.8]])
-    assert abs(float(cross_modal_loss(za, za, 0.3).data)) < 1e-12
+    assert abs(float(array_loss(za, za, 0.3).data)) < 1e-12
 
 
 def test_orthonormal_two_batch_closed_form():
     z = np.eye(2)
-    got = float(cross_modal_loss(z, z, 1.0, "sum").data)
+    got = float(array_loss(z, z, 1.0, "sum").data)
     assert abs(got - TWO_TERM) <= 1e-9
 
 
 def test_mean_reduction_divides_by_batch():
     z = np.eye(2)
-    s = float(cross_modal_loss(z, z, 1.0, "sum").data)
-    m = float(cross_modal_loss(z, z, 1.0, "mean").data)
+    s = float(array_loss(z, z, 1.0, "sum").data)
+    m = float(array_loss(z, z, 1.0, "mean").data)
     assert abs(s - 2 * m) < 1e-12
 
 
 def test_symmetry_under_argument_swap():
     rng = np.random.default_rng(6)
     za, zb = unit_rows(rng, 5, 8), unit_rows(rng, 5, 8)
-    assert float(cross_modal_loss(za, zb, 0.2).data) == float(cross_modal_loss(zb, za, 0.2).data)
+    assert float(array_loss(za, zb, 0.2).data) == float(array_loss(zb, za, 0.2).data)
 
 
 def test_temperature_validation():
     z = np.eye(2)
     with pytest.raises(InvalidInput):
-        cross_modal_loss(z, z, 0.0)
+        array_loss(z, z, 0.0)
     with pytest.raises(InvalidInput):
-        cross_modal_loss(z, z, -1.0)
+        array_loss(z, z, -1.0)
     with pytest.raises(InvalidInput):
-        cross_modal_loss(z, z, 1.0, reduction="median")
+        array_loss(z, z, 1.0, reduction="median")
+    with pytest.raises(InvalidInput):
+        array_loss(np.zeros((0, 2)), np.zeros((0, 2)), 1.0)
 
 
 def test_loss_nonnegative_when_diagonal_maximal():
     rng = np.random.default_rng(7)
     for _ in range(20):
         za = unit_rows(rng, 6, 16)
-        assert float(cross_modal_loss(za, za, 0.5).data) >= 0.0
+        assert float(array_loss(za, za, 0.5).data) >= 0.0
 
 
 def test_loss_decreases_as_diagonal_similarity_rises():
@@ -130,16 +146,16 @@ def test_loss_decreases_as_diagonal_similarity_rises():
 def test_batch_permutation_leaves_loss_unchanged():
     rng = np.random.default_rng(9)
     za, zb = unit_rows(rng, 6, 8), unit_rows(rng, 6, 8)
-    base = float(cross_modal_loss(za, zb, 0.15).data)
+    base = float(array_loss(za, zb, 0.15).data)
     for _ in range(5):
         perm = rng.permutation(6)
-        assert abs(float(cross_modal_loss(za[perm], zb[perm], 0.15).data) - base) < 1e-10
+        assert abs(float(array_loss(za[perm], zb[perm], 0.15).data) - base) < 1e-10
 
 
 def test_extreme_temperature_is_stable():
     rng = np.random.default_rng(10)
     za, zb = unit_rows(rng, 4, 8), unit_rows(rng, 4, 8)
-    val = float(cross_modal_loss(za, zb, TAU_MIN).data)
+    val = float(array_loss(za, zb, TAU_MIN).data)
     assert np.isfinite(val)
 
 
@@ -172,7 +188,7 @@ def matched_batch(rng, b=2, d=4):
 def test_total_loss_zero_when_identical_singleton():
     z = np.array([[1.0, 0.0]])
     batch = EmbeddingBatch(Tensor(z), Tensor(z), Tensor(z), Tensor(z))
-    loss, terms = total_loss(batch, 1.0)
+    loss, terms = total_loss(batch, Tensor(1.0))
     assert abs(float(loss.data)) < 1e-12
     assert all(abs(v) < 1e-12 for v in terms.values())
 
@@ -180,7 +196,7 @@ def test_total_loss_zero_when_identical_singleton():
 def test_total_loss_is_sum_of_four_terms():
     rng = np.random.default_rng(11)
     batch = EmbeddingBatch(*(Tensor(unit_rows(rng, 5, 8)) for _ in range(4)))
-    loss, terms = total_loss(batch, 0.4, reduction="sum")
+    loss, terms = total_loss(batch, Tensor(0.4), reduction="sum")
     assert abs(float(loss.data) - sum(terms.values())) < 1e-10
     pairs = {
         "point_image": (batch.z_point, batch.z_image),
@@ -189,12 +205,12 @@ def test_total_loss_is_sum_of_four_terms():
         "mixed_text": (batch.z_mixed, batch.z_text),
     }
     for name, (za, zb) in pairs.items():
-        direct = float(cross_modal_loss(za.data, zb.data, 0.4, "sum").data)
+        direct = float(array_loss(za.data, zb.data, 0.4, "sum").data)
         assert abs(terms[name] - direct) < 1e-12
 
 
 def test_total_loss_matched_four_modality_value():
-    loss, _ = total_loss(matched_batch(np.random.default_rng(12)), 1.0, reduction="sum")
+    loss, _ = total_loss(matched_batch(np.random.default_rng(12)), Tensor(1.0), reduction="sum")
     assert abs(float(loss.data) - 4.0 * TWO_TERM) <= 1e-9
 
 
@@ -202,7 +218,7 @@ def test_total_loss_missing_modality_rejected():
     z = Tensor(np.eye(2))
     batch = EmbeddingBatch(z, z, z, None)
     with pytest.raises(InvalidInput):
-        total_loss(batch, 1.0)
+        total_loss(batch, Tensor(1.0))
 
 
 # --- analytic gradients ------------------------------------------------------------
@@ -248,7 +264,7 @@ def test_loss_gradients_wrt_embeddings_and_tau():
 
 
 def test_heads_grad_check_registry():
-    from occpoint.training import grad_check
+    from gradcheck import grad_check
 
     assert grad_check("heads", seed=1) <= 1e-4
     assert grad_check("tau", seed=1) <= 1e-4

@@ -7,6 +7,8 @@ from occpoint import autodiff as ad
 from occpoint.autodiff import Tensor
 from occpoint.errors import ShapeError
 
+from composed import amax, depthwise_conv1d, sigmoid, softplus, take_rows
+
 
 def finite_diff(fn, tensor, h=1e-6, samples=10, seed=0):
     rng = np.random.default_rng(seed)
@@ -56,9 +58,9 @@ _NUM = np.random.default_rng(44).normal(size=(3, 4))
     ("exp", lambda x: ad.tensor_sum(ad.exp(x))),
     ("log_of_square", lambda x: ad.tensor_sum(ad.log(ad.add(ad.square(x), Tensor(0.5))))),
     ("sqrt", lambda x: ad.tensor_sum(ad.sqrt(ad.add(ad.square(x), Tensor(0.1))))),
-    ("sigmoid", lambda x: ad.tensor_sum(ad.sigmoid(x))),
+    ("sigmoid", lambda x: ad.tensor_sum(sigmoid(x))),
     ("silu", lambda x: ad.tensor_sum(ad.silu(x))),
-    ("softplus", lambda x: ad.tensor_sum(ad.softplus(x))),
+    ("softplus", lambda x: ad.tensor_sum(softplus(x))),
     ("mean_axis", lambda x: ad.tensor_sum(ad.square(ad.mean(x, axis=1)))),
     ("logsumexp", lambda x: ad.tensor_sum(ad.logsumexp(x, axis=1))),
     ("l2norm", lambda x: ad.tensor_sum(ad.mul(ad.l2_normalize_rows(x), Tensor(_W34)))),
@@ -104,13 +106,13 @@ def test_take_rows_grads_and_round_trip():
         inv[b, perm[b]] = np.arange(6)
     weight = rng.normal(size=(2, 6, 3))
 
-    sorted_x = ad.take_rows(x, perm, inv)
+    sorted_x = take_rows(x, perm, inv)
     assert np.array_equal(sorted_x.data, np.take_along_axis(x.data, perm[..., None], axis=1))
-    restored = ad.take_rows(sorted_x, inv, perm)
+    restored = take_rows(sorted_x, inv, perm)
     assert np.array_equal(restored.data, x.data)
 
     def fn():
-        return ad.tensor_sum(ad.mul(ad.take_rows(x, perm, inv), Tensor(weight)))
+        return ad.tensor_sum(ad.mul(take_rows(x, perm, inv), Tensor(weight)))
 
     assert finite_diff(fn, x) < 1e-6
     # The backward gather by the inverse is the scatter by the forward index.
@@ -140,7 +142,7 @@ def test_amax_grads():
     weight = rng.normal(size=(3, 4))
 
     def fn():
-        return ad.tensor_sum(ad.mul(ad.amax(x, axis=1), Tensor(weight)))
+        return ad.tensor_sum(ad.mul(amax(x, axis=1), Tensor(weight)))
 
     assert finite_diff(fn, x) < 1e-6
 
@@ -172,7 +174,7 @@ def test_depthwise_conv1d_standard_and_causal():
     bias = param(rng.normal(size=3))
 
     def fn():
-        return ad.tensor_sum(ad.square(ad.depthwise_conv1d(x, kernel, bias, 2, 2)))
+        return ad.tensor_sum(ad.square(depthwise_conv1d(x, kernel, bias, 2, 2)))
 
     for t in (x, kernel, bias):
         assert finite_diff(fn, t) < 1e-6
@@ -180,7 +182,7 @@ def test_depthwise_conv1d_standard_and_causal():
     causal_kernel = param(rng.normal(size=(3, 4)))
 
     def fn_causal():
-        return ad.tensor_sum(ad.square(ad.depthwise_conv1d(x, causal_kernel, bias, 3, 0)))
+        return ad.tensor_sum(ad.square(depthwise_conv1d(x, causal_kernel, bias, 3, 0)))
 
     assert finite_diff(fn_causal, causal_kernel) < 1e-6
 
@@ -192,14 +194,14 @@ def test_causal_conv_does_not_see_future():
     x1 = rng.normal(size=(1, 10, 2))
     x2 = x1.copy()
     x2[0, 7:] += 5.0  # changing the future must not affect earlier outputs
-    y1 = ad.depthwise_conv1d(Tensor(x1), kernel, bias, 3, 0).data
-    y2 = ad.depthwise_conv1d(Tensor(x2), kernel, bias, 3, 0).data
+    y1 = depthwise_conv1d(Tensor(x1), kernel, bias, 3, 0).data
+    y2 = depthwise_conv1d(Tensor(x2), kernel, bias, 3, 0).data
     assert np.array_equal(y1[0, :7], y2[0, :7])
 
 
 def test_conv_padding_mismatch_rejected():
     with pytest.raises(ShapeError):
-        ad.depthwise_conv1d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((2, 5))),
+        depthwise_conv1d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((2, 5))),
                             Tensor(np.zeros(2)), 1, 1)
 
 
@@ -262,7 +264,7 @@ def test_backward_frees_interior_gradients_and_keeps_leaf_gradients():
 def test_no_grad_ops_match_recorded_ops():
     rng = np.random.default_rng(16)
     x = param(rng.normal(size=(4, 5)) * 3)
-    ops = [ad.silu, ad.softplus, lambda t: ad.amax(t, axis=1), lambda t: ad.clip(t, -1.0, 1.0)]
+    ops = [ad.silu, softplus, lambda t: amax(t, axis=1), lambda t: ad.clip(t, -1.0, 1.0)]
     for op in ops:
         recorded = op(x)
         with ad.no_grad():

@@ -173,6 +173,26 @@ def test_pretrain_resume_continues_steps(small_dataset, tmp_path):
     assert second[0]["step"] == first[-1]["step"] + 1
 
 
+@pytest.mark.parametrize("flag,value,field", [("--curve-a", "morton", "curve_a"),
+                                              ("--seed", "9", "seed")])
+def test_pretrain_resume_refuses_other_config(small_dataset, tmp_path, capsys, flag, value,
+                                             field):
+    ckpt = tmp_path / "m.occt"
+    base = ["--data", str(small_dataset), "--preset", "toy", "--s-tokens", "8",
+            "--k-neighbors", "6", "--c-dim", "16", "--warmup-epochs", "0",
+            "--batch-size", "4", "--seed", "2"]
+    assert main(["pretrain", *base, "--epochs", "1", "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    ckpt2 = tmp_path / "m2.occt"
+    assert main(["pretrain", *base, "--epochs", "2", "--out", str(ckpt2),
+                 "--resume", str(ckpt), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field}=" in err
+    # Refused before anything is written: no checkpoint, no manifest.
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "m.manifest.json", "m.metrics.jsonl", "m.occt"]
+
+
 def test_eval_dimension_mismatch_is_config_error(small_dataset, tmp_path, capsys):
     meshes = [("cube_00", "cube", make_class_mesh("cube", 0, 0))]
     other = generate_triplets(meshes, feature_dim=24, resolution=32, n_points=128, seed=1)
@@ -253,7 +273,12 @@ def test_missing_data_file_is_user_error_naming_the_path(small_checkpoint, tmp_p
         assert err.startswith(f"error: {missing}: ") and "internal error" not in err
 
 
-def test_unwritable_output_is_user_error_naming_the_path(small_mesh_dir, tmp_path, capsys):
+def test_unwritable_output_is_user_error_naming_the_path(small_mesh_dir, tmp_path, capsys,
+                                                        monkeypatch):
+    def no_render(*args, **kwargs):
+        raise AssertionError("gen rendered a view before checking its output path")
+
+    monkeypatch.setattr("occpoint.dataset.rasterize", no_render)
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / "d.occt"

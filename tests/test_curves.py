@@ -3,14 +3,15 @@ import pytest
 
 from occpoint.curves import (
     CurveKind,
-    Permutation,
     curve_codes,
     hilbert_index,
     morton_index,
     quantize,
     sort_by_curve,
 )
+from occpoint.encoder import toy_config
 from occpoint.errors import InvalidInput
+from occpoint.training import curve_orders
 
 
 def full_grid(bits):
@@ -116,30 +117,31 @@ def test_sorted_input_gives_identity_permutation():
     pts = rng.uniform(-1, 1, size=(64, 3))
     codes = curve_codes(pts, CurveKind.HILBERT, 10)
     ordered = pts[np.argsort(codes, kind="stable")]
-    perm = sort_by_curve(ordered, CurveKind.HILBERT, 10)
-    assert np.array_equal(perm.forward, np.arange(64))
+    order = sort_by_curve(ordered, CurveKind.HILBERT, 10)
+    assert np.array_equal(order, np.arange(64))
 
 
 def test_permutation_round_trip():
     rng = np.random.default_rng(2)
     for kind in CurveKind:
         pts = rng.uniform(-1, 1, size=(40, 3))
-        perm = sort_by_curve(pts, kind, 10)
-        sorted_pts = pts[perm.forward]
-        assert np.array_equal(sorted_pts[perm.inverse], pts)
-        assert np.array_equal(perm.forward[perm.inverse], np.arange(40))
+        order = sort_by_curve(pts, kind, 10)
+        inverse = np.argsort(order)
+        sorted_pts = pts[order]
+        assert np.array_equal(sorted_pts[inverse], pts)
+        assert np.array_equal(order[inverse], np.arange(40))
 
 
 def test_stable_tie_break_preserves_order():
     pts = np.array([[0.31, 0.31, 0.31], [0.31, 0.31, 0.31]])
-    perm = sort_by_curve(pts, CurveKind.HILBERT, 10)
-    assert np.array_equal(perm.forward, [0, 1])
+    order = sort_by_curve(pts, CurveKind.HILBERT, 10)
+    assert np.array_equal(order, [0, 1])
 
 
 def test_fps_order_is_identity():
     pts = np.random.default_rng(3).uniform(-1, 1, size=(17, 3))
-    perm = sort_by_curve(pts, CurveKind.FPS_ORDER, 10)
-    assert np.array_equal(perm.forward, np.arange(17))
+    order = sort_by_curve(pts, CurveKind.FPS_ORDER, 10)
+    assert np.array_equal(order, np.arange(17))
 
 
 def test_hilbert_locality_beats_random_order():
@@ -148,8 +150,7 @@ def test_hilbert_locality_beats_random_order():
     trials = 100
     for _ in range(trials):
         pts = rng.uniform(-1, 1, size=(128, 3))
-        perm = sort_by_curve(pts, CurveKind.HILBERT, 10)
-        ordered = pts[perm.forward]
+        ordered = pts[sort_by_curve(pts, CurveKind.HILBERT, 10)]
         hilbert_step = np.linalg.norm(np.diff(ordered, axis=0), axis=1).mean()
         random_step = np.linalg.norm(np.diff(pts[rng.permutation(128)], axis=0), axis=1).mean()
         hilbert_wins += hilbert_step <= random_step
@@ -163,8 +164,13 @@ def test_curve_kind_parsing():
 
 
 def test_permutation_from_forward_inverse():
-    perm = Permutation.from_forward(np.array([2, 0, 1]))
-    assert np.array_equal(perm.inverse, [1, 2, 0])
+    # Three centers on the x axis, listed out of order: the Morton sort order
+    # is [2, 0, 1], and its inverse [1, 2, 0].
+    centers = np.array([[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]])
+    cfg = toy_config(curve_a=CurveKind.MORTON, curve_b=CurveKind.FPS_ORDER)
+    fwd, inv = curve_orders(centers, cfg)
+    assert np.array_equal(fwd, [[[2, 0, 1]], [[0, 1, 2]]])
+    assert np.array_equal(inv, [[[1, 2, 0]], [[0, 1, 2]]])
 
 
 def test_batched_sort_matches_per_row_sort():
@@ -173,7 +179,22 @@ def test_batched_sort_matches_per_row_sort():
     pts[1, 5] = pts[1, 6]                      # a code tie inside one row
     for kind in CurveKind:
         batched = sort_by_curve(pts, kind, 10)
-        for row, want in zip(range(4), pts):
-            single = sort_by_curve(want, kind, 10)
-            assert np.array_equal(batched.forward[row], single.forward)
-            assert np.array_equal(batched.inverse[row], single.inverse)
+        assert batched.shape == (4, 33)
+        for row, want in zip(batched, pts):
+            assert np.array_equal(row, sort_by_curve(want, kind, 10))
+
+
+@pytest.mark.parametrize("curve_a,curve_b", [(CurveKind.HILBERT, CurveKind.TRANS_HILBERT),
+                                             (CurveKind.MORTON, CurveKind.FPS_ORDER)])
+def test_curve_orders_invert_and_match_each_cloud_sorted_alone(curve_a, curve_b):
+    rng = np.random.default_rng(6)
+    centers = rng.uniform(-1, 1, size=(5, 21, 3))
+    centers[2, 7] = centers[2, 3]              # a code tie inside one cloud
+    cfg = toy_config(curve_a=curve_a, curve_b=curve_b, curve_bits=6)
+    fwd, inv = curve_orders(centers, cfg)
+    assert fwd.shape == inv.shape == (2, 5, 21)
+    assert fwd.dtype == inv.dtype == np.int64
+    for z, kind in enumerate((curve_a, curve_b)):
+        for b, cloud in enumerate(centers):
+            assert np.array_equal(fwd[z, b][inv[z, b]], np.arange(21))
+            assert np.array_equal(fwd[z, b], sort_by_curve(cloud, kind, 6))

@@ -6,17 +6,17 @@ import pytest
 from occpoint import autodiff as ad
 from occpoint.autodiff import Tensor
 from occpoint.errors import InvalidInput, NumericalError
-from occpoint.ssm import (
-    S6Params,
-    init_s6,
+from occpoint.ssm import S6Params, init_s6, selective_scan
+
+from composed import assert_grads_match, composed_scan, forward_and_grads
+from reference import (
+    scan,
     scan_states_reference,
-    selective_scan,
+    scan_tensor,
     selective_scan_reference,
     zoh_discretize,
     zoh_discretize_exact,
 )
-
-from composed import assert_grads_match, composed_scan, forward_and_grads
 
 
 def constant_params(channels, n_state, b_bias, c_bias, dt_value, d_value=0.0):
@@ -87,7 +87,7 @@ def test_hand_unrolled_impulse_response():
     params = constant_params(1, 1, b_bias=1.0 / dt, c_bias=1.0, dt_value=dt)
     params.a_log.data[:] = np.log(-np.log(0.5) / dt)  # exp(dt*a) = 0.5
     x = np.array([[1.0], [0.0], [0.0]])
-    y = selective_scan(x, params)
+    y = scan(x[None], params)
     assert np.allclose(y.ravel(), [1.0, 0.5, 0.25], atol=1e-12)
     y_ref = selective_scan_reference(x, params)
     assert np.allclose(y_ref.ravel(), [1.0, 0.5, 0.25], atol=1e-12)
@@ -96,7 +96,7 @@ def test_hand_unrolled_impulse_response():
 def test_zero_input_zero_output():
     rng = np.random.default_rng(0)
     params = init_s6(6, 4, rng)
-    y = selective_scan(np.zeros((20, 6)), params)
+    y = scan(np.zeros((1, 20, 6)), params)
     assert np.allclose(y, 0.0, atol=1e-300)
 
 
@@ -107,8 +107,8 @@ def test_scan_matches_reference_randomized():
         channels = int(rng.integers(1, 16))
         n_state = int(rng.integers(1, 10))
         params = init_s6(channels, n_state, rng)
-        x = rng.normal(size=(length, channels))
-        got = selective_scan(x, params)
+        x = rng.normal(size=(1, length, channels))
+        got = scan(x, params)
         ref = selective_scan_reference(x, params)
         assert np.abs(got - ref).max() <= 1e-12
 
@@ -117,24 +117,29 @@ def test_scan_accepts_batched_input():
     rng = np.random.default_rng(2)
     params = init_s6(5, 3, rng)
     x = rng.normal(size=(4, 12, 5))
-    y = selective_scan(x, params)
+    y = scan(x, params)
     assert y.shape == (4, 12, 5)
     for b in range(4):
-        assert np.abs(y[b] - selective_scan(x[b], params)).max() < 1e-12
+        assert np.abs(y[b] - scan(x[b : b + 1], params)[0]).max() < 1e-12
 
 
 def test_scan_rejects_nonfinite_input():
     params = init_s6(3, 2, np.random.default_rng(3))
-    x = np.zeros((4, 3))
-    x[2, 1] = np.inf
+    x = np.zeros((1, 1, 4, 3))
+    x[0, 0, 2, 1] = np.inf
     with pytest.raises(NumericalError):
-        selective_scan(x, params)
+        selective_scan(x, [params])
 
 
 def test_scan_wrong_width_rejected():
-    params = init_s6(3, 2, np.random.default_rng(4))
-    with pytest.raises(InvalidInput):
-        selective_scan(np.zeros((4, 5)), params)
+    rng = np.random.default_rng(4)
+    params, wider = init_s6(3, 2, rng), init_s6(5, 2, rng)
+    for x, streams in ((np.zeros((1, 1, 4, 5)), [params]),      # width
+                       (np.zeros((2, 1, 4, 3)), [params, wider]),
+                       (np.zeros((2, 1, 4, 3)), [params]),      # stream count
+                       (np.zeros((1, 4, 3)), [params])):        # no stream axis
+        with pytest.raises(InvalidInput):
+            selective_scan(x, streams)
 
 
 # --- S4-mode convolutional equivalence ---------------------------------------
@@ -150,7 +155,7 @@ def test_convolution_equivalence_input_independent_mode():
     params.a_log.data[:] = np.log(rng.uniform(1.0, 8.0, size=(channels, n_state)))
 
     x = rng.normal(size=(length, channels))
-    y = selective_scan(x, params)
+    y = scan(x[None], params)[0]
 
     a = -np.exp(params.a_log.data)
     dt = np.logaddexp(0.0, params.dt_bias.data)  # softplus of the bias
@@ -189,7 +194,7 @@ def test_bounded_input_bounded_output_random_params():
     rng = np.random.default_rng(7)
     params = init_s6(8, 6, rng)
     x = np.sin(np.linspace(0, 40, 400))[:, None].repeat(8, axis=1)
-    y = selective_scan(x, params)
+    y = scan(x[None], params)
     assert np.isfinite(y).all()
     assert np.abs(y).max() < 1e4
 
@@ -202,13 +207,13 @@ def test_linear_time_scaling():
     params = init_s6(32, 8, rng)
 
     def median_time(length, runs=9):
-        x = rng.normal(size=(length, 32))
+        x = rng.normal(size=(1, 1, length, 32))
         with ad.no_grad():
-            selective_scan(x, params)  # warm
+            selective_scan(x, [params])  # warm
             times = []
             for _ in range(runs):
                 t0 = time.perf_counter()
-                selective_scan(x, params)
+                selective_scan(x, [params])
                 times.append(time.perf_counter() - t0)
         return np.median(times)
 
@@ -225,7 +230,7 @@ def test_linear_time_scaling():
 
 
 def test_scan_gradients_match_finite_differences():
-    from occpoint.training import grad_check
+    from gradcheck import grad_check
 
     assert grad_check("selective_scan", seed=11) <= 1e-4
 
@@ -245,7 +250,7 @@ def test_scan_gradients_match_composed_projections():
         tensors = {"input": x, **params.tensors()}
         (got, got_grads), (want, want_grads) = (
             forward_and_grads(lambda: fn(x, params), tensors)
-            for fn in (selective_scan, composed_scan)
+            for fn in (scan_tensor, composed_scan)
         )
         assert np.array_equal(got, want)
         assert_grads_match(got_grads, want_grads)
@@ -266,7 +271,7 @@ def test_stream_stacked_scan_matches_each_stream_alone():
         tensors = {"input": xt, **params.tensors()}
         for t in tensors.values():
             t.zero_grad()
-        alone = selective_scan(xt, params)
+        alone = scan_tensor(xt, params)
         ad.tensor_sum(ad.mul(alone, Tensor(gy[z]))).backward()
         assert np.array_equal(alone.data, y[z])
         assert_grads_match({"input": gx[z], **grads[z]},

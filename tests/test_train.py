@@ -1,9 +1,11 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from occpoint.autodiff import Tensor
+from occpoint.curves import CurveKind
 from occpoint.dataset import generate_triplets
 from occpoint.encoder import toy_config
 from occpoint.errors import ConfigError, InvalidInput
@@ -15,7 +17,6 @@ from occpoint.training import (
     TrainConfig,
     adamw_step,
     build_cache,
-    grad_check,
     init_model,
     linear_probe,
     load_checkpoint,
@@ -28,6 +29,8 @@ from occpoint.training import (
     use_ema_weights,
     zero_shot_classify,
 )
+
+from gradcheck import grad_check
 
 
 def tiny_dataset(n_classes=3, feature_dim=16, seed=5):
@@ -220,6 +223,24 @@ def test_checkpoint_round_trip_and_resume(tmp_path):
     _, more = run_pretraining(dataset, cfg, tc_full, model=resumed)
     assert more[0]["step"] == half_model.step
     assert len(more) == len(full_metrics) - half_model.step
+
+
+def test_resume_refuses_other_configs_and_takes_the_new_epochs():
+    dataset = tiny_dataset()
+    cfg, tc = tiny_setup(seed=11)
+    model, _ = run_pretraining(dataset, cfg, replace(tc, epochs=1))
+    for bad_cfg, bad_tc, field in (
+            (replace(cfg, curve_a=CurveKind.MORTON), tc, "curve_a"),
+            (replace(cfg, c_dim=8), tc, "c_dim"),
+            (cfg, replace(tc, seed=9), "seed"),
+            (cfg, replace(tc, base_lr=1e-3), "base_lr")):
+        with pytest.raises(ConfigError, match=f"{field}="):
+            run_pretraining(dataset, bad_cfg, bad_tc, model=model)
+    steps = model.step
+    assert model.train_config.epochs == 1 and steps > 0
+    _, more = run_pretraining(dataset, cfg, tc, model=model)
+    assert model.train_config == tc
+    assert [row["step"] for row in more] == list(range(steps, 2 * steps))
 
 
 def test_batches_use_one_view_per_object():
