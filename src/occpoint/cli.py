@@ -164,14 +164,17 @@ def cmd_pretrain(args) -> int:
     encoder_config = _encoder_config(args)
     if encoder_config.embed_dim != dataset.feature_dim:
         encoder_config = replace(encoder_config, embed_dim=dataset.feature_dim)
+    model = load_checkpoint(args.resume) if args.resume else None
+    warmup = args.warmup_epochs
+    if warmup is None:
+        # A fresh run warms up for 10 epochs or all of them; a resume keeps
+        # the checkpoint's warmup, so extending a run needs no extra flag.
+        warmup = model.train_config.warmup_epochs if model else min(10, args.epochs)
     train_config = TrainConfig(
-        batch_size=args.batch_size, epochs=args.epochs,
-        warmup_epochs=min(args.warmup_epochs, args.epochs),
+        batch_size=args.batch_size, epochs=args.epochs, warmup_epochs=warmup,
         base_lr=args.lr, seed=args.seed, holdout_views=args.holdout_views,
     )
-    model = None
-    if args.resume:
-        model = load_checkpoint(args.resume)
+    if model is not None:
         check_resume(model, encoder_config, train_config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -286,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--preset", choices=sorted(PRESETS), default="toy")
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--warmup-epochs", type=int, default=10, dest="warmup_epochs")
+    p.add_argument("--warmup-epochs", type=int, default=None, dest="warmup_epochs",
+                   help="default: min(10, epochs), or the checkpoint's on --resume")
     p.add_argument("--batch-size", type=int, default=8, dest="batch_size")
     p.add_argument("--lr", type=float, default=5e-3)
     p.add_argument("--holdout-views", type=int, default=2, dest="holdout_views")

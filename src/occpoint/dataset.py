@@ -11,6 +11,7 @@ the full sample-by-point search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,9 +78,28 @@ class GenSummary:
     mean_visible_fraction: float
 
 
+class Surface(NamedTuple):
+    """What `visible_fraction` needs of a mesh, whatever the view."""
+
+    face_vertices: np.ndarray  # (F, 3, 3)
+    probs: np.ndarray          # (F,) face areas over their sum
+    center: np.ndarray         # (3,) bounding-box centre
+
+
+def mesh_surface(mesh: TriangleMesh) -> Surface:
+    """The mesh's corners, area-proportional face probabilities and centre."""
+    fv = mesh.face_vertices
+    areas = 0.5 * np.linalg.norm(
+        np.cross(fv[:, 1] - fv[:, 0], fv[:, 2] - fv[:, 0]), axis=1
+    )
+    center = 0.5 * (mesh.vertices.min(0) + mesh.vertices.max(0))
+    return Surface(fv, areas / areas.sum(), center)
+
+
 def visible_fraction(mesh: TriangleMesh, cloud_points: np.ndarray,
                      camera_position: np.ndarray, samples: int = 512,
-                     seed: int = 0, resolution: int = 128) -> float:
+                     seed: int = 0, resolution: int = 128,
+                     surface: Surface | None = None) -> float:
     """Fraction of the camera-side half of the surface covered by the cloud.
 
     Surface samples are drawn uniformly by area; a sample counts as covered
@@ -87,21 +107,18 @@ def visible_fraction(mesh: TriangleMesh, cloud_points: np.ndarray,
     The denominator is the half of the surface on the camera side of the
     plane through the object center, so a sphere scores ~0.5 (the visible cap
     is half of the near hemisphere from radius-2 viewing distance).
+    `surface` is `mesh_surface(mesh)`, computed here when not given;
+    `generate_triplets` computes it once per mesh for all of its views.
     """
+    fv, probs, center = mesh_surface(mesh) if surface is None else surface
     rng = np.random.Generator(np.random.PCG64(seed))
-    fv = mesh.face_vertices
-    areas = 0.5 * np.linalg.norm(
-        np.cross(fv[:, 1] - fv[:, 0], fv[:, 2] - fv[:, 0]), axis=1
-    )
-    probs = areas / areas.sum()
-    faces = rng.choice(len(areas), size=samples, p=probs)
+    faces = rng.choice(len(probs), size=samples, p=probs)
     u, v = rng.random(samples), rng.random(samples)
     flip = u + v > 1
     u[flip], v[flip] = 1 - u[flip], 1 - v[flip]
     tri = fv[faces]
     surf = tri[:, 0] + u[:, None] * (tri[:, 1] - tri[:, 0]) + v[:, None] * (tri[:, 2] - tri[:, 0])
 
-    center = 0.5 * (mesh.vertices.min(0) + mesh.vertices.max(0))
     toward = camera_position - center
     toward = toward / np.linalg.norm(toward)
     near = (surf - center) @ toward > 0
@@ -196,6 +213,7 @@ def generate_triplets(meshes: list[tuple[str, str, TriangleMesh]],
     fractions = []
     for mi, (object_id, _, mesh) in enumerate(meshes):
         mesh = normalize_mesh(mesh)
+        surface = mesh_surface(mesh)
         for pose in poses:
             depth, color = rasterize(mesh, pose)
             cloud = backproject(depth, color, pose)
@@ -213,7 +231,8 @@ def generate_triplets(meshes: list[tuple[str, str, TriangleMesh]],
             if with_summary:
                 fractions.append(visible_fraction(mesh, cloud.points, pose.position,
                                                   seed=seed + pose.view_id,
-                                                  resolution=resolution))
+                                                  resolution=resolution,
+                                                  surface=surface))
     dataset = TripletDataset(
         records=records,
         class_names=class_names,

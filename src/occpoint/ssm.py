@@ -16,6 +16,15 @@ gap, and a literal per-channel loop of the recurrence). `selective_scan` runs
 one vectorized python step per time index (linear time and memory) for
 several streams stacked on a leading axis, with a hand adjoint for the
 recurrence and the projections.
+
+Layout: the recurrence runs state-major and time-major. The step inputs are
+copied once per call to (L, Z, B, .) order, the state is (Z, B, N, C), and
+the kept trajectory and transitions are (L, Z, B, N, C). So each step reads
+contiguous slices, every per-step broadcast runs along the C channels (not
+along the N states, which are only 8 or 16), and the sums over N (the
+readout and the adjoint's B_t . gh) are batched matmuls of a (1, N) row by
+the (N, C) state. y and every gradient come back C-contiguous in the
+callers' (Z, B, L, .) and (Z, C, N) layouts.
 """
 
 from __future__ import annotations
@@ -85,87 +94,98 @@ def init_s6(channels: int, n_state: int, rng: np.random.Generator,
 _KEEP_STATES_LIMIT = 1 << 24
 
 
+def _time_major(*arrays):
+    """(Z, B, L, ...) arrays -> C-contiguous (L, Z, B, ...) copies."""
+    return [np.ascontiguousarray(np.moveaxis(v, 2, 0)) for v in arrays]
+
+
+def _batch_major(v):
+    """(L, Z, B, ...) -> C-contiguous (Z, B, L, ...)."""
+    return np.ascontiguousarray(np.moveaxis(v, 0, 2))
+
+
 def _scan_forward(x, delta, bmat, cmat, a, d, check: bool = True,
                   keep_states: bool = False):
     """Core recurrence on plain arrays, every stream in one loop over L.
     x/delta: (Z, B, L, C); bmat/cmat: (Z, B, L, N); a: (Z, C, N); d: (Z, C).
-    Returns y (Z, B, L, C), plus (h_all, abar_all) when keep_states is set
-    (both None on the memory-light path).
+    Returns y (Z, B, L, C), plus the state trajectory h_all and the
+    transitions abar_all, both (L, Z, B, N, C), when keep_states is set
+    (both None otherwise).
 
-    The inference path evaluates exp(delta*A) one step at a time: memory stays
-    flat in L and the wall time scales uniformly with sequence length. The
-    training path precomputes and keeps the discretized transition and state
-    trajectory because the adjoint needs both.
+    The state is (Z, B, N, C) and the step inputs are time-major, so every
+    step's operands are contiguous and each broadcast runs along C. Without
+    keep_states, exp(delta*A) is evaluated one step at a time into
+    preallocated buffers: memory stays flat in L and the working set stays
+    cache-resident. Both paths run the same operations per step, so their
+    outputs are bitwise equal.
     """
     nz, nb, length, channels = x.shape
-    n = a.shape[-1]
-    h = np.zeros((nz, nb, channels, n))
-    y = np.empty_like(x)
-    dx = delta * x  # (Z, B, L, C)
-    keep = keep_states and nb * length * channels * n <= _KEEP_STATES_LIMIT
-    abar_all = np.exp(delta[..., None] * a[:, None, None]) if keep else None
-    h_all = np.empty((nz, nb, length, channels, n)) if keep else None
-    # Preallocated step buffers keep the loop's working set cache-resident,
-    # which is what makes the wall time scale uniformly in L.
-    abar = np.empty((nz, nb, channels, n))
-    bx = np.empty((nz, nb, channels, n))
+    xt, dt, bt, ct = _time_major(x, delta, bmat, cmat)
+    dxt = dt * xt
+    at = np.ascontiguousarray(np.swapaxes(a, 1, 2))[:, None]  # (Z, 1, N, C)
+    yt = np.empty_like(xt)
+    shape = (nz, nb, a.shape[-1], channels)
+    h = np.zeros(shape)  # the state before step 0
+    bx = np.empty(shape)
+    if keep_states:
+        abar_all = np.empty((length, *shape))
+        h_all = np.empty_like(abar_all)
+    else:
+        abar_all = h_all = None
+        abar = np.empty(shape)
     for t in range(length):
-        if keep:
-            abar = abar_all[:, :, t]
-        else:
-            np.multiply(delta[:, :, t, :, None], a[:, None], out=abar)
-            np.exp(abar, out=abar)
-        h *= abar
-        np.multiply(dx[:, :, t, :, None], bmat[:, :, t, None, :], out=bx)
-        h += bx
-        if h_all is not None:
-            h_all[:, :, t] = h
-        y[:, :, t] = np.einsum("zbcn,zbn->zbc", h, cmat[:, :, t])
-        y[:, :, t] += d[:, None] * x[:, :, t]
+        if keep_states:
+            abar = abar_all[t]
+        np.multiply(dt[t, :, :, None], at, out=abar)
+        np.exp(abar, out=abar)
+        h = np.multiply(h, abar, out=h if h_all is None else h_all[t])
+        h += np.einsum("zbn,zbc->zbnc", bt[t], dxt[t], out=bx)
+        np.matmul(ct[t, :, :, None], h, out=yt[t, :, :, None])
         if check and (t % FINITE_CHECK_STRIDE == 0 or t == length - 1):
             if not np.all(np.isfinite(h)):
                 raise NumericalError(f"non-finite state at step {t}")
-    return y, h_all, abar_all
+    yt += d[:, None] * xt
+    return _batch_major(yt), h_all, abar_all
 
 
 def _scan_backward(g, x, delta, bmat, cmat, a, d, h_all=None, abar_all=None):
     """Adjoint of _scan_forward: reverse recurrence over the saved (or
     recomputed) state trajectory. Returns gradients for (x, delta, bmat,
-    cmat, a, d)."""
-    nz, nb, length, channels = x.shape
-    n = a.shape[-1]
-    dx = delta * x
-
-    if abar_all is None:
-        abar_all = np.exp(delta[..., None] * a[:, None, None])
+    cmat, a, d), each C-contiguous in the layout of its input."""
     if h_all is None:
-        h_all = np.empty((nz, nb, length, channels, n))
-        h = np.zeros((nz, nb, channels, n))
-        for t in range(length):
-            h = abar_all[:, :, t] * h + dx[:, :, t, :, None] * bmat[:, :, t, None, :]
-            h_all[:, :, t] = h
-
-    gx = g * d[:, None, None]  # d_skip feedthrough term
-    gdelta = np.empty_like(delta)
-    gbmat = np.empty_like(bmat)
-    gcmat = np.einsum("zblcn,zblc->zbln", h_all, g)
-    ga = np.zeros_like(a)
+        _, h_all, abar_all = _scan_forward(x, delta, bmat, cmat, a, d, check=False,
+                                           keep_states=True)
+    length = x.shape[2]
+    gt, xt, dt, bt, ct = _time_major(g, x, delta, bmat, cmat)
+    dxt = dt * xt
+    at = np.ascontiguousarray(np.swapaxes(a, 1, 2))  # (Z, N, C)
+    gcmat = np.matmul(h_all, gt[..., None])[..., 0]
     gd = np.einsum("zblc,zblc->zc", g, x)
 
-    gh = np.zeros((nz, nb, channels, n))
+    gh_b = np.empty_like(gt[..., None, :])  # B_t . gh_t, summed over N
+    gbmat = np.empty_like(bt)
+    gdelta = np.zeros_like(dt)
+    gh = np.zeros_like(h_all[0])
+    ga = np.zeros_like(gh)  # summed over the batch axis at the end
+    scaled = np.empty_like(gh)
     for t in range(length - 1, -1, -1):
-        gh += g[:, :, t, :, None] * cmat[:, :, t, None, :]
-        abar = abar_all[:, :, t]
-        h_prev = h_all[:, :, t - 1] if t > 0 else np.zeros((nz, nb, channels, n))
-        scaled = gh * h_prev * abar
-        gh_b = np.einsum("zbcn,zbn->zbc", gh, bmat[:, :, t])
-        # h_t = exp(delta*a) h_prev + delta*B*x: differentiate each factor.
-        gdelta[:, :, t] = np.einsum("zbcn,zcn->zbc", scaled, a) + gh_b * x[:, :, t]
-        ga += np.einsum("zbcn,zbc->zcn", scaled, delta[:, :, t])
-        gbmat[:, :, t] = np.einsum("zbcn,zbc->zbn", gh, dx[:, :, t])
-        gx[:, :, t] += gh_b * delta[:, :, t]
-        gh = gh * abar
-    return gx, gdelta, gbmat, gcmat, ga, gd
+        gh += np.einsum("zbn,zbc->zbnc", ct[t], gt[t], out=scaled)
+        np.matmul(bt[t, :, :, None], gh, out=gh_b[t])
+        np.matmul(gh, dxt[t, :, :, :, None], out=gbmat[t, :, :, :, None])
+        gh *= abar_all[t]  # now the state gradient of step t - 1
+        if t:
+            # h_t = exp(delta*a) h_prev + delta*B*x: the exp factor's share.
+            np.multiply(gh, h_all[t - 1], out=scaled)
+            np.einsum("zbnc,znc->zbc", scaled, at, out=gdelta[t])
+            scaled *= dt[t, :, :, None]
+            ga += scaled
+    gh_b = gh_b[..., 0, :]
+    gxt = gt * d[:, None]  # d_skip feedthrough term
+    gxt += gh_b * dt
+    gdelta += gh_b * xt
+    ga = np.ascontiguousarray(np.swapaxes(ga.sum(axis=1), 1, 2))
+    return (_batch_major(gxt), _batch_major(gdelta), _batch_major(gbmat),
+            _batch_major(gcmat), ga, gd)
 
 
 def selective_scan(x: np.ndarray, streams):
@@ -175,13 +195,16 @@ def selective_scan(x: np.ndarray, streams):
 
     Returns y (Z, B, L, C) and the adjoint, which maps dL/dy to (dL/dx, one
     {parameter name: gradient} per stream); the adjoint is None under
-    `no_grad`, and the state trajectory is then not kept.
+    `no_grad`, and the state trajectory is then not kept. Above
+    _KEEP_STATES_LIMIT it is not kept either, and the adjoint recomputes it.
     """
     if x.ndim != 4 or len(streams) != x.shape[0] or any(
             p.channels != x.shape[-1] for p in streams):
         raise InvalidInput(f"selective_scan expects ({len(streams)}, B, L, C) with C = "
                            f"{[p.channels for p in streams]}, got {x.shape}")
     keep = ad.grad_enabled()
+    _, nb, length, channels = x.shape
+    keep_states = keep and nb * length * channels * streams[0].n_state <= _KEEP_STATES_LIMIT
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite input to selective_scan")
     low = np.stack([x[z] @ p.dt_low.data for z, p in enumerate(streams)])
@@ -191,7 +214,7 @@ def selective_scan(x: np.ndarray, streams):
     cmat = np.stack([x[z] @ p.c_weight.data + p.c_bias.data for z, p in enumerate(streams)])
     a = -np.exp(np.stack([p.a_log.data for p in streams]))
     d = np.stack([p.d_skip.data for p in streams])
-    y, h_all, abar_all = _scan_forward(x, delta, bmat, cmat, a, d, keep_states=keep)
+    y, h_all, abar_all = _scan_forward(x, delta, bmat, cmat, a, d, keep_states=keep_states)
     if not keep:
         return y, None
 

@@ -173,6 +173,30 @@ def test_pretrain_resume_continues_steps(small_dataset, tmp_path):
     assert second[0]["step"] == first[-1]["step"] + 1
 
 
+def test_pretrain_resume_keeps_the_checkpoints_default_warmup(small_dataset, tmp_path):
+    from occpoint.training import load_checkpoint
+
+    base = ["--data", str(small_dataset), "--preset", "toy", "--s-tokens", "8",
+            "--k-neighbors", "6", "--c-dim", "16", "--batch-size", "4", "--seed", "2"]
+    ckpt, ckpt2 = tmp_path / "m.occt", tmp_path / "m2.occt"
+    assert main(["pretrain", *base, "--epochs", "2", "--out", str(ckpt)]) == 0
+    assert load_checkpoint(ckpt).train_config.warmup_epochs == 2  # min(10, epochs)
+    assert main(["pretrain", *base, "--epochs", "3", "--out", str(ckpt2),
+                 "--resume", str(ckpt)]) == 0
+    resumed = load_checkpoint(ckpt2).train_config
+    assert (resumed.epochs, resumed.warmup_epochs) == (3, 2)
+
+
+def test_pretrain_explicit_warmup_above_epochs_is_config_error(small_dataset, tmp_path,
+                                                              capsys):
+    rc = main(["pretrain", "--data", str(small_dataset), "--out", str(tmp_path / "m.occt"),
+               "--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6",
+               "--c-dim", "16", "--epochs", "2", "--warmup-epochs", "3"])
+    assert rc == 1
+    assert "warmup_epochs" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flag,value,field", [("--curve-a", "morton", "curve_a"),
                                               ("--seed", "9", "seed")])
 def test_pretrain_resume_refuses_other_config(small_dataset, tmp_path, capsys, flag, value,

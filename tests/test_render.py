@@ -104,8 +104,10 @@ def reference_rasterize(mesh: TriangleMesh, pose: CameraPose) -> tuple[DepthImag
 
 def reference_visible_fraction(mesh: TriangleMesh, cloud_points: np.ndarray,
                      camera_position: np.ndarray, samples: int = 512,
-                     seed: int = 0, resolution: int = 128) -> float:
+                     seed: int = 0, resolution: int = 128, surface=None) -> float:
     """Fraction of the camera-side half of the surface covered by the cloud.
+    Takes `visible_fraction`'s arguments but ignores `surface`: the oracle
+    recomputes the face areas and the centre from the mesh for every view.
 
     Surface samples are drawn uniformly by area; a sample counts as covered
     when some back-projected point lies within a few pixel footprints of it.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from occpoint import autodiff as ad
+from occpoint import ssm
 from occpoint.autodiff import Tensor
 from occpoint.errors import InvalidInput, NumericalError
 from occpoint.ssm import S6Params, init_s6, selective_scan
@@ -276,3 +277,57 @@ def test_stream_stacked_scan_matches_each_stream_alone():
         assert np.array_equal(alone.data, y[z])
         assert_grads_match({"input": gx[z], **grads[z]},
                            {name: t.grad for name, t in tensors.items()})
+
+
+def scan_with_grads(x, streams, gy):
+    """selective_scan's output and the gradients of <y, gy>: (y, gx, grads)."""
+    y, adjoint = selective_scan(x, streams)
+    gx, grads = adjoint(gy)
+    return y, gx, grads
+
+
+def assert_scans_equal(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for g, w in zip(got[2], want[2]):
+        assert_grads_match(g, w)
+
+
+def test_recompute_path_matches_kept_states_bitwise(monkeypatch):
+    """Above _KEEP_STATES_LIMIT the forward keeps no states and the adjoint
+    recomputes them; forward and gradients stay bitwise those of the kept path."""
+    rng = np.random.default_rng(42)
+    streams = (random_s6(rng, 12, 4), random_s6(rng, 12, 4))
+    x = rng.normal(size=(2, 3, 20, 12))
+    gy = rng.normal(size=x.shape)
+    kept = scan_with_grads(x, streams, gy)
+    calls = []
+    forward = ssm._scan_forward
+
+    def spy(*args, keep_states=False, **kwargs):
+        calls.append(keep_states)
+        return forward(*args, keep_states=keep_states, **kwargs)
+
+    monkeypatch.setattr(ssm, "_scan_forward", spy)
+    monkeypatch.setattr(ssm, "_KEEP_STATES_LIMIT", 0)
+    recomputed = scan_with_grads(x, streams, gy)
+    assert calls == [False, True]  # a state-free forward, then the recompute
+    assert_scans_equal(recomputed, kept)
+
+
+@pytest.mark.parametrize("nz,nb,length,channels,n_state", [(2, 8, 32, 128, 8),
+                                                           (2, 1, 128, 512, 16)])
+def test_bitwise_contracts_at_workload_widths(nz, nb, length, channels, n_state):
+    """The toy training and desk inference shapes: BLAS may choose other
+    kernels at these widths than at the small shapes of the tests above."""
+    rng = np.random.default_rng(43)
+    streams = [random_s6(rng, channels, n_state) for _ in range(nz)]
+    x = rng.normal(size=(nz, nb, length, channels))
+    gy = rng.normal(size=x.shape)
+    stacked = scan_with_grads(x, streams, gy)
+    with ad.no_grad():
+        bare, _ = selective_scan(x, streams)
+    assert np.array_equal(bare, stacked[0])
+    for z, params in enumerate(streams):
+        y, gx, grads = scan_with_grads(x[z:z + 1], [params], gy[z:z + 1])
+        assert_scans_equal((y[0], gx[0], grads), (stacked[0][z], stacked[1][z],
+                                                  stacked[2][z:z + 1]))

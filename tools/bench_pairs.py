@@ -11,8 +11,11 @@ first (the parent first on the first seed). Each run uses the checkout's own
 perfbench and sources. It then prints, per workload and end-to-end metric,
 each side's median and quartiles, the change's median over the parent's,
 and the pairs the change won (a tie counts for neither side), read in the
-direction `BENCHMARK.json` gives for the metric. Runs that are not
-`correct`, or that fail operations, are reported too. Standard library only.
+direction `BENCHMARK.json` gives for the metric. Under each metric it says
+whether a gain may be claimed: at least 9/10 of the pairs won, and a median
+gap, in the better direction, larger than the parent's interquartile range.
+Runs that are not `correct`, or that fail operations, are reported too.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -71,6 +74,19 @@ def report(workload: str, pairs: list[tuple[dict, dict]], better: dict[str, str]
         print(f"  {name:18s} {om:12.4g} [{o1:.4g}, {o3:.4g}]".ljust(51)
               + f" {nm:12.4g} [{n1:.4g}, {n3:.4g}]".ljust(31)
               + f" {ratio:13.3f} {wins:3d}/{len(pairs)}")
+        print(f"  {'':18s} {gain_verdict(wins, len(pairs), sign * (nm - om), o3 - o1)}")
+
+
+def gain_verdict(wins: int, pairs: int, gain: float, parent_iqr: float) -> str:
+    """Whether a gain may be claimed: the change wins at least 9 of every 10
+    pairs, and its median beats the parent's by more than the parent's
+    interquartile range. `gain` is the median gap, positive when the change
+    is better."""
+    won = 10 * wins >= 9 * pairs
+    clear = gain > parent_iqr
+    verdict = "gain" if won and clear else "no gain"
+    return (f"{verdict}: {wins}/{pairs} wins {'>=' if won else '<'} 9/10, median gap "
+            f"{gain:.4g} {'>' if clear else '<='} parent IQR {parent_iqr:.4g}")
 
 
 def main(argv=None) -> int:
