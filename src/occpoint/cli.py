@@ -1,4 +1,4 @@
-"""Command-line entry points: gen, pretrain, eval, bench, synth.
+"""Command-line entry points: gen, pretrain, eval, bench, synth, inspect.
 
 Every command writes a run manifest (resolved config, seed, command line,
 git description, timestamps) next to its primary output, and every command
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import format_csv, format_table, run_benchmark
-from .container import write_atomic
+from .container import VERSION, dtype_name, read_container_file, write_atomic
 from .curves import CurveKind
 from .dataset import generate_triplets, load_dataset, save_dataset
 from .encoder import EncoderConfig, count_params, desk_config, full_scale_config, toy_config
@@ -31,14 +31,17 @@ from .errors import ConfigError, OccPointError
 from .meshio import load_obj, save_obj
 from .synthetic import toy_object_set
 from .training import (
+    TokenCacheInfo,
     TrainConfig,
-    build_cache,
+    build_cache,  # noqa: F401  perfbench's tracer wraps cli.build_cache by name
     check_resume,
     embed_clouds,
     linear_probe,
     load_checkpoint,
+    load_or_build_cache,
     run_pretraining,
     save_checkpoint,
+    split_caches,
     top_k_accuracy,
     use_ema_weights,
     zero_shot_classify,
@@ -80,7 +83,8 @@ def _environment() -> dict:
 
 def write_manifest(path: Path, config: dict, seed: int, started: str,
                    finished: str | None = None,
-                   command_line: list[str] | None = None) -> None:
+                   command_line: list[str] | None = None,
+                   inputs: dict | None = None) -> None:
     doc = {
         "config": config,
         "seed": seed,
@@ -90,7 +94,15 @@ def write_manifest(path: Path, config: dict, seed: int, started: str,
         "started": started,
         "finished": finished,
     }
+    if inputs is not None:
+        doc["inputs"] = inputs
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+
+
+def _dataset_inputs(token_cache: TokenCacheInfo) -> dict:
+    """The manifest's record of a run's dataset and of its token cache file."""
+    return {"dataset_sha256": token_cache.dataset_sha256,
+            "token_cache": {"path": str(token_cache.path), "hit": token_cache.hit}}
 
 
 def _now() -> str:
@@ -178,6 +190,8 @@ def cmd_pretrain(args) -> int:
         check_resume(model, encoder_config, train_config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    caches, token_cache = load_or_build_cache(args.data, dataset, encoder_config)
+    caches, _ = split_caches(dataset, caches, train_config.holdout_views)
     manifest_path = out.with_suffix(".manifest.json")
     resolved = {
         "encoder_config": encoder_config.to_dict(),
@@ -185,19 +199,20 @@ def cmd_pretrain(args) -> int:
         "full_scale_params": count_params(full_scale_config()),
         "preset_params": count_params(encoder_config),
     }
+    inputs = _dataset_inputs(token_cache)
     write_manifest(manifest_path, resolved, args.seed, started,
-                   command_line=args._argv)
+                   command_line=args._argv, inputs=inputs)
 
     metrics_path = out.with_suffix(".metrics.jsonl")
     t0 = time.time()
     with open(metrics_path, "w") as fh:
         model, metrics = run_pretraining(
             dataset, encoder_config, train_config, model=model,
-            log=lambda row: fh.write(json.dumps(row) + "\n"),
+            log=lambda row: fh.write(json.dumps(row) + "\n"), caches=caches,
         )
     save_checkpoint(out, model)
     write_manifest(manifest_path, resolved, args.seed, started, _now(),
-                   command_line=args._argv)
+                   command_line=args._argv, inputs=inputs)
     final = metrics[-1]["loss"] if metrics else float("nan")
     print(f"trained {len(metrics)} steps in {time.time() - t0:.1f}s; "
           f"final loss {final:.4f}")
@@ -214,13 +229,14 @@ def cmd_eval(args) -> int:
             f"checkpoint embed_dim {model.encoder_config.embed_dim} != "
             f"dataset feature dim {dataset.feature_dim}"
         )
-    train_set, heldout = dataset.split_views(model.train_config.holdout_views)
+    holdout = model.train_config.holdout_views
+    heldout = dataset.split_views(holdout)[1]
     if not heldout.records:
         raise ConfigError(
-            f"dataset has no held-out views (the last "
-            f"{model.train_config.holdout_views} view ids) to evaluate on"
+            f"dataset has no held-out views (the last {holdout} view ids) to evaluate on"
         )
-    caches = build_cache(heldout, model.encoder_config)
+    caches, token_cache = load_or_build_cache(args.data, dataset, model.encoder_config)
+    train_caches, caches = split_caches(dataset, caches, holdout)
     labels = np.array([c.label for c in caches])
     params = model.params()
     report = {}
@@ -231,7 +247,6 @@ def cmd_eval(args) -> int:
             for k in (1, 3, 5):
                 report[f"top{k}"] = top_k_accuracy(ranked, labels, k)
         if args.mode in ("probe", "both"):
-            train_caches = build_cache(train_set, model.encoder_config)
             train_z = embed_clouds(train_caches, model)
             train_labels = np.array([c.label for c in train_caches])
             for shot in (1, 2, 4, 8, 16):
@@ -242,9 +257,22 @@ def cmd_eval(args) -> int:
         print(f"{key}: {value:.4f}")
     if args.out:
         write_atomic(args.out, json.dumps(report, indent=2) + "\n")
+        inputs = _dataset_inputs(token_cache)
+        inputs["heldout_view_ids"] = sorted({r.view_id for r in heldout.records})
         write_manifest(Path(args.out).with_suffix(".manifest.json"),
                        {"checkpoint": str(args.checkpoint), "mode": args.mode},
-                       args.seed, started, _now(), command_line=args._argv)
+                       args.seed, started, _now(), command_line=args._argv,
+                       inputs=inputs)
+    return 0
+
+
+def cmd_inspect(args) -> int:
+    entries, meta = read_container_file(args.file)
+    print(f"format: OCCT version {VERSION}")
+    print("meta: " + json.dumps(meta, indent=2, sort_keys=True))
+    print(f"tensors: {len(entries)}")
+    for name, arr in entries.items():
+        print(f"  {name}  {dtype_name(arr)}  {list(arr.shape)}  {arr.nbytes} bytes")
     return 0
 
 
@@ -319,6 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_bench)
+
+    p = sub.add_parser("inspect", help="print an OCCT file's version, metadata and tensors")
+    p.add_argument("file")
+    p.set_defaults(fn=cmd_inspect)
 
     for sp in sub.choices.values():
         for name in ("l_blocks", "c_dim", "s_tokens", "k_neighbors"):

@@ -39,7 +39,7 @@ _DTYPES = {
 _DTYPE_NAMES = {v: k for k, v in _DTYPES.items()}
 
 
-def _dtype_name(arr: np.ndarray) -> str:
+def dtype_name(arr: np.ndarray) -> str:
     dt = arr.dtype.newbyteorder("<")
     if dt not in _DTYPE_NAMES:
         raise FormatError(f"unsupported dtype {arr.dtype}; use f32/f64/u32/u64")
@@ -61,7 +61,7 @@ def write_container(entries: dict[str, np.ndarray], meta: dict | None = None) ->
         arr = np.asarray(arr)
         if arr.ndim > 0:
             arr = np.ascontiguousarray(arr)  # 0-d arrays would be promoted to 1-d
-        dname = _dtype_name(arr)
+        dname = dtype_name(arr)
         blobs.append(arr.astype(_DTYPES[dname], copy=False).tobytes())
         specs.append({"name": name, "dtype": dname, "shape": list(arr.shape)})
 

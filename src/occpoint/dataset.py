@@ -29,6 +29,11 @@ N_VIEWS = 12
 _GRID_CELLS = 1024
 
 
+def heldout_view(view_id: int, holdout_views: int) -> bool:
+    """Whether a view is held out: the last `holdout_views` view ids are."""
+    return view_id >= N_VIEWS - holdout_views
+
+
 @dataclass
 class TripletRecord:
     object_id: str
@@ -61,9 +66,8 @@ class TripletDataset:
     def split_views(self, holdout_views: int) -> tuple["TripletDataset", "TripletDataset"]:
         """Deterministic view split: the last `holdout_views` view ids per
         object become the evaluation set."""
-        cut = N_VIEWS - holdout_views
-        train = [r for r in self.records if r.view_id < cut]
-        heldout = [r for r in self.records if r.view_id >= cut]
+        train = [r for r in self.records if not heldout_view(r.view_id, holdout_views)]
+        heldout = [r for r in self.records if heldout_view(r.view_id, holdout_views)]
         return (
             TripletDataset(train, self.class_names, self.class_features, self.meta),
             TripletDataset(heldout, self.class_names, self.class_features, self.meta),

@@ -18,8 +18,9 @@ several streams stacked on a leading axis, with a hand adjoint for the
 recurrence and the projections.
 
 Layout: the recurrence runs state-major and time-major. The step inputs are
-copied once per call to (L, Z, B, .) order, the state is (Z, B, N, C), and
-the kept trajectory and transitions are (L, Z, B, N, C). So each step reads
+copied once per call to (L, Z, B, .) order, and the adjoint reuses those
+copies. The state is (Z, B, N, C), and the kept trajectory and transitions
+are (L, Z, B, N, C). So each step reads
 contiguous slices, every per-step broadcast runs along the C channels (not
 along the N states, which are only 8 or 16), and the sums over N (the
 readout and the adjoint's B_t . gh) are batched matmuls of a (1, N) row by
@@ -104,23 +105,22 @@ def _batch_major(v):
     return np.ascontiguousarray(np.moveaxis(v, 0, 2))
 
 
-def _scan_forward(x, delta, bmat, cmat, a, d, check: bool = True,
+def _scan_forward(xt, dt, bt, ct, a, d, check: bool = True,
                   keep_states: bool = False):
     """Core recurrence on plain arrays, every stream in one loop over L.
-    x/delta: (Z, B, L, C); bmat/cmat: (Z, B, L, N); a: (Z, C, N); d: (Z, C).
-    Returns y (Z, B, L, C), plus the state trajectory h_all and the
-    transitions abar_all, both (L, Z, B, N, C), when keep_states is set
+    The step inputs come time-major (see `_time_major`): xt/dt (L, Z, B, C)
+    for x and delta, bt/ct (L, Z, B, N) for bmat and cmat; a: (Z, C, N);
+    d: (Z, C). Returns y (Z, B, L, C), plus the state trajectory h_all and
+    the transitions abar_all, both (L, Z, B, N, C), when keep_states is set
     (both None otherwise).
 
-    The state is (Z, B, N, C) and the step inputs are time-major, so every
-    step's operands are contiguous and each broadcast runs along C. Without
-    keep_states, exp(delta*A) is evaluated one step at a time into
-    preallocated buffers: memory stays flat in L and the working set stays
-    cache-resident. Both paths run the same operations per step, so their
+    The state is (Z, B, N, C), so every step's operands are contiguous and
+    each broadcast runs along C. Without keep_states, exp(delta*A) is
+    evaluated one step at a time into preallocated buffers: memory stays
+    flat in L and the working set stays cache-resident. Both paths run the same operations per step, so their
     outputs are bitwise equal.
     """
-    nz, nb, length, channels = x.shape
-    xt, dt, bt, ct = _time_major(x, delta, bmat, cmat)
+    length, nz, nb, channels = xt.shape
     dxt = dt * xt
     at = np.ascontiguousarray(np.swapaxes(a, 1, 2))[:, None]  # (Z, 1, N, C)
     yt = np.empty_like(xt)
@@ -148,15 +148,17 @@ def _scan_forward(x, delta, bmat, cmat, a, d, check: bool = True,
     return _batch_major(yt), h_all, abar_all
 
 
-def _scan_backward(g, x, delta, bmat, cmat, a, d, h_all=None, abar_all=None):
+def _scan_backward(g, x, xt, dt, bt, ct, a, d, h_all=None, abar_all=None):
     """Adjoint of _scan_forward: reverse recurrence over the saved (or
-    recomputed) state trajectory. Returns gradients for (x, delta, bmat,
-    cmat, a, d), each C-contiguous in the layout of its input."""
+    recomputed) state trajectory. g and x are (Z, B, L, C); xt, dt, bt and
+    ct are the forward's time-major inputs, reused as they are. Returns
+    gradients for (x, delta, bmat, cmat, a, d), each C-contiguous in the
+    batch-major layout of the forward's callers."""
     if h_all is None:
-        _, h_all, abar_all = _scan_forward(x, delta, bmat, cmat, a, d, check=False,
+        _, h_all, abar_all = _scan_forward(xt, dt, bt, ct, a, d, check=False,
                                            keep_states=True)
-    length = x.shape[2]
-    gt, xt, dt, bt, ct = _time_major(g, x, delta, bmat, cmat)
+    length = xt.shape[0]
+    (gt,) = _time_major(g)
     dxt = dt * xt
     at = np.ascontiguousarray(np.swapaxes(a, 1, 2))  # (Z, N, C)
     gcmat = np.matmul(h_all, gt[..., None])[..., 0]
@@ -214,13 +216,17 @@ def selective_scan(x: np.ndarray, streams):
     cmat = np.stack([x[z] @ p.c_weight.data + p.c_bias.data for z, p in enumerate(streams)])
     a = -np.exp(np.stack([p.a_log.data for p in streams]))
     d = np.stack([p.d_skip.data for p in streams])
-    y, h_all, abar_all = _scan_forward(x, delta, bmat, cmat, a, d, keep_states=keep_states)
+    # The adjoint reads delta, bmat and cmat only time-major, so the closure
+    # keeps those copies alone; x it needs in both layouts.
+    xt, dt, bt, ct = _time_major(x, delta, bmat, cmat)
+    del delta, bmat, cmat
+    y, h_all, abar_all = _scan_forward(xt, dt, bt, ct, a, d, keep_states=keep_states)
     if not keep:
         return y, None
 
     def adjoint(gy):
         gx, gdelta, gbmat, gcmat, ga, gd = _scan_backward(
-            gy, x, delta, bmat, cmat, a, d, h_all=h_all, abar_all=abar_all,
+            gy, x, xt, dt, bt, ct, a, d, h_all=h_all, abar_all=abar_all,
         )
         gpre = gdelta * ad.sigmoid_array(pre)  # d/dx log(1 + exp(x)) = sigmoid(x)
         grads = []

@@ -16,7 +16,12 @@ about the encoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+import json
+import sys
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from .contrastive import (
     total_loss,
 )
 from .curves import sort_by_curve
-from .dataset import N_VIEWS, TripletDataset
+from .dataset import N_VIEWS, TripletDataset, TripletRecord, heldout_view
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -39,7 +44,7 @@ from .encoder import (
     init_encoder,
     named_parameters,
 )
-from .errors import ConfigError, InvalidInput, NumericalError
+from .errors import ConfigError, FormatError, InvalidInput, NumericalError
 from .tokenizer import (
     COLOR_CONSTANT,
     farthest_point_sampling,
@@ -251,48 +256,190 @@ def curve_orders(centers: np.ndarray, config: EncoderConfig) -> tuple[np.ndarray
     return fwd, inv
 
 
+class _Tokens(NamedTuple):
+    """Tokenized geometry of R clouds, stacked by record: what the token
+    cache file stores."""
+
+    centers: np.ndarray         # (R, S, 3)
+    rel_points: np.ndarray      # (R, S, k, 3)
+    patch_colors: np.ndarray    # (R, S, k, 3)
+    orders: np.ndarray          # (R, 2, 2, S): fwd, then inv (see curve_orders)
+
+
 # Each chunk's (clouds x S x N) kNN distance block stays within this many
 # elements; the chunk size never changes a cache.
 _TOKENIZE_BLOCK_LIMIT = 1 << 19
 
 
-def build_cache(dataset: TripletDataset, config: EncoderConfig) -> list[CloudCache]:
-    """Tokenized geometry per record, in record order.
+def _tokenize(records: list[TripletRecord], config: EncoderConfig) -> _Tokens:
+    """FPS, kNN grouping and curve orders of every record's cloud.
 
     Clouds with equal point counts are tokenized together, in chunks of up
     to _TOKENIZE_BLOCK_LIMIT / (S * N) clouds; each cloud gets bitwise what
     it gets alone.
     """
-    records = dataset.records
-    object_ids: dict[str, int] = {}
+    s, k = config.s_tokens, config.k_neighbors
     by_size: dict[int, list[int]] = {}
     for i, rec in enumerate(records):
-        object_ids.setdefault(rec.object_id, len(object_ids))
         by_size.setdefault(len(rec.points), []).append(i)
-    caches: list[CloudCache] = [None] * len(records)
+    r = len(records)
+    tokens = _Tokens(np.empty((r, s, 3)), np.empty((r, s, k, 3)), np.empty((r, s, k, 3)),
+                     np.empty((r, 2, 2, s), dtype=np.int64))
     for n, members in by_size.items():
-        chunk = max(1, _TOKENIZE_BLOCK_LIMIT // (config.s_tokens * n))
+        chunk = max(1, _TOKENIZE_BLOCK_LIMIT // (s * n))
         for start in range(0, len(members), chunk):
             group = members[start : start + chunk]
             points = np.stack([records[i].points for i in group])
             colors = np.stack([records[i].colors for i in group])
-            centers_idx = farthest_point_sampling(points, config.s_tokens)
-            patches = knn_group(points, colors, centers_idx, config.k_neighbors)
+            centers_idx = farthest_point_sampling(points, s)
+            patches = knn_group(points, colors, centers_idx, k)
             fwd, inv = curve_orders(patches.centers, config)
-            for j, i in enumerate(group):
-                rec = records[i]
-                caches[i] = CloudCache(
-                    centers=patches.centers[j],
-                    rel_points=patches.relative_points[j],
-                    patch_colors=patches.patch_colors[j],
-                    fwd=fwd[:, j],
-                    inv=inv[:, j],
-                    label=rec.label,
-                    object_index=object_ids[rec.object_id],
-                    image_feature=rec.image_feature,
-                    text_features=rec.text_features,
-                )
-    return caches
+            tokens.centers[group] = patches.centers
+            tokens.rel_points[group] = patches.relative_points
+            tokens.patch_colors[group] = patches.patch_colors
+            tokens.orders[group] = np.moveaxis(np.stack([fwd, inv]), 2, 0)
+    return tokens
+
+
+def _cloud_caches(records: list[TripletRecord], tokens: _Tokens) -> list[CloudCache]:
+    """One CloudCache per record, with record i's row of `tokens`; objects
+    are numbered by first appearance in `records`."""
+    object_ids: dict[str, int] = {}
+    return [
+        CloudCache(
+            centers=tokens.centers[i],
+            rel_points=tokens.rel_points[i],
+            patch_colors=tokens.patch_colors[i],
+            fwd=tokens.orders[i, 0],
+            inv=tokens.orders[i, 1],
+            label=rec.label,
+            object_index=object_ids.setdefault(rec.object_id, len(object_ids)),
+            image_feature=rec.image_feature,
+            text_features=rec.text_features,
+        )
+        for i, rec in enumerate(records)
+    ]
+
+
+def build_cache(dataset: TripletDataset, config: EncoderConfig) -> list[CloudCache]:
+    """Tokenized geometry per record, in record order (see _tokenize)."""
+    return _cloud_caches(dataset.records, _tokenize(dataset.records, config))
+
+
+# ---------------------------------------------------------------------------
+# Token cache file: a dataset's tokens, kept beside it as an OCCT sidecar
+# named <data file name>.tokens-<tag>.occt. The tag hashes the tokenizer
+# fields; the metadata holds them, the dataset file's sha256 and the record
+# count, and the file is used only when all of them match.
+
+_TOKENS_FORMAT = "occpoint-tokens/1"
+_TOKENIZER_FIELDS = ("s_tokens", "k_neighbors", "curve_a", "curve_b", "curve_bits")
+
+
+@dataclass(frozen=True)
+class TokenCacheInfo:
+    """Where a dataset's tokens came from, for the run manifests."""
+
+    path: Path
+    dataset_sha256: str
+    hit: bool
+
+
+def _tokenizer_fields(config: EncoderConfig) -> dict:
+    doc = config.to_dict()
+    return {name: doc[name] for name in _TOKENIZER_FIELDS}
+
+
+def token_cache_path(data_path, config: EncoderConfig) -> Path:
+    """<data file name>.tokens-<tag>.occt beside the data file; the tag is
+    a short hash of the tokenizer fields of `config`."""
+    fields = json.dumps(_tokenizer_fields(config), sort_keys=True).encode("utf-8")
+    tag = hashlib.sha256(fields).hexdigest()[:12]
+    data_path = Path(data_path)
+    return data_path.with_name(f"{data_path.name}.tokens-{tag}.occt")
+
+
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def _read_tokens(path: Path, meta: dict, config: EncoderConfig) -> _Tokens | None:
+    """The tokens stored at `path` if its metadata is `meta` and its tensors
+    have the shapes `meta` implies; None (with a warning unless the file is
+    missing or belongs to other dataset bytes) otherwise."""
+    try:
+        entries, stored = read_container_file(path)
+    except FileNotFoundError:
+        return None
+    except (OSError, FormatError) as exc:
+        _warn(f"rebuilding unreadable token cache {path}: {exc}")
+        return None
+    if stored.get("dataset_sha256") != meta["dataset_sha256"]:
+        return None  # the dataset file changed: a stale cache, rebuilt quietly
+    r, s, k = meta["records"], config.s_tokens, config.k_neighbors
+    want = {"centers": ((r, s, 3), np.float64), "rel_points": ((r, s, k, 3), np.float64),
+            "patch_colors": ((r, s, k, 3), np.float64), "orders": ((r, 2, 2, s), np.uint64)}
+    problem = None
+    if stored != meta:
+        problem = f"metadata {stored} does not match {meta}"
+    elif entries.keys() != want.keys() or any(
+            entries[n].shape != shape or entries[n].dtype != dtype
+            for n, (shape, dtype) in want.items()):
+        problem = "tensors do not match the metadata"
+    elif not np.array_equal(np.sort(entries["orders"], axis=-1),
+                            np.broadcast_to(np.arange(s, dtype=np.uint64), (r, 2, 2, s))):
+        problem = "curve orders are not permutations"
+    if problem is not None:
+        _warn(f"rebuilding token cache {path}: {problem}")
+        return None
+    return _Tokens(entries["centers"], entries["rel_points"], entries["patch_colors"],
+                   entries["orders"].view(np.int64))
+
+
+def load_or_build_cache(path, dataset: TripletDataset,
+                        config: EncoderConfig) -> tuple[list[CloudCache], TokenCacheInfo]:
+    """build_cache(dataset, config), read from the token cache file of the
+    dataset file `path` when it holds this file's and this config's tokens.
+    Otherwise the tokens are computed and the file (re)written; a file that
+    cannot be written is skipped with a warning."""
+    sidecar = token_cache_path(path, config)
+    meta = {"format": _TOKENS_FORMAT, "dataset_sha256": _file_sha256(path),
+            "tokenizer": _tokenizer_fields(config), "records": len(dataset.records)}
+    tokens = _read_tokens(sidecar, meta, config)
+    info = TokenCacheInfo(sidecar, meta["dataset_sha256"], hit=tokens is not None)
+    if tokens is None:
+        tokens = _tokenize(dataset.records, config)
+        entries = tokens._asdict()
+        entries["orders"] = tokens.orders.view(np.uint64)  # OCCT has no signed ints
+        try:
+            write_container_file(sidecar, entries, meta)
+        except OSError as exc:
+            _warn(f"token cache not written: {exc.filename}: {exc.strerror or exc}")
+    return _cloud_caches(dataset.records, tokens), info
+
+
+def split_caches(dataset: TripletDataset, caches: list[CloudCache],
+                 holdout_views: int) -> tuple[list[CloudCache], list[CloudCache]]:
+    """The caches of every record of `dataset` split as
+    `dataset.split_views(holdout_views)` splits the records: (train, heldout).
+    Each part numbers its objects by first appearance, as build_cache would."""
+    parts: tuple[list[CloudCache], list[CloudCache]] = ([], [])
+    for rec, cache in zip(dataset.records, caches, strict=True):
+        parts[heldout_view(rec.view_id, holdout_views)].append(cache)
+    renumbered = []
+    for part in parts:
+        ids: dict[int, int] = {}
+        renumbered.append([replace(c, object_index=ids.setdefault(c.object_index, len(ids)))
+                           for c in part])
+    return renumbered[0], renumbered[1]
 
 
 def _batch_arrays(batch: list[CloudCache], drop_mask: np.ndarray,
@@ -437,21 +584,34 @@ def check_resume(model: ModelState, encoder_config: EncoderConfig,
 
 def run_pretraining(dataset: TripletDataset, encoder_config: EncoderConfig,
                     train_config: TrainConfig, model: ModelState | None = None,
-                    log=None) -> tuple[ModelState, list[dict]]:
+                    log=None, caches: list[CloudCache] | None = None,
+                    ) -> tuple[ModelState, list[dict]]:
     """Full deterministic training run; returns the model and per-step metrics.
 
     Given a model, the run resumes it: the configs must be the model's own,
-    except that `epochs` may extend the run (see `check_resume`).
+    except that `epochs` may extend the run (see `check_resume`). Given
+    caches, they stand for the training split's build_cache (as
+    `split_caches` gives them), and are only checked for count and shape.
     """
     train_set, _ = dataset.split_views(train_config.holdout_views)
     if not train_set.records:
         raise InvalidInput("no training records after the view split")
+    if caches is not None:
+        shape = (encoder_config.s_tokens, encoder_config.k_neighbors, 3)
+        if len(caches) != len(train_set.records):
+            raise ConfigError(f"{len(caches)} token caches for "
+                              f"{len(train_set.records)} training records")
+        wrong = next((c.rel_points.shape for c in caches if c.rel_points.shape != shape), None)
+        if wrong is not None:
+            raise ConfigError(f"token caches have (S, k) = {wrong[:2]}, the encoder "
+                              f"config asks for {shape[:2]}")
     if model is None:
         model = init_model(encoder_config, train_config)
     else:
         check_resume(model, encoder_config, train_config)
         model.train_config = train_config
-    caches = build_cache(train_set, encoder_config)
+    if caches is None:
+        caches = build_cache(train_set, encoder_config)
 
     probe = make_batches(caches, train_config.batch_size, 0, train_config.seed)
     steps_per_epoch = len(probe)

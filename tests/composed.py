@@ -94,11 +94,13 @@ def composed_pointnet_embed(features, params) -> Tensor:
 def _recurrence(x, delta, bmat, cmat, a, d) -> Tensor:
     """The scan recurrence alone as one op, over a single stream."""
     inputs = (x, delta, bmat, cmat, a, d)
-    y, h_all, abar_all = ssm._scan_forward(*(t.data[None] for t in inputs),
+    xz, deltaz, bz, cz, az, dz = (t.data[None] for t in inputs)
+    steps = ssm._time_major(xz, deltaz, bz, cz)
+    y, h_all, abar_all = ssm._scan_forward(*steps, az, dz,
                                            keep_states=ad.needs_grad(*inputs))
 
     def backward(g):
-        grads = ssm._scan_backward(g[None], *(t.data[None] for t in inputs),
+        grads = ssm._scan_backward(g[None], xz, *steps, az, dz,
                                    h_all=h_all, abar_all=abar_all)
         for t, gt in zip(inputs, grads):
             t.accumulate(gt[0])

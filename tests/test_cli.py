@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -393,3 +394,155 @@ def test_load_checkpoint_incomplete_is_config_error(small_checkpoint, small_data
     rc = main(["eval", "--data", str(small_dataset), "--checkpoint", str(broken)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# --- token cache file, manifests and inspect ----------------------------------
+
+TOY_SMALL = ["--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6", "--c-dim", "16"]
+
+
+@pytest.fixture
+def data_copy(small_dataset, tmp_path):
+    """The small dataset alone in a directory of its own."""
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    path = data_dir / small_dataset.name
+    path.write_bytes(small_dataset.read_bytes())
+    return path
+
+
+def sidecars(data_path):
+    return sorted(data_path.parent.glob(f"{data_path.name}.tokens-*.occt"))
+
+
+def eval_stdout(data, checkpoint, capsys):
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--mode", "both"]) == 0
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
+def test_eval_output_is_the_same_cold_warm_and_rebuilt(data_copy, small_checkpoint, capsys):
+    cold = eval_stdout(data_copy, small_checkpoint, capsys)
+    (sidecar,) = sidecars(data_copy)
+    warm = eval_stdout(data_copy, small_checkpoint, capsys)
+    sidecar.unlink()
+    rebuilt = eval_stdout(data_copy, small_checkpoint, capsys)
+    assert cold == warm == rebuilt and cold[1] == "" and "top1: " in cold[0]
+    assert sidecars(data_copy) == [sidecar]
+
+
+def test_pretrain_checkpoint_is_the_same_with_a_warm_cache(data_copy, tmp_path):
+    argv = ["pretrain", "--data", str(data_copy), *TOY_SMALL, "--epochs", "1",
+            "--warmup-epochs", "0", "--batch-size", "4", "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "cold.occt")]) == 0
+    assert len(sidecars(data_copy)) == 1
+    assert main(argv + ["--out", str(tmp_path / "warm.occt")]) == 0
+    assert (tmp_path / "cold.occt").read_bytes() == (tmp_path / "warm.occt").read_bytes()
+    hits = [json.loads((tmp_path / f"{name}.manifest.json").read_text())["inputs"]
+            for name in ("cold", "warm")]
+    assert [doc["token_cache"]["hit"] for doc in hits] == [False, True]
+    assert hits[0]["token_cache"]["path"] == str(sidecars(data_copy)[0])
+    assert hits[0]["dataset_sha256"] == hashlib.sha256(data_copy.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("damage", ["truncate", "flip"])
+def test_eval_rebuilds_a_damaged_cache_with_one_warning(data_copy, small_checkpoint, capsys,
+                                                        damage):
+    want, _ = eval_stdout(data_copy, small_checkpoint, capsys)
+    (sidecar,) = sidecars(data_copy)
+    data = bytearray(sidecar.read_bytes())
+    if damage == "truncate":
+        del data[len(data) // 2:]
+    else:
+        data[-100] ^= 0x01
+    sidecar.write_bytes(bytes(data))
+    out, err = eval_stdout(data_copy, small_checkpoint, capsys)
+    assert out == want and len(err.splitlines()) == 1 and err.startswith("warning: ")
+    assert eval_stdout(data_copy, small_checkpoint, capsys) == (want, "")
+
+
+def test_eval_in_a_read_only_data_directory(data_copy, small_checkpoint, capsys,
+                                            monkeypatch):
+    want, _ = eval_stdout(data_copy, small_checkpoint, capsys)
+    for sidecar in sidecars(data_copy):
+        sidecar.unlink()
+    before = sorted(data_copy.parent.iterdir())
+
+    def read_only(src, dst):
+        # What a read-only directory does even to a process that may write anywhere.
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    data_copy.parent.chmod(0o555)
+    monkeypatch.setattr("occpoint.container.os.replace", read_only)
+    try:
+        out, err = eval_stdout(data_copy, small_checkpoint, capsys)
+    finally:
+        data_copy.parent.chmod(0o755)
+    assert out == want
+    assert len(err.splitlines()) == 1 and err.startswith("warning: token cache not written")
+    assert sorted(data_copy.parent.iterdir()) == before
+
+
+def test_eval_manifest_records_the_dataset_cache_and_heldout_views(data_copy,
+                                                                   small_checkpoint,
+                                                                   tmp_path):
+    report = tmp_path / "report.json"
+    for _ in range(2):
+        assert main(["eval", "--data", str(data_copy), "--checkpoint",
+                     str(small_checkpoint), "--out", str(report)]) == 0
+    inputs = json.loads(report.with_suffix(".manifest.json").read_text())["inputs"]
+    assert inputs == {
+        "dataset_sha256": hashlib.sha256(data_copy.read_bytes()).hexdigest(),
+        "token_cache": {"path": str(sidecars(data_copy)[0]), "hit": True},
+        "heldout_view_ids": [10, 11],
+    }
+
+
+@pytest.mark.parametrize("refused", [
+    pytest.param(["--epochs", "2", "--warmup-epochs", "3"], id="warmup-above-epochs"),
+    pytest.param(["--epochs", "2", "--resume", "FIRST", "--curve-a", "morton"],
+                 id="resume-other-curve"),
+    pytest.param(["--epochs", "2", "--resume", "FIRST", "--k-neighbors", "5"],
+                 id="resume-other-k"),
+])
+def test_refused_pretrain_writes_nothing_not_even_a_cache(data_copy, tmp_path, capsys,
+                                                          refused):
+    base = ["pretrain", "--data", str(data_copy), *TOY_SMALL, "--batch-size", "4"]
+    first = tmp_path / "first.occt"
+    assert main(base + ["--epochs", "1", "--warmup-epochs", "0", "--out", str(first)]) == 0
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    argv = [str(first) if a == "FIRST" else a for a in refused]
+    assert main(base + argv + ["--out", str(tmp_path / "second.occt")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_inspect_prints_version_metadata_and_tensors(data_copy, small_checkpoint, capsys):
+    from occpoint.container import VERSION
+
+    eval_stdout(data_copy, small_checkpoint, capsys)
+    (sidecar,) = sidecars(data_copy)
+    for path, meta_key, tensor in ((data_copy, '"class_names"', "rec00000/points  f32"),
+                                   (small_checkpoint, '"train_config"', "param/"),
+                                   (sidecar, '"dataset_sha256"', "orders  u64")):
+        assert main(["inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"format: OCCT version {VERSION}\nmeta: {{")
+        assert meta_key in out and tensor in out
+        assert '"tensors"' not in out and '"offset"' not in out
+    lines = out.splitlines()
+    r = len(load_dataset(data_copy).records)
+    assert f"  centers  f64  [{r}, 8, 3]  {r * 8 * 3 * 8} bytes" in lines
+    assert f"  orders  u64  [{r}, 2, 2, 8]  {r * 32 * 8} bytes" in lines
+
+
+def test_inspect_truncated_file_is_format_error(small_checkpoint, tmp_path, capsys):
+    truncated = tmp_path / "cut.occt"
+    data = small_checkpoint.read_bytes()
+    truncated.write_bytes(data[: len(data) // 3])
+    assert main(["inspect", str(truncated)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")

@@ -6,7 +6,8 @@ import pytest
 
 from occpoint.autodiff import Tensor
 from occpoint.curves import CurveKind
-from occpoint.dataset import generate_triplets
+from occpoint.container import read_container_file, write_container_file
+from occpoint.dataset import generate_triplets, load_dataset, save_dataset
 from occpoint.encoder import toy_config
 from occpoint.errors import ConfigError, InvalidInput
 from occpoint.contrastive import init_alignment_heads
@@ -18,12 +19,15 @@ from occpoint.training import (
     adamw_step,
     build_cache,
     init_model,
+    load_or_build_cache,
     linear_probe,
     load_checkpoint,
     lr_at,
     make_batches,
     run_pretraining,
     save_checkpoint,
+    split_caches,
+    token_cache_path,
     top_k_accuracy,
     train_step,
     use_ema_weights,
@@ -380,3 +384,161 @@ def test_probe_shots_monotone_trend_on_toy_features():
         accs1.append(linear_probe(train_x, train_y, test_x, test_y, 1, seed=seed))
         accs16.append(linear_probe(train_x, train_y, test_x, test_y, 16, seed=seed))
     assert np.mean(accs16) >= np.mean(accs1)
+
+
+# --- token cache file -----------------------------------------------------------
+
+CACHE_ARRAYS = ("centers", "rel_points", "patch_colors", "fwd", "inv")
+
+
+def assert_caches_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in CACHE_ARRAYS:
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (g.label, g.object_index) == (w.label, w.object_index)
+        assert np.array_equal(g.image_feature, w.image_feature)
+        assert np.array_equal(g.text_features, w.text_features)
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tokens") / "tiny.occt"
+    save_dataset(path, tiny_dataset())
+    return path
+
+
+def test_token_cache_file_holds_build_cache_bitwise(saved_dataset, tmp_path):
+    path = tmp_path / saved_dataset.name
+    path.write_bytes(saved_dataset.read_bytes())
+    dataset = load_dataset(path)
+    cfg, _ = tiny_setup()
+    want = build_cache(dataset, cfg)
+    cold, info = load_or_build_cache(path, dataset, cfg)
+    assert not info.hit and info.path == token_cache_path(path, cfg) and info.path.exists()
+    warm, info = load_or_build_cache(path, dataset, cfg)
+    assert info.hit
+    assert_caches_equal(cold, want)
+    assert_caches_equal(warm, want)
+    entries, meta = read_container_file(info.path)
+    r = len(dataset.records)
+    assert {k: v.shape for k, v in entries.items()} == {
+        "centers": (r, 8, 3), "rel_points": (r, 8, 6, 3), "patch_colors": (r, 8, 6, 3),
+        "orders": (r, 2, 2, 8)}
+    assert meta["records"] == r and meta["tokenizer"]["s_tokens"] == 8
+    assert info.path.name.startswith("tiny.occt.tokens-")
+
+
+def test_split_caches_number_objects_as_build_cache_does():
+    dataset = tiny_dataset()
+    cfg, _ = tiny_setup()
+    # The last object's held-out views first: in the whole dataset it is
+    # object 0, in the training split the last.
+    last = dataset.records[-1].object_id
+    moved = [r for r in dataset.records if r.object_id == last and r.view_id >= 10]
+    dataset.records = moved + [r for r in dataset.records if r not in moved]
+    whole = build_cache(dataset, cfg)
+    train, heldout = split_caches(dataset, whole, 2)
+    train_set, heldout_set = dataset.split_views(2)
+    assert_caches_equal(train, build_cache(train_set, cfg))
+    assert_caches_equal(heldout, build_cache(heldout_set, cfg))
+    copied = [c.object_index for c, r in zip(whole, dataset.records) if r.view_id < 10]
+    assert copied != [c.object_index for c in train]
+
+
+def test_changed_dataset_misses_and_overwrites_the_cache_file(tmp_path):
+    path = tmp_path / "d.occt"
+    cfg, _ = tiny_setup()
+    save_dataset(path, tiny_dataset(seed=5))
+    _, first = load_or_build_cache(path, load_dataset(path), cfg)
+    save_dataset(path, tiny_dataset(seed=6))
+    dataset = load_dataset(path)
+    caches, second = load_or_build_cache(path, dataset, cfg)
+    assert not second.hit and second.path == first.path
+    assert second.dataset_sha256 != first.dataset_sha256
+    assert read_container_file(second.path)[1]["dataset_sha256"] == second.dataset_sha256
+    assert_caches_equal(caches, build_cache(dataset, cfg))
+    assert load_or_build_cache(path, dataset, cfg)[1].hit
+
+
+def test_changed_tokenizer_field_writes_a_second_cache_file(saved_dataset, tmp_path):
+    path = tmp_path / saved_dataset.name
+    path.write_bytes(saved_dataset.read_bytes())
+    dataset = load_dataset(path)
+    cfg, _ = tiny_setup()
+    paths = set()
+    for other in (cfg, replace(cfg, curve_a=CurveKind.MORTON), replace(cfg, k_neighbors=5),
+                  replace(cfg, c_dim=8)):
+        caches, info = load_or_build_cache(path, dataset, other)
+        assert_caches_equal(caches, build_cache(dataset, other))
+        paths.add(info.path)
+    assert len(paths) == 3  # c_dim is not a tokenizer field
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [path.name] + [p.name for p in paths])
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+def flip_a_bit(path):
+    data = bytearray(path.read_bytes())
+    data[-100] ^= 0x10
+    path.write_bytes(bytes(data))
+
+
+def edit_container(edit):
+    def apply(path):
+        entries, meta = read_container_file(path)
+        edit(entries, meta)
+        write_container_file(path, entries, meta)
+    return apply
+
+
+def set_first_order(entries, meta):
+    entries["orders"][0, 0, 0, 0] = 99
+
+
+@pytest.mark.parametrize("damage", [
+    truncate,
+    flip_a_bit,
+    edit_container(lambda e, m: m.__setitem__("records", 5)),
+    edit_container(lambda e, m: m["tokenizer"].__setitem__("curve_bits", 4)),
+    edit_container(lambda e, m: e.__setitem__("centers", e["centers"][1:])),
+    edit_container(lambda e, m: e.pop("patch_colors")),
+    edit_container(lambda e, m: e.__setitem__("rel_points", e["rel_points"].astype(np.float32))),
+    edit_container(set_first_order),
+], ids=["truncated", "bit-flip", "record-count", "tokenizer-field", "short-tensor",
+        "missing-tensor", "f32-tensor", "order-out-of-range"])
+def test_damaged_cache_file_is_rebuilt_with_one_warning(saved_dataset, tmp_path, capsys,
+                                                       damage):
+    path = tmp_path / saved_dataset.name
+    path.write_bytes(saved_dataset.read_bytes())
+    dataset = load_dataset(path)
+    cfg, _ = tiny_setup()
+    _, info = load_or_build_cache(path, dataset, cfg)
+    damage(info.path)
+    capsys.readouterr()
+    caches, again = load_or_build_cache(path, dataset, cfg)
+    err = capsys.readouterr().err
+    assert not again.hit and len(err.splitlines()) == 1 and str(info.path) in err
+    assert_caches_equal(caches, build_cache(dataset, cfg))
+    assert load_or_build_cache(path, dataset, cfg)[1].hit
+
+
+def test_run_pretraining_with_given_caches(tmp_path):
+    dataset = tiny_dataset()
+    cfg, tc = tiny_setup(seed=3)
+    train, _ = split_caches(dataset, build_cache(dataset, cfg), tc.holdout_views)
+    given, _ = run_pretraining(dataset, cfg, tc, caches=train)
+    built, _ = run_pretraining(dataset, cfg, tc)
+    for name, model in (("given", given), ("built", built)):
+        save_checkpoint(tmp_path / f"{name}.occt", model)
+    assert (tmp_path / "given.occt").read_bytes() == (tmp_path / "built.occt").read_bytes()
+
+    with pytest.raises(ConfigError, match="token caches for"):
+        run_pretraining(dataset, cfg, tc, caches=train[:-1])
+    for other in (replace(cfg, s_tokens=6), replace(cfg, k_neighbors=5)):
+        with pytest.raises(ConfigError, match=r"\(S, k\)"):
+            run_pretraining(dataset, other, tc, caches=train)
