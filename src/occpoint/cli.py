@@ -3,8 +3,8 @@
 Every command writes a run manifest (resolved config, seed, command line,
 git description, timestamps) next to its primary output, and every command
 taking --seed is bit-for-bit reproducible. Exit codes: 0 success, 1 user
-or environment error (a bad input, or a path that cannot be read or
-written), 2 internal failure.
+or environment error (a bad input or command line, or a path that cannot be
+read or written), 2 internal failure.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ from .training import (
 )
 
 PRESETS = {"desk": desk_config, "toy": toy_config, "full": full_scale_config}
+
+# Hidden encoder overrides of `pretrain` and `bench`: (dest, type, choices).
+ENCODER_FLAGS = {"l_blocks": (int, None), "c_dim": (int, None), "s_tokens": (int, None),
+                 "k_neighbors": (int, None), "curve_a": (str, None), "curve_b": (str, None),
+                 "conv_mode": (str, ("standard", "causal", "none"))}
 
 
 def _git_describe() -> str:
@@ -110,19 +115,13 @@ def _now() -> str:
 
 
 def _encoder_config(args) -> EncoderConfig:
-    cfg = PRESETS[args.preset]()
-    overrides = {}
-    for name in ("l_blocks", "c_dim", "s_tokens", "k_neighbors", "embed_dim"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    """The preset with the hidden encoder flags of `pretrain` and `bench` applied."""
+    overrides = {name: getattr(args, name) for name in ENCODER_FLAGS
+                 if getattr(args, name) is not None}
     for name in ("curve_a", "curve_b"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = CurveKind.from_string(value)
-    if getattr(args, "conv_mode", None) is not None:
-        overrides["conv_mode"] = args.conv_mode
-    return replace(cfg, **overrides) if overrides else cfg
+        if name in overrides:
+            overrides[name] = CurveKind.from_string(overrides[name])
+    return replace(PRESETS[args.preset](), **overrides)
 
 
 def cmd_synth(args) -> int:
@@ -352,23 +351,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=cmd_inspect)
 
-    for sp in sub.choices.values():
-        for name in ("l_blocks", "c_dim", "s_tokens", "k_neighbors"):
-            if not any(a.dest == name for a in sp._actions):
-                sp.add_argument(f"--{name.replace('_', '-')}", type=int,
-                                default=None, dest=name, help=argparse.SUPPRESS)
-        for name, choices in (("curve_a", None), ("curve_b", None),
-                              ("conv_mode", ("standard", "causal", "none"))):
-            if not any(a.dest == name for a in sp._actions):
-                sp.add_argument(f"--{name.replace('_', '-')}", default=None,
-                                dest=name, choices=choices, help=argparse.SUPPRESS)
+    for sp in (sub.choices["pretrain"], sub.choices["bench"]):
+        for name, (kind, choices) in ENCODER_FLAGS.items():
+            sp.add_argument(f"--{name.replace('_', '-')}", type=kind, choices=choices,
+                            default=None, dest=name, help=argparse.SUPPRESS)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse printed a usage error (code 2) or the help (0); users fix the former.
+        return 1 if exc.code else 0
     args._argv = ["occpoint"] + (list(argv) if argv is not None else sys.argv[1:])
     try:
         return args.fn(args)

@@ -18,7 +18,7 @@ image<->text, mixed<->text, sharing one temperature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +38,10 @@ class ProjectionHead:
     weight: Tensor  # (D_in, D_out)
     bias: Tensor    # (D_out,)
 
-    def tensors(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-def init_head(d_in: int, d_out: int, rng: np.random.Generator,
-              identity: bool = False) -> ProjectionHead:
-    if identity and d_in == d_out:
+def init_head(d_in: int, d_out: int, rng: np.random.Generator) -> ProjectionHead:
+    """A square head starts near the identity, a D_in -> D_out one at random."""
+    if d_in == d_out:
         w = np.eye(d_in) + rng.normal(0.0, 0.01, size=(d_in, d_out))
     else:
         w = rng.normal(0.0, d_in ** -0.5, size=(d_in, d_out))
@@ -78,8 +75,8 @@ class AlignmentHeads:
 
 def init_alignment_heads(embed_dim: int, rng: np.random.Generator) -> AlignmentHeads:
     return AlignmentHeads(
-        text=init_head(embed_dim, embed_dim, rng, identity=True),
-        image=init_head(embed_dim, embed_dim, rng, identity=True),
+        text=init_head(embed_dim, embed_dim, rng),
+        image=init_head(embed_dim, embed_dim, rng),
         mixed=init_head(2 * embed_dim, embed_dim, rng),
         temperature=init_temperature(),
     )

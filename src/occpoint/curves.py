@@ -49,29 +49,24 @@ def quantize(points: np.ndarray, bits: int = DEFAULT_BITS) -> np.ndarray:
     return np.clip(cells, 0, top).astype(np.uint64)
 
 
-def _check_coords(coords: np.ndarray, bits: int) -> tuple[np.ndarray, bool]:
+def _check_coords(coords: np.ndarray, bits: int) -> np.ndarray:
     coords = np.asarray(coords, dtype=np.uint64)
-    single = coords.ndim == 1
-    if single:
-        coords = coords[None, :]
-    if coords.shape[-1] != 3:
+    if coords.shape[-1:] != (3,):
         raise InvalidInput(f"expected (..., 3) coordinates, got shape {coords.shape}")
     if np.any(coords >> np.uint64(bits)):
         raise InvalidInput(f"coordinate overflows {bits}-bit grid")
-    return coords, single
+    return coords
 
 
 def morton_index(coords: np.ndarray, bits: int) -> np.ndarray:
     """Interleave axis bits, x least significant: code bit 3i = x_i, 3i+1 = y_i, 3i+2 = z_i."""
-    coords, single = _check_coords(coords, bits)
-    x, y, z = coords[..., 0], coords[..., 1], coords[..., 2]
-    code = np.zeros(x.shape, dtype=np.uint64)
+    coords = _check_coords(coords, bits)
+    code = np.zeros(coords.shape[:-1], dtype=np.uint64)
     for i in range(bits):
-        bit = np.uint64(i)
-        code |= ((x >> bit) & np.uint64(1)) << np.uint64(3 * i)
-        code |= ((y >> bit) & np.uint64(1)) << np.uint64(3 * i + 1)
-        code |= ((z >> bit) & np.uint64(1)) << np.uint64(3 * i + 2)
-    return code[0] if single else code
+        for axis in range(3):
+            bit = (coords[..., axis] >> np.uint64(i)) & np.uint64(1)
+            code |= bit << np.uint64(3 * i + axis)
+    return code
 
 
 def hilbert_index(coords: np.ndarray, bits: int) -> np.ndarray:
@@ -80,13 +75,10 @@ def hilbert_index(coords: np.ndarray, bits: int) -> np.ndarray:
     Bijective on the grid; consecutive codes always sit in face-adjacent cells,
     which is the locality property the serialization relies on.
     """
-    coords, single = _check_coords(coords, bits)
+    coords = _check_coords(coords, bits)
     # Work on a copy in transpose form: X[i] holds one axis.
-    x = coords[..., 0].copy()
-    y = coords[..., 1].copy()
-    z = coords[..., 2].copy()
-    axes = [x, y, z]
     n = 3
+    axes = [coords[..., i].copy() for i in range(n)]
 
     # Inverse undo of the excess Gray-code work, from the top bit down.
     q = np.uint64(1) << np.uint64(bits - 1)
@@ -118,7 +110,7 @@ def hilbert_index(coords: np.ndarray, bits: int) -> np.ndarray:
     for b in range(bits - 1, -1, -1):
         for i in range(n):
             code = (code << one) | ((axes[i] >> np.uint64(b)) & one)
-    return code[0] if single else code
+    return code
 
 
 def _trans(coords: np.ndarray) -> np.ndarray:
@@ -144,12 +136,11 @@ def curve_codes(points: np.ndarray, kind: CurveKind, bits: int = DEFAULT_BITS) -
 
 
 def sort_by_curve(points: np.ndarray, kind: CurveKind, bits: int = DEFAULT_BITS) -> np.ndarray:
-    """Stable ascending-code sort order for S points (ties keep original index
-    order): (S, 3) -> (S,), or per cloud, (B, S, 3) -> (B, S), with one
-    `curve_codes` pass over the whole batch. ``points[order]`` is sorted."""
+    """Stable ascending-code sort order of each cloud's S points (ties keep
+    original index order): (B, S, 3) -> (B, S), with one `curve_codes` pass
+    over the whole batch. ``points[b][order[b]]`` is sorted."""
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim not in (2, 3) or points.shape[-2] < 1 or points.shape[-1] != 3:
-        raise InvalidInput(f"expected non-empty (S, 3) or (B, S, 3) points, "
-                           f"got shape {points.shape}")
+    if points.ndim != 3 or points.shape[1] < 1 or points.shape[2] != 3:
+        raise InvalidInput(f"expected non-empty (B, S, 3) points, got shape {points.shape}")
     codes = curve_codes(points.reshape(-1, 3), kind, bits).reshape(points.shape[:-1])
     return np.argsort(codes, axis=-1, kind="stable")

@@ -44,14 +44,6 @@ class TriangleMesh:
         """(F, 3, 3) corner positions."""
         return self.vertices[self.faces]
 
-    def face_normals(self) -> np.ndarray:
-        """Unit normals per face, right-hand rule over the winding order."""
-        fv = self.face_vertices
-        n = np.cross(fv[:, 1] - fv[:, 0], fv[:, 2] - fv[:, 0])
-        length = np.linalg.norm(n, axis=1, keepdims=True)
-        length[length == 0] = 1.0
-        return n / length
-
 
 def normalize_mesh(mesh: TriangleMesh) -> TriangleMesh:
     """Center on the bounding-box midpoint and scale the farthest vertex to norm 1.

@@ -67,8 +67,7 @@ class S6Params:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def init_s6(channels: int, n_state: int, rng: np.random.Generator,
-            use_d_skip: bool = True) -> S6Params:
+def init_s6(channels: int, n_state: int, rng: np.random.Generator) -> S6Params:
     """Initialization: A spread log-uniformly over [-16, -1] per state index,
     step bias set so the initial delta lands log-uniformly in [1e-3, 1e-1]."""
     dt_rank = max(1, -(-channels // 16))
@@ -85,8 +84,7 @@ def init_s6(channels: int, n_state: int, rng: np.random.Generator,
         dt_low=ad.parameter((channels, dt_rank), rng),
         dt_up=ad.parameter((dt_rank, channels), rng),
         dt_bias=Tensor(dt_bias, requires_grad=True),
-        d_skip=Tensor(np.ones(channels) if use_d_skip else np.zeros(channels),
-                      requires_grad=True),
+        d_skip=Tensor(np.ones(channels), requires_grad=True),
     )
 
 

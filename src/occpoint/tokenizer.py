@@ -8,7 +8,7 @@ identical rows, and the patch embedding max-pools over the k neighbors.
 
 FPS and kNN work on a batch of clouds with equal point counts at once,
 (B, N, 3) -> (B, S) centers -> (B, S, k) patches, and give each cloud
-bitwise what it gets alone; a single (N, 3) cloud is a batch of one.
+bitwise what it gets alone, as a batch of one.
 """
 
 from __future__ import annotations
@@ -24,15 +24,11 @@ from .errors import InvalidConfig, InvalidInput, NumericalError, ShapeError
 COLOR_CONSTANT = 0.4  # substituted per channel when a cloud has no colors
 
 
-def _as_batch(points: np.ndarray) -> tuple[np.ndarray, bool]:
+def _as_batch(points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
-    single = points.ndim == 2
-    if single:
-        points = points[None]
     if points.ndim != 3 or points.shape[1] < 1 or points.shape[2] != 3:
-        raise InvalidInput(f"expected non-empty (N, 3) or (B, N, 3) points, "
-                           f"got {points.shape}")
-    return points, single
+        raise InvalidInput(f"expected non-empty (B, N, 3) points, got {points.shape}")
+    return points
 
 
 def _squared_distance(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -48,13 +44,13 @@ def _squared_distance(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def farthest_point_sampling(points: np.ndarray, s: int) -> np.ndarray:
-    """Indices of s greedy farthest-point centers: (N, 3) -> (s,), (B, N, 3) -> (B, s).
+    """Indices of s greedy farthest-point centers per cloud: (B, N, 3) -> (B, s).
 
     The first center is the lexicographically smallest point; each next center
     maximizes the distance to the chosen set, ties broken lexicographically by
     coordinates. For s > N the emission order repeats cyclically.
     """
-    points, single = _as_batch(points)
+    points = _as_batch(points)
     if s < 1:
         raise InvalidInput(f"need at least one center, got s={s}")
     b, n, _ = points.shape
@@ -79,28 +75,28 @@ def farthest_point_sampling(points: np.ndarray, s: int) -> np.ndarray:
     idx = np.take_along_axis(rank, chosen, axis=1)
     if s > n:
         idx = np.tile(idx, (1, -(-s // n)))[:, :s]
-    return idx[0] if single else idx
+    return idx
 
 
 @dataclass
 class PatchSet:
-    centers: np.ndarray           # (S, 3) or (B, S, 3)
-    neighbor_indices: np.ndarray  # (S, k) or (B, S, k)
-    relative_points: np.ndarray   # (S, k, 3) = neighbor - center
-    patch_colors: np.ndarray      # (S, k, 3)
+    centers: np.ndarray           # (B, S, 3)
+    neighbor_indices: np.ndarray  # (B, S, k)
+    relative_points: np.ndarray   # (B, S, k, 3) = neighbor - center
+    patch_colors: np.ndarray      # (B, S, k, 3)
 
 
-def knn_group(points: np.ndarray, colors: np.ndarray | None,
+def knn_group(points: np.ndarray, colors: np.ndarray,
               center_indices: np.ndarray, k: int) -> PatchSet:
-    """The k nearest points around each center: (N, 3) points with (S,) center
-    indices, or a batch, (B, N, 3) with (B, S).
+    """The k nearest points around each center: (B, N, 3) points and colors
+    with (B, S) center indices.
 
     Each patch lists its points by the key (squared distance, x, y, z, r, g,
     b), so exact distance ties, the k-th neighbor's included, are broken by
     content and the patch does not depend on point order. The index decides
     only between identical rows, which makes no difference to the patch.
     """
-    points, single = _as_batch(points)
+    points = _as_batch(points)
     b, n, _ = points.shape
     if k < 1:
         raise InvalidConfig(f"k must be >= 1, got {k}")
@@ -118,18 +114,15 @@ def knn_group(points: np.ndarray, colors: np.ndarray | None,
                           d2[i], t)
     d2 = d2.reshape(b * s, n)
     flat_points = points.reshape(b * n, 3)
-    flat_colors = (None if colors is None
-                   else np.asarray(colors, dtype=np.float64).reshape(b * n, 3))
+    flat_colors = np.asarray(colors, dtype=np.float64).reshape(b * n, 3)
     offset = (np.arange(b * s) // s * n)[:, None]   # each row's cloud in the flat arrays
 
     def by_key(rows, cand: np.ndarray) -> np.ndarray:
         """Candidate indices (R, m) of the given distance rows, sorted by the key."""
         flat = cand + offset[rows]
-        keys = [cand]
-        if flat_colors is not None:
-            keys += [flat_colors[flat, j] for j in (2, 1, 0)]
-        keys += [flat_points[flat, j] for j in (2, 1, 0)]
-        keys.append(np.take_along_axis(d2[rows], cand, axis=1))
+        keys = [cand, *(flat_colors[flat, j] for j in (2, 1, 0)),
+                *(flat_points[flat, j] for j in (2, 1, 0)),
+                np.take_along_axis(d2[rows], cand, axis=1)]
         return np.take_along_axis(cand, np.lexsort(keys, axis=-1), axis=1)
 
     # Partitioning at k puts the (k+1)-th smallest distance at position k and
@@ -147,20 +140,12 @@ def knn_group(points: np.ndarray, colors: np.ndarray | None,
             neighbors[tied] = by_key(tied, wide)[:, :k]
 
     flat = neighbors + offset
-    rel = flat_points[flat].reshape(b, s, k, 3) - centers[:, :, None, :]
-    if flat_colors is None:
-        pcol = np.full((b, s, k, 3), COLOR_CONSTANT)
-    else:
-        pcol = flat_colors[flat].reshape(b, s, k, 3)
-    patches = PatchSet(
+    return PatchSet(
         centers=centers,
         neighbor_indices=neighbors.reshape(b, s, k),
-        relative_points=rel,
-        patch_colors=pcol,
+        relative_points=flat_points[flat].reshape(b, s, k, 3) - centers[:, :, None, :],
+        patch_colors=flat_colors[flat].reshape(b, s, k, 3),
     )
-    if single:
-        return PatchSet(*(getattr(patches, f.name)[0] for f in fields(PatchSet)))
-    return patches
 
 
 @dataclass

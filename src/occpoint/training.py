@@ -7,6 +7,15 @@ given (config, seed): all randomness flows from per-(purpose, step) child
 generators of the run seed, so resuming from a checkpoint continues the exact
 trajectory.
 
+`init_model` lays the tree out once, in `named_parameters` order, in one
+float64 vector, the parameter store: each tensor's `.data` is a view of its
+span, and the AdamW moments and the EMA shadow are vectors of the same layout
+(`FlatViews`, indexable by name). AdamW and the EMA are whole-vector ops,
+`use_ema_weights` swaps the one vector, and checkpoints read and write the
+named views. Parameter values are therefore written in place: a tensor whose
+`.data` is rebound is cut off from the store, and the optimizer, the EMA and
+`save_checkpoint` refuse it with a `ConfigError`.
+
 Batches draw at most one view per object and keep classes disjoint whenever
 the batch fits (see `make_batches`): at desk scale the object count is small,
 and rows whose fixtures are near-identical would otherwise act as false
@@ -18,8 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -107,42 +119,92 @@ def lr_at(step: int, total_steps: int, config: TrainConfig,
 # Optimizer and EMA
 
 
+class FlatViews(dict):
+    """Name -> reshaped view of its span of one float64 vector, `flat`, with
+    the spans laid out in the order of `shapes`."""
+
+    def __init__(self, flat: np.ndarray, shapes):
+        super().__init__()
+        self.flat = flat
+        start = 0
+        for name, shape in shapes:
+            self[name] = flat[start : start + math.prod(shape)].reshape(shape)
+            start += math.prod(shape)
+
+    def zeros_like(self) -> "FlatViews":
+        return FlatViews(np.zeros(self.flat.size), ((k, a.shape) for k, a in self.items()))
+
+
+def lay_out(params: dict[str, Tensor]) -> FlatViews:
+    """The parameter store: the parameters copied, in order, into one new
+    float64 vector, with each tensor's `.data` rebound to its view of it."""
+    weights = FlatViews(np.empty(sum(t.data.size for t in params.values())),
+                        ((k, t.data.shape) for k, t in params.items()))
+    for name, t in params.items():
+        weights[name][...] = t.data
+        t.data = weights[name]
+    return weights
+
+
+def _check_views(params: dict[str, Tensor], weights: FlatViews) -> None:
+    if params.keys() != weights.keys():
+        raise ConfigError("the parameters are not the ones the parameter store holds")
+    for name, t in params.items():
+        if t.data is not weights[name]:
+            raise ConfigError(f"parameter {name} no longer views the parameter store: "
+                              f"its .data was rebound; write into it in place instead")
+
+
 @dataclass
 class AdamWState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """AdamW moments laid out as the parameter store `weights` they update."""
+
+    weights: FlatViews
+    m: FlatViews = field(init=False)
+    v: FlatViews = field(init=False)
     step: int = 0
 
-    @classmethod
-    def init(cls, params: dict[str, Tensor]) -> "AdamWState":
-        return cls(
-            m={k: np.zeros_like(t.data) for k, t in params.items()},
-            v={k: np.zeros_like(t.data) for k, t in params.items()},
-        )
+    def __post_init__(self):
+        self.m, self.v = self.weights.zeros_like(), self.weights.zeros_like()
+
+    @cached_property
+    def scratch(self) -> tuple[FlatViews, np.ndarray]:
+        """adamw_step's gathered gradient and temporary, made at the first step:
+        a fresh temporary per whole-vector op costs more than a per-tensor loop."""
+        return self.weights.zeros_like(), np.empty(self.weights.flat.size)
 
 
 def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
                config: TrainConfig) -> None:
-    """One decoupled-weight-decay Adam update; zero-grad tensors still decay."""
+    """One decoupled-weight-decay Adam update of the whole parameter store;
+    zero-grad tensors still decay. Per element it is, op for op, the
+    per-tensor update in `tests/reference.py`."""
+    _check_views(params, state.weights)
+    grad, tmp = state.scratch
+    for name, t in params.items():
+        grad[name][...] = 0.0 if t.grad is None else t.grad
     state.step += 1
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for name, t in params.items():
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        t.data -= lr * update + lr * config.weight_decay * t.data
+    g, m, v, p = grad.flat, state.m.flat, state.v.flat, state.weights.flat
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=tmp)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=tmp)
+    v += np.multiply(tmp, g, out=tmp)
+    denom = np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+    denom += eps
+    update = np.divide(np.divide(m, bc1, out=g), denom, out=g)   # g is spent
+    update *= lr
+    update += np.multiply(p, lr * config.weight_decay, out=tmp)
+    p -= update
 
 
 @dataclass
 class EmaState:
-    """Zero-initialized shadow with the update shadow <- d*shadow + (1-d)*param.
+    """Zero-initialized shadow of the parameter store `weights`, with the
+    update shadow <- d*shadow + (1-d)*param.
 
     Reads are debiased by 1/(1 - d^t) so the average is meaningful from the
     first steps even when the decay horizon exceeds the run length; with
@@ -150,21 +212,23 @@ class EmaState:
     rate (1 - decay) per step either way.
     """
 
-    shadow: dict[str, np.ndarray]
+    weights: FlatViews
     decay: float
+    shadow: FlatViews = field(init=False)
     updates: int = 0
 
-    @classmethod
-    def init(cls, params: dict[str, Tensor], decay: float) -> "EmaState":
-        return cls(shadow={k: np.zeros_like(t.data) for k, t in params.items()},
-                   decay=decay)
+    def __post_init__(self):
+        self.shadow = self.weights.zeros_like()
+
+    @cached_property
+    def scratch(self) -> np.ndarray:
+        return np.empty(self.weights.flat.size)
 
     def update(self, params: dict[str, Tensor]) -> None:
+        _check_views(params, self.weights)
         self.updates += 1
-        for name, t in params.items():
-            s = self.shadow[name]
-            s *= self.decay
-            s += (1.0 - self.decay) * t.data
+        self.shadow.flat *= self.decay
+        self.shadow.flat += np.multiply(self.weights.flat, 1.0 - self.decay, out=self.scratch)
 
     def debiased(self, name: str) -> np.ndarray:
         if self.updates == 0:
@@ -172,23 +236,18 @@ class EmaState:
         return self.shadow[name] / (1.0 - self.decay ** self.updates)
 
 
-class use_ema_weights:
-    """Context manager: evaluate with the (debiased) EMA weights in place."""
-
-    def __init__(self, params: dict[str, Tensor], ema: EmaState):
-        self.params = params
-        self.ema = ema
-
-    def __enter__(self):
-        self._saved = {k: t.data for k, t in self.params.items()}
-        for k, t in self.params.items():
-            t.data = self.ema.debiased(k) if self.ema.updates > 0 else t.data.copy()
-        return self
-
-    def __exit__(self, *exc):
-        for k, t in self.params.items():
-            t.data = self._saved[k]
-        return False
+@contextmanager
+def use_ema_weights(params: dict[str, Tensor], ema: EmaState):
+    """Evaluate with the (debiased) EMA weights written into the parameter
+    store; the parameters are written back on exit."""
+    _check_views(params, ema.weights)
+    saved = ema.weights.flat.copy()
+    if ema.updates > 0:
+        np.divide(ema.shadow.flat, 1.0 - ema.decay ** ema.updates, out=ema.weights.flat)
+    try:
+        yield
+    finally:
+        ema.weights.flat[...] = saved
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +273,10 @@ def init_model(encoder_config: EncoderConfig, train_config: TrainConfig) -> Mode
     rng = np.random.Generator(np.random.PCG64([train_config.seed, 0x10D3]))
     encoder = init_encoder(encoder_config, rng)
     heads = init_alignment_heads(encoder_config.embed_dim, rng)
-    state = ModelState(
-        encoder_config=encoder_config,
-        train_config=train_config,
-        encoder=encoder,
-        heads=heads,
-    )
-    params = state.params()
-    state.opt = AdamWState.init(params)
-    state.ema = EmaState.init(params, train_config.ema_decay)
+    state = ModelState(encoder_config, train_config, encoder, heads)
+    weights = lay_out(state.params())
+    state.opt = AdamWState(weights)
+    state.ema = EmaState(weights, train_config.ema_decay)
     return state
 
 
@@ -464,13 +518,6 @@ def encode_batch(feats: np.ndarray, fwd: np.ndarray, inv: np.ndarray,
     return encoder_forward(tokens, fwd, inv, model.encoder, model.encoder_config)
 
 
-def _first_nonfinite(stages: list[tuple[str, np.ndarray]]) -> str:
-    for name, arr in stages:
-        if not np.all(np.isfinite(arr)):
-            return name
-    return "loss"
-
-
 def train_step(batch: list[CloudCache], model: ModelState, step: int,
                steps_per_epoch: int, total_steps: int) -> dict:
     """One optimizer step over a batch of cached clouds; returns the metrics row."""
@@ -488,12 +535,9 @@ def train_step(batch: list[CloudCache], model: ModelState, step: int,
     loss, terms = total_loss(emb, tau, reduction="mean")
 
     if not np.isfinite(loss.data):
-        stage = _first_nonfinite([
-            ("point_embedding", z_point.data),
-            ("z_text", emb.z_text.data),
-            ("z_image", emb.z_image.data),
-            ("z_mixed", emb.z_mixed.data),
-        ])
+        stages = {"point_embedding": z_point, "z_text": emb.z_text,
+                  "z_image": emb.z_image, "z_mixed": emb.z_mixed}
+        stage = next((k for k, t in stages.items() if not np.all(np.isfinite(t.data))), "loss")
         raise NumericalError(f"non-finite loss at step {step}; first bad tensor: {stage}")
 
     params = model.params()
@@ -712,14 +756,17 @@ def linear_probe(train_features: np.ndarray, train_labels: np.ndarray,
 # Checkpointing
 
 
+def _slots(model: ModelState) -> dict[str, FlatViews]:
+    """The four stores a checkpoint holds, by entry-name prefix."""
+    return {"param": model.opt.weights, "ema": model.ema.shadow,
+            "opt/m": model.opt.m, "opt/v": model.opt.v}
+
+
 def save_checkpoint(path, model: ModelState) -> None:
-    params = model.params()
-    entries: dict[str, np.ndarray] = {}
-    for name, t in params.items():
-        entries[f"param/{name}"] = t.data
-        entries[f"ema/{name}"] = model.ema.shadow[name]
-        entries[f"opt/m/{name}"] = model.opt.m[name]
-        entries[f"opt/v/{name}"] = model.opt.v[name]
+    """Per parameter name, in store order: param/, ema/, opt/m/, opt/v/ entries."""
+    _check_views(model.params(), model.opt.weights)
+    entries = {f"{slot}/{name}": views[name]
+               for name in model.opt.weights for slot, views in _slots(model).items()}
     meta = {
         "encoder_config": model.encoder_config.to_dict(),
         "train_config": model.train_config.to_dict(),
@@ -740,23 +787,14 @@ def load_checkpoint(path) -> ModelState:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint {path}: missing or malformed metadata {exc}") from exc
     model = init_model(encoder_config, train_config)
-    params = model.params()
-    slots = ("param", "ema", "opt/m", "opt/v")
-    missing = [f"{slot}/{k}" for k in params for slot in slots if f"{slot}/{k}" not in entries]
-    if missing:
-        raise ConfigError(f"checkpoint missing tensors: {missing[:3]}...")
-    for name, t in params.items():
-        for slot in slots:
-            stored = entries[f"{slot}/{name}"]
-            if stored.shape != t.data.shape:
-                raise ConfigError(
-                    f"checkpoint tensor {slot}/{name} has shape {stored.shape}, "
-                    f"model expects {t.data.shape}"
-                )
-        t.data = entries[f"param/{name}"].astype(np.float64)
-        model.ema.shadow[name] = entries[f"ema/{name}"].astype(np.float64)
-        model.opt.m[name] = entries[f"opt/m/{name}"].astype(np.float64)
-        model.opt.v[name] = entries[f"opt/v/{name}"].astype(np.float64)
+    for name in model.opt.weights:
+        for slot, views in _slots(model).items():
+            stored = entries.get(f"{slot}/{name}")
+            if stored is None or stored.shape != views[name].shape:
+                found = "missing" if stored is None else f"of shape {stored.shape}"
+                raise ConfigError(f"checkpoint tensor {slot}/{name} is {found}, "
+                                  f"the model expects {views[name].shape}")
+            views[name][...] = stored
     model.step = step
     model.opt.step = opt_step
     model.ema.updates = ema_updates

@@ -199,7 +199,7 @@ def _gc_total_loss(seed):
     tc = TrainConfig(seed=seed, batch_size=3, epochs=1, warmup_epochs=0)
     model = init_model(cfg, tc)
     for block in model.encoder.blocks:
-        block.out_w.data = rng.normal(size=block.out_w.shape) * 0.5
+        block.out_w.data[...] = rng.normal(size=block.out_w.shape) * 0.5
     feats = rng.normal(size=(3, cfg.s_tokens, cfg.k_neighbors, 6))
     fwd, inv = curve_orders(rng.uniform(-1, 1, size=(3, cfg.s_tokens, 3)), cfg)
     image = rng.normal(size=(3, cfg.embed_dim))

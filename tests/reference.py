@@ -1,18 +1,27 @@
 """Test-only oracles and helpers: the literal scan recurrence, the
-discretization formulas, a parameter count by enumeration, and the
-single-cloud tokenizer, each written independently of the batched code it
-checks.
+discretization formulas, a parameter count by enumeration, the per-tensor
+AdamW and EMA updates, and one-cloud adapters of the batched geometry, each
+written independently of the batched or flat code it checks.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from occpoint.autodiff import Tensor
+from occpoint.curves import sort_by_curve
 from occpoint.encoder import named_parameters
 from occpoint.errors import InvalidInput, NumericalError
 from occpoint.ssm import S6Params, selective_scan
-from occpoint.tokenizer import PatchSet, farthest_point_sampling, knn_group, mini_pointnet_embed
+from occpoint.tokenizer import (
+    COLOR_CONSTANT,
+    PatchSet,
+    farthest_point_sampling,
+    knn_group,
+    mini_pointnet_embed,
+)
 
 
 def zoh_discretize(a, b, dt):
@@ -116,11 +125,60 @@ def patch_features(patches: PatchSet) -> np.ndarray:
     return np.concatenate([patches.relative_points, patches.patch_colors], axis=-1)
 
 
+def cloud_colors(points: np.ndarray, colors: np.ndarray | None) -> np.ndarray:
+    """`colors`, or COLOR_CONSTANT in every channel for a cloud without them."""
+    return np.full(np.shape(points), COLOR_CONSTANT) if colors is None else colors
+
+
+def fps_one(points: np.ndarray, s: int) -> np.ndarray:
+    """`farthest_point_sampling` of one (N, 3) cloud: (s,) indices."""
+    return farthest_point_sampling(np.asarray(points)[None], s)[0]
+
+
+def knn_one(points: np.ndarray, colors: np.ndarray | None, center_indices,
+            k: int) -> PatchSet:
+    """`knn_group` of one (N, 3) cloud around (S,) centers, unbatched; a cloud
+    without colors gets COLOR_CONSTANT ones."""
+    points = np.asarray(points)
+    patches = knn_group(points[None], cloud_colors(points, colors)[None],
+                        np.asarray(center_indices)[None], k)
+    return PatchSet(*(getattr(patches, f.name)[0] for f in fields(PatchSet)))
+
+
+def sort_one(points: np.ndarray, kind, bits: int) -> np.ndarray:
+    """`sort_by_curve` of one (S, 3) cloud: its (S,) sort order."""
+    return sort_by_curve(np.asarray(points)[None], kind, bits)[0]
+
+
 def tokenize(points: np.ndarray, colors: np.ndarray | None, s_tokens: int,
              k_neighbors: int, params) -> tuple[Tensor, np.ndarray]:
     """One (N, 3) cloud -> its (1, S, C) tokens and (1, S, 3) centers: FPS,
     kNN and the embedding, as a batch of one."""
     points = np.asarray(points)[None]
-    colors = None if colors is None else np.asarray(colors)[None]
+    colors = np.asarray(cloud_colors(points[0], colors))[None]
     patches = knn_group(points, colors, farthest_point_sampling(points, s_tokens), k_neighbors)
     return mini_pointnet_embed(Tensor(patch_features(patches)), params), patches.centers
+
+
+def adamw_step_reference(params: dict[str, Tensor], m: dict[str, np.ndarray],
+                         v: dict[str, np.ndarray], step: int, lr: float, config) -> None:
+    """The per-tensor AdamW update, in place; `step` counts this update."""
+    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    bc1 = 1.0 - b1 ** step
+    bc2 = 1.0 - b2 ** step
+    for name, t in params.items():
+        g = t.grad if t.grad is not None else np.zeros_like(t.data)
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        t.data -= lr * update + lr * config.weight_decay * t.data
+
+
+def ema_update_reference(shadow: dict[str, np.ndarray], params: dict[str, Tensor],
+                         decay: float) -> None:
+    """The per-tensor EMA update shadow <- decay*shadow + (1-decay)*param."""
+    for name, t in params.items():
+        shadow[name] *= decay
+        shadow[name] += (1.0 - decay) * t.data

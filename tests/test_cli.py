@@ -270,6 +270,36 @@ def test_bench_outputs_table_and_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_encoder_flags_belong_to_pretrain_and_bench_only(small_checkpoint, small_dataset,
+                                                         tmp_path, capsys):
+    for argv in (["eval", "--data", str(small_dataset), "--checkpoint", str(small_checkpoint),
+                  "--curve-a", "morton"],
+                 ["inspect", str(small_checkpoint), "--c-dim", "5"],
+                 ["gen", "--meshes", str(tmp_path), "--out", str(tmp_path / "d.occt"),
+                  "--conv-mode", "none"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --" in captured.err
+    assert main(["bench", "--preset", "toy", "--sizes", "8", "--runs", "1",
+                 "--c-dim", "8", "--l-blocks", "1", "--curve-a", "morton"]) == 0
+    assert "latency" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [[], ["train"], ["eval", "--data", "x.occt"],
+                                  ["pretrain", "--data", "x.occt", "--out", "y", "--epochs", "two"],
+                                  ["bench", "--conv-mode", "sideways"]])
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: occpoint") and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: occpoint")
+
+
 def test_failed_report_write_leaves_old_files_and_no_temp_file(tmp_path, monkeypatch, capsys):
     csv_path = tmp_path / "bench.csv"
     argv = ["bench", "--preset", "toy", "--sizes", "16", "--runs", "1", "--out", str(csv_path)]

@@ -13,6 +13,8 @@ from occpoint.encoder import toy_config
 from occpoint.errors import InvalidInput
 from occpoint.training import curve_orders
 
+from reference import sort_one
+
 
 def full_grid(bits):
     n = 1 << bits
@@ -117,7 +119,7 @@ def test_sorted_input_gives_identity_permutation():
     pts = rng.uniform(-1, 1, size=(64, 3))
     codes = curve_codes(pts, CurveKind.HILBERT, 10)
     ordered = pts[np.argsort(codes, kind="stable")]
-    order = sort_by_curve(ordered, CurveKind.HILBERT, 10)
+    order = sort_one(ordered, CurveKind.HILBERT, 10)
     assert np.array_equal(order, np.arange(64))
 
 
@@ -125,22 +127,27 @@ def test_permutation_round_trip():
     rng = np.random.default_rng(2)
     for kind in CurveKind:
         pts = rng.uniform(-1, 1, size=(40, 3))
-        order = sort_by_curve(pts, kind, 10)
+        order = sort_one(pts, kind, 10)
         inverse = np.argsort(order)
         sorted_pts = pts[order]
         assert np.array_equal(sorted_pts[inverse], pts)
         assert np.array_equal(order[inverse], np.arange(40))
 
 
+def test_sort_by_curve_takes_batches_only():
+    with pytest.raises(InvalidInput, match=r"\(B, S, 3\)"):
+        sort_by_curve(np.zeros((4, 3)), CurveKind.HILBERT, 10)
+
+
 def test_stable_tie_break_preserves_order():
     pts = np.array([[0.31, 0.31, 0.31], [0.31, 0.31, 0.31]])
-    order = sort_by_curve(pts, CurveKind.HILBERT, 10)
+    order = sort_one(pts, CurveKind.HILBERT, 10)
     assert np.array_equal(order, [0, 1])
 
 
 def test_fps_order_is_identity():
     pts = np.random.default_rng(3).uniform(-1, 1, size=(17, 3))
-    order = sort_by_curve(pts, CurveKind.FPS_ORDER, 10)
+    order = sort_one(pts, CurveKind.FPS_ORDER, 10)
     assert np.array_equal(order, np.arange(17))
 
 
@@ -150,7 +157,7 @@ def test_hilbert_locality_beats_random_order():
     trials = 100
     for _ in range(trials):
         pts = rng.uniform(-1, 1, size=(128, 3))
-        ordered = pts[sort_by_curve(pts, CurveKind.HILBERT, 10)]
+        ordered = pts[sort_one(pts, CurveKind.HILBERT, 10)]
         hilbert_step = np.linalg.norm(np.diff(ordered, axis=0), axis=1).mean()
         random_step = np.linalg.norm(np.diff(pts[rng.permutation(128)], axis=0), axis=1).mean()
         hilbert_wins += hilbert_step <= random_step
@@ -181,7 +188,7 @@ def test_batched_sort_matches_per_row_sort():
         batched = sort_by_curve(pts, kind, 10)
         assert batched.shape == (4, 33)
         for row, want in zip(batched, pts):
-            assert np.array_equal(row, sort_by_curve(want, kind, 10))
+            assert np.array_equal(row, sort_one(want, kind, 10))
 
 
 @pytest.mark.parametrize("curve_a,curve_b", [(CurveKind.HILBERT, CurveKind.TRANS_HILBERT),
@@ -197,4 +204,4 @@ def test_curve_orders_invert_and_match_each_cloud_sorted_alone(curve_a, curve_b)
     for z, kind in enumerate((curve_a, curve_b)):
         for b, cloud in enumerate(centers):
             assert np.array_equal(fwd[z, b][inv[z, b]], np.arange(21))
-            assert np.array_equal(fwd[z, b], sort_by_curve(cloud, kind, 6))
+            assert np.array_equal(fwd[z, b], sort_one(cloud, kind, 6))

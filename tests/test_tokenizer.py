@@ -19,7 +19,7 @@ from occpoint.tokenizer import (
 )
 
 from composed import assert_grads_match, composed_pointnet_embed, forward_and_grads
-from reference import patch_features, tokenize
+from reference import cloud_colors, fps_one, knn_one, patch_features, tokenize
 
 
 # --- oracles: one cloud at a time, written without the batched geometry -------
@@ -93,7 +93,7 @@ def awkward_clouds(rng):
 
 def test_fps_three_collinear_points():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-    idx = farthest_point_sampling(pts, 2)
+    idx = fps_one(pts, 2)
     chosen = {tuple(pts[i]) for i in idx}
     # Brute force: the best 2-subset maximizing the min pairwise distance is
     # the two endpoints, and the canonical start is the lexicographic minimum.
@@ -106,7 +106,7 @@ def test_fps_brute_force_greedy_match():
     for _ in range(20):
         pts = rng.uniform(-1, 1, size=(20, 3))
         s = int(rng.integers(2, 8))
-        idx = farthest_point_sampling(pts, s)
+        idx = fps_one(pts, s)
         # replay the greedy rule literally
         lex = sorted(range(20), key=lambda i: tuple(pts[i]))
         chosen = [lex[0]]
@@ -122,13 +122,13 @@ def test_fps_brute_force_greedy_match():
 def test_fps_selects_all_when_s_equals_n():
     rng = np.random.default_rng(1)
     pts = rng.uniform(-1, 1, size=(9, 3))
-    idx = farthest_point_sampling(pts, 9)
+    idx = fps_one(pts, 9)
     assert sorted(idx) == list(range(9))
 
 
 def test_fps_cycles_when_s_exceeds_n():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-    idx = farthest_point_sampling(pts, 5)
+    idx = fps_one(pts, 5)
     assert len(idx) == 5
     assert np.array_equal(idx[:2], idx[2:4])
 
@@ -136,17 +136,25 @@ def test_fps_cycles_when_s_exceeds_n():
 def test_fps_permutation_invariant_emission_order():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1, 1, size=(50, 3))
-    idx = farthest_point_sampling(pts, 12)
+    idx = fps_one(pts, 12)
     coords = pts[idx]
     for _ in range(5):
         perm = rng.permutation(50)
-        idx_p = farthest_point_sampling(pts[perm], 12)
+        idx_p = fps_one(pts[perm], 12)
         assert np.array_equal(pts[perm][idx_p], coords)
 
 
 def test_fps_rejects_empty():
     with pytest.raises(InvalidInput):
-        farthest_point_sampling(np.zeros((0, 3)), 2)
+        fps_one(np.zeros((0, 3)), 2)
+
+
+def test_geometry_takes_batches_only():
+    pts = np.random.default_rng(6).uniform(-1, 1, size=(10, 3))
+    with pytest.raises(InvalidInput, match=r"\(B, N, 3\)"):
+        farthest_point_sampling(pts, 2)
+    with pytest.raises(InvalidInput, match=r"\(B, N, 3\)"):
+        knn_group(pts, np.zeros_like(pts), np.array([0, 1]), 2)
 
 
 # --- knn grouping --------------------------------------------------------------
@@ -155,15 +163,15 @@ def test_fps_rejects_empty():
 def test_knn_k1_patch_is_center_itself():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, size=(30, 3))
-    centers = farthest_point_sampling(pts, 5)
-    patches = knn_group(pts, None, centers, 1)
+    centers = fps_one(pts, 5)
+    patches = knn_one(pts, None, centers, 1)
     assert np.array_equal(patches.neighbor_indices[:, 0], centers)
     assert np.allclose(patches.relative_points, 0.0)
 
 
 def test_knn_collinear_brute_force():
     pts = np.array([[0.0, 0, 0], [0.5, 0, 0], [2.0, 0, 0]])
-    patches = knn_group(pts, None, np.array([1]), 2)
+    patches = knn_one(pts, None, np.array([1]), 2)
     # center + the nearer endpoint, sorted by distance
     assert list(patches.neighbor_indices[0]) == [1, 0]
 
@@ -171,36 +179,36 @@ def test_knn_collinear_brute_force():
 def test_knn_relative_norm_bound():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(40, 3))
-    centers = farthest_point_sampling(pts, 6)
-    patches = knn_group(pts, None, centers, 8)
+    centers = fps_one(pts, 6)
+    patches = knn_one(pts, None, centers, 8)
     max_pair = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1).max()
     assert np.linalg.norm(patches.relative_points, axis=-1).max() <= max_pair + 1e-12
 
 
 def test_knn_distance_tie_broken_by_coordinates_then_colors():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0], [0.0, 1.0, 0]])
-    patches = knn_group(pts, None, np.array([0]), 3)
+    patches = knn_one(pts, None, np.array([0]), 3)
     # distances: self 0, then three ties at 1.0 -> smallest x, then y, first
     assert list(patches.neighbor_indices[0]) == [0, 2, 3]
     # Equal coordinates go by color; only identical rows go by index.
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]])
     cols = np.array([[0.0, 0, 0], [0.5, 0, 0], [0.2, 0, 0], [0.2, 0, 0]])
-    patches = knn_group(pts, cols, np.array([0]), 3)
+    patches = knn_one(pts, cols, np.array([0]), 3)
     assert list(patches.neighbor_indices[0]) == [0, 2, 3]
     for perm in ([0, 3, 1, 2], [0, 1, 3, 2]):
-        shuffled = knn_group(pts[perm], cols[perm], np.array([0]), 3)
+        shuffled = knn_one(pts[perm], cols[perm], np.array([0]), 3)
         assert np.array_equal(shuffled.relative_points, patches.relative_points)
         assert np.array_equal(shuffled.patch_colors, patches.patch_colors)
 
 
 def test_knn_k_exceeding_cloud_rejected():
     with pytest.raises(InvalidConfig):
-        knn_group(np.zeros((4, 3)), None, np.array([0]), 5)
+        knn_one(np.zeros((4, 3)), None, np.array([0]), 5)
 
 
 def test_knn_missing_colors_use_constant():
     pts = np.random.default_rng(5).uniform(-1, 1, size=(10, 3))
-    patches = knn_group(pts, None, np.array([0, 3]), 4)
+    patches = knn_one(pts, None, np.array([0, 3]), 4)
     assert np.all(patches.patch_colors == COLOR_CONSTANT)
 
 
@@ -307,8 +315,8 @@ def test_patch_features_layout():
     rng = np.random.default_rng(12)
     pts = rng.uniform(-1, 1, size=(50, 3))
     cols = rng.random((50, 3))
-    centers = farthest_point_sampling(pts, 4)
-    patches = knn_group(pts, cols, centers, 5)
+    centers = fps_one(pts, 4)
+    patches = knn_one(pts, cols, centers, 5)
     feats = patch_features(patches)
     assert feats.shape == (4, 5, 6)
     assert np.array_equal(feats[..., :3], patches.relative_points)
@@ -321,7 +329,7 @@ def test_patch_features_layout():
 def assert_matches_oracles(points, colors, s, k):
     """Batched FPS and kNN over a stack of clouds equal the per-cloud oracles."""
     centers = farthest_point_sampling(points, s)
-    patches = knn_group(points, colors, centers, k)
+    patches = knn_group(points, cloud_colors(points, colors), centers, k)
     for i, cloud in enumerate(points):
         want_centers = fps_oracle(cloud, s)
         assert np.array_equal(centers[i], want_centers)
@@ -355,7 +363,7 @@ def test_single_cloud_equals_its_row_of_a_batch(rendered):
     colors = np.stack([r.colors for r in rendered.records[:4]])
     batch = knn_group(points, colors, farthest_point_sampling(points, 12), 10)
     for i in range(4):
-        alone = knn_group(points[i], colors[i], farthest_point_sampling(points[i], 12), 10)
+        alone = knn_one(points[i], colors[i], fps_one(points[i], 12), 10)
         for field in dataclasses.fields(alone):
             assert np.array_equal(getattr(alone, field.name),
                                   getattr(batch, field.name)[i])

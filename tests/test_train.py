@@ -19,6 +19,7 @@ from occpoint.training import (
     adamw_step,
     build_cache,
     init_model,
+    lay_out,
     load_or_build_cache,
     linear_probe,
     load_checkpoint,
@@ -35,6 +36,7 @@ from occpoint.training import (
 )
 
 from gradcheck import grad_check
+from reference import adamw_step_reference, ema_update_reference
 
 
 def tiny_dataset(n_classes=3, feature_dim=16, seed=5):
@@ -104,7 +106,7 @@ def test_adamw_decoupled_decay_with_zero_gradients():
     tc = TrainConfig(weight_decay=0.1)
     params = {"w": Tensor(np.full(4, 2.0), requires_grad=True)}
     params["w"].grad = np.zeros(4)
-    state = AdamWState.init(params)
+    state = AdamWState(lay_out(params))
     adamw_step(params, state, lr=0.5, config=tc)
     assert np.allclose(params["w"].data, 2.0 * (1.0 - 0.5 * 0.1), atol=1e-16)
 
@@ -113,7 +115,7 @@ def test_adamw_bias_correction_first_step():
     tc = TrainConfig(weight_decay=0.0)
     params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
     params["w"].grad = np.array([0.3])
-    state = AdamWState.init(params)
+    state = AdamWState(lay_out(params))
     adamw_step(params, state, lr=0.01, config=tc)
     # First step with bias correction: update = g / (|g| + eps) ~ sign(g)
     assert abs(params["w"].data[0] - (1.0 - 0.01 * (0.3 / (0.3 + 1e-8)))) < 1e-12
@@ -121,7 +123,7 @@ def test_adamw_bias_correction_first_step():
 
 def test_ema_geometric_convergence_constant_params():
     params = {"w": Tensor(np.array([3.0]), requires_grad=True)}
-    ema = EmaState.init(params, decay=0.9)
+    ema = EmaState(lay_out(params), decay=0.9)
     gaps = []
     for _ in range(30):
         ema.update(params)
@@ -133,7 +135,7 @@ def test_ema_geometric_convergence_constant_params():
 
 def test_ema_debiased_equals_params_when_constant():
     params = {"w": Tensor(np.array([1.5, -2.0]), requires_grad=True)}
-    ema = EmaState.init(params, decay=0.9995)
+    ema = EmaState(lay_out(params), decay=0.9995)
     for _ in range(3):
         ema.update(params)
     assert np.allclose(ema.debiased("w"), params["w"].data, atol=1e-12)
@@ -141,13 +143,65 @@ def test_ema_debiased_equals_params_when_constant():
 
 def test_use_ema_weights_swaps_and_restores():
     params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
-    ema = EmaState.init(params, decay=0.5)
+    ema = EmaState(lay_out(params), decay=0.5)
     ema.update(params)
-    params["w"].data = np.array([5.0])
+    params["w"].data[...] = 5.0
     with use_ema_weights(params, ema):
         inside = params["w"].data.copy()
     assert np.allclose(inside, 1.0)  # debiased average of the history so far
     assert params["w"].data[0] == 5.0
+
+
+def test_flat_store_matches_the_per_tensor_oracle_bitwise():
+    cfg, _ = tiny_setup()
+    tc = TrainConfig(batch_size=4, epochs=2, warmup_epochs=1, weight_decay=0.05,
+                     ema_decay=0.9, seed=3)
+    model = init_model(cfg, tc)
+    params = model.params()
+    names = list(params)
+    ref = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in params.items()}
+    m = {k: np.zeros_like(t.data) for k, t in ref.items()}
+    v = {k: np.zeros_like(t.data) for k, t in ref.items()}
+    shadow = {k: np.zeros_like(t.data) for k, t in ref.items()}
+    rng = np.random.default_rng(8)
+    for step in range(6):
+        skipped = names[(7 * step) % len(names)]   # a tensor without a gradient
+        for k in names:
+            g = None if k == skipped else rng.normal(size=params[k].shape)
+            params[k].grad = ref[k].grad = g
+        lr = lr_at(step + 3, 10, tc, 2)
+        adamw_step(params, model.opt, lr, tc)
+        model.ema.update(params)
+        adamw_step_reference(ref, m, v, step + 1, lr, tc)
+        ema_update_reference(shadow, ref, tc.ema_decay)
+        for k in names:
+            assert params[k].data is model.opt.weights[k]
+            assert np.array_equal(params[k].data, ref[k].data), k
+            assert np.array_equal(model.opt.m[k], m[k]) and np.array_equal(model.opt.v[k], v[k])
+            assert np.array_equal(model.ema.shadow[k], shadow[k]), k
+    debias = 1.0 - tc.ema_decay ** 6
+    with use_ema_weights(params, model.ema):
+        for k in names:
+            assert np.array_equal(params[k].data, shadow[k] / debias), k
+            assert np.array_equal(model.ema.debiased(k), shadow[k] / debias), k
+    for k in names:
+        assert np.array_equal(params[k].data, ref[k].data)
+
+
+def test_rebound_parameter_is_refused_by_the_store():
+    cfg, tc = tiny_setup()
+    model = init_model(cfg, tc)
+    params = model.params()
+    for t in params.values():
+        t.grad = np.ones_like(t.data)
+    name = "heads.text.bias"
+    params[name].data = params[name].data.copy()
+    for act in (lambda: adamw_step(params, model.opt, 1e-3, tc),
+                lambda: model.ema.update(params),
+                lambda: use_ema_weights(params, model.ema).__enter__()):
+        with pytest.raises(ConfigError, match=name):
+            act()
+    assert model.opt.step == 0 and model.ema.updates == 0
 
 
 # --- gradients (the acceptance registry) ------------------------------------------
@@ -220,6 +274,23 @@ def test_checkpoint_round_trip_and_resume(tmp_path):
     assert resumed.step == half_model.step
     for k, t in half_model.params().items():
         assert np.array_equal(resumed.params()[k].data, t.data)
+        assert resumed.params()[k].data is resumed.opt.weights[k]
+        for slot in ("m", "v"):
+            assert np.array_equal(getattr(resumed.opt, slot)[k], getattr(half_model.opt, slot)[k])
+        assert np.array_equal(resumed.ema.shadow[k], half_model.ema.shadow[k])
+
+    # One more step on the loaded store moves every parameter as it moves
+    # the original's.
+    for model in (half_model, resumed):
+        params = model.params()
+        for k, t in params.items():
+            t.grad = np.full(t.shape, 0.5)
+        adamw_step(params, model.opt, 1e-2, tc_full)
+        model.ema.update(params)
+    for k, t in half_model.params().items():
+        assert np.array_equal(resumed.params()[k].data, t.data)
+        assert np.array_equal(resumed.ema.shadow[k], half_model.ema.shadow[k])
+    resumed = load_checkpoint(path)
 
     # Training epoch 2 must continue the step counter (schedule total differs,
     # so exact loss equality with the full run is not expected).
