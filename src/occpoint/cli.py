@@ -41,7 +41,7 @@ from .training import (
     load_or_build_cache,
     run_pretraining,
     save_checkpoint,
-    split_caches,
+    split_tokens,
     top_k_accuracy,
     use_ema_weights,
     zero_shot_classify,
@@ -189,8 +189,8 @@ def cmd_pretrain(args) -> int:
         check_resume(model, encoder_config, train_config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    caches, token_cache = load_or_build_cache(args.data, dataset, encoder_config)
-    caches, _ = split_caches(dataset, caches, train_config.holdout_views)
+    tokens, token_cache = load_or_build_cache(args.data, dataset, encoder_config)
+    tokens, _ = split_tokens(dataset, tokens, train_config.holdout_views)
     manifest_path = out.with_suffix(".manifest.json")
     resolved = {
         "encoder_config": encoder_config.to_dict(),
@@ -207,7 +207,7 @@ def cmd_pretrain(args) -> int:
     with open(metrics_path, "w") as fh:
         model, metrics = run_pretraining(
             dataset, encoder_config, train_config, model=model,
-            log=lambda row: fh.write(json.dumps(row) + "\n"), caches=caches,
+            log=lambda row: fh.write(json.dumps(row) + "\n"), tokens=tokens,
         )
     save_checkpoint(out, model)
     write_manifest(manifest_path, resolved, args.seed, started, _now(),
@@ -229,28 +229,28 @@ def cmd_eval(args) -> int:
             f"dataset feature dim {dataset.feature_dim}"
         )
     holdout = model.train_config.holdout_views
-    heldout = dataset.split_views(holdout)[1]
+    train, heldout = dataset.split_views(holdout)
     if not heldout.records:
         raise ConfigError(
             f"dataset has no held-out views (the last {holdout} view ids) to evaluate on"
         )
-    caches, token_cache = load_or_build_cache(args.data, dataset, model.encoder_config)
-    train_caches, caches = split_caches(dataset, caches, holdout)
-    labels = np.array([c.label for c in caches])
+    if args.mode != "zero-shot" and not train.records:
+        raise ConfigError("dataset has no training views to fit the linear probe on")
+    tokens, token_cache = load_or_build_cache(args.data, dataset, model.encoder_config)
+    train_tokens, tokens = split_tokens(dataset, tokens, holdout)
     params = model.params()
     report = {}
     with use_ema_weights(params, model.ema):
-        z = embed_clouds(caches, model)
+        z = embed_clouds(tokens, model)
         if args.mode in ("zero-shot", "both"):
             ranked = zero_shot_classify(z, dataset.class_features, model.heads)
             for k in (1, 3, 5):
-                report[f"top{k}"] = top_k_accuracy(ranked, labels, k)
+                report[f"top{k}"] = top_k_accuracy(ranked, tokens.labels, k)
         if args.mode in ("probe", "both"):
-            train_z = embed_clouds(train_caches, model)
-            train_labels = np.array([c.label for c in train_caches])
+            train_z = embed_clouds(train_tokens, model)
             for shot in (1, 2, 4, 8, 16):
                 report[f"probe_{shot}shot"] = linear_probe(
-                    train_z, train_labels, z, labels, shot, seed=args.seed,
+                    train_z, train_tokens.labels, z, tokens.labels, shot, seed=args.seed,
                 )
     for key, value in report.items():
         print(f"{key}: {value:.4f}")

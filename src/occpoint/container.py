@@ -91,7 +91,7 @@ def write_container(entries: dict[str, np.ndarray], meta: dict | None = None) ->
         payload += blob
         pos += len(blob)
 
-    crc = zlib.crc32(bytes(payload)) & 0xFFFFFFFF
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
     header = build_header(offsets, crc)
     header += b" " * (payload_start - 16 - len(header))
 

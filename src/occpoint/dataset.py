@@ -290,6 +290,11 @@ def load_dataset(path) -> TripletDataset:
         class_features = entries["class_features"].astype(np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"dataset {path}: missing or malformed entry {exc}") from exc
+    # Training stacks the records' text features: (variants, dim) must agree.
+    shapes = sorted({r.text_features.shape for r in records})
+    if len(shapes) > 1:
+        raise ConfigError(f"dataset {path}: records have text features of shapes {shapes}; "
+                          f"every record needs the same variant count and dim")
     return TripletDataset(
         records=records,
         class_names=class_names,

@@ -16,6 +16,13 @@ named views. Parameter values are therefore written in place: a tensor whose
 `.data` is rebound is cut off from the store, and the optimizer, the EMA and
 `save_checkpoint` refuse it with a `ConfigError`.
 
+Training and evaluation read one table, `Tokens`: every cloud's patches
+and its two curve orders, with its label, object id and features, stacked
+by record as the token cache file stores them (`build_cache`,
+`load_or_build_cache`). Numpy indexing of its leading axis selects records:
+a split is a mask by held-out view (`split_tokens`), a batch is the row
+array `make_batches` gives, and an eval chunk is a slice.
+
 Batches draw at most one view per object and keep classes disjoint whenever
 the batch fits (see `make_batches`): at desk scale the object count is small,
 and rows whose fixtures are near-identical would otherwise act as false
@@ -30,10 +37,9 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -281,21 +287,8 @@ def init_model(encoder_config: EncoderConfig, train_config: TrainConfig) -> Mode
 
 
 # ---------------------------------------------------------------------------
-# Tokenization cache: geometry is fixed per (object, view); only colors and
-# weights change during training.
-
-
-@dataclass
-class CloudCache:
-    centers: np.ndarray         # (S, 3)
-    rel_points: np.ndarray      # (S, k, 3)
-    patch_colors: np.ndarray    # (S, k, 3)
-    fwd: np.ndarray             # (2, S) sort orders along curve a, curve b
-    inv: np.ndarray             # (2, S) their inverses
-    label: int
-    object_index: int
-    image_feature: np.ndarray
-    text_features: np.ndarray
+# Tokens: geometry is fixed per (object, view); only colors and weights change
+# during training.
 
 
 def curve_orders(centers: np.ndarray, config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -310,14 +303,33 @@ def curve_orders(centers: np.ndarray, config: EncoderConfig) -> tuple[np.ndarray
     return fwd, inv
 
 
-class _Tokens(NamedTuple):
-    """Tokenized geometry of R clouds, stacked by record: what the token
-    cache file stores."""
+@dataclass(frozen=True, eq=False)
+class Tokens:
+    """R tokenized clouds, stacked by record: the four geometry arrays the
+    token cache file stores, and each record's label, object id and features.
+
+    Indexing selects records as numpy indexes a leading axis: a mask or an
+    index array gives a Tokens of those rows, a slice a Tokens of views, and
+    an int one record's unbatched row.
+    """
 
     centers: np.ndarray         # (R, S, 3)
     rel_points: np.ndarray      # (R, S, k, 3)
     patch_colors: np.ndarray    # (R, S, k, 3)
     orders: np.ndarray          # (R, 2, 2, S): fwd, then inv (see curve_orders)
+    labels: np.ndarray          # (R,)
+    object_ids: np.ndarray      # (R,) object id strings
+    image_features: np.ndarray  # (R, D)
+    text_features: np.ndarray   # (R, T, D)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, rows) -> "Tokens":
+        return Tokens(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 # Each chunk's (clouds x S x N) kNN distance block stays within this many
@@ -325,8 +337,9 @@ class _Tokens(NamedTuple):
 _TOKENIZE_BLOCK_LIMIT = 1 << 19
 
 
-def _tokenize(records: list[TripletRecord], config: EncoderConfig) -> _Tokens:
-    """FPS, kNN grouping and curve orders of every record's cloud.
+def _tokenize(records: list[TripletRecord], config: EncoderConfig) -> dict[str, np.ndarray]:
+    """FPS, kNN grouping and curve orders of every record's cloud: the
+    geometry arrays of Tokens, by name.
 
     Clouds with equal point counts are tokenized together, in chunks of up
     to _TOKENIZE_BLOCK_LIMIT / (S * N) clouds; each cloud gets bitwise what
@@ -337,8 +350,8 @@ def _tokenize(records: list[TripletRecord], config: EncoderConfig) -> _Tokens:
     for i, rec in enumerate(records):
         by_size.setdefault(len(rec.points), []).append(i)
     r = len(records)
-    tokens = _Tokens(np.empty((r, s, 3)), np.empty((r, s, k, 3)), np.empty((r, s, k, 3)),
-                     np.empty((r, 2, 2, s), dtype=np.int64))
+    centers, rel_points = np.empty((r, s, 3)), np.empty((r, s, k, 3))
+    patch_colors, orders = np.empty((r, s, k, 3)), np.empty((r, 2, 2, s), dtype=np.int64)
     for n, members in by_size.items():
         chunk = max(1, _TOKENIZE_BLOCK_LIMIT // (s * n))
         for start in range(0, len(members), chunk):
@@ -348,36 +361,35 @@ def _tokenize(records: list[TripletRecord], config: EncoderConfig) -> _Tokens:
             centers_idx = farthest_point_sampling(points, s)
             patches = knn_group(points, colors, centers_idx, k)
             fwd, inv = curve_orders(patches.centers, config)
-            tokens.centers[group] = patches.centers
-            tokens.rel_points[group] = patches.relative_points
-            tokens.patch_colors[group] = patches.patch_colors
-            tokens.orders[group] = np.moveaxis(np.stack([fwd, inv]), 2, 0)
-    return tokens
+            centers[group] = patches.centers
+            rel_points[group] = patches.relative_points
+            patch_colors[group] = patches.patch_colors
+            orders[group] = np.moveaxis(np.stack([fwd, inv]), 2, 0)
+    return dict(centers=centers, rel_points=rel_points, patch_colors=patch_colors,
+                orders=orders)
 
 
-def _cloud_caches(records: list[TripletRecord], tokens: _Tokens) -> list[CloudCache]:
-    """One CloudCache per record, with record i's row of `tokens`; objects
-    are numbered by first appearance in `records`."""
-    object_ids: dict[str, int] = {}
-    return [
-        CloudCache(
-            centers=tokens.centers[i],
-            rel_points=tokens.rel_points[i],
-            patch_colors=tokens.patch_colors[i],
-            fwd=tokens.orders[i, 0],
-            inv=tokens.orders[i, 1],
-            label=rec.label,
-            object_index=object_ids.setdefault(rec.object_id, len(object_ids)),
-            image_feature=rec.image_feature,
-            text_features=rec.text_features,
-        )
-        for i, rec in enumerate(records)
-    ]
+def _with_records(geometry: dict[str, np.ndarray], records: list[TripletRecord]) -> Tokens:
+    # np.array, not np.stack: a dataset may hold no records.
+    return Tokens(**geometry,
+                  labels=np.array([rec.label for rec in records], dtype=np.int64),
+                  object_ids=np.array([rec.object_id for rec in records], dtype=object),
+                  image_features=np.array([rec.image_feature for rec in records]),
+                  text_features=np.array([rec.text_features for rec in records]))
 
 
-def build_cache(dataset: TripletDataset, config: EncoderConfig) -> list[CloudCache]:
-    """Tokenized geometry per record, in record order (see _tokenize)."""
-    return _cloud_caches(dataset.records, _tokenize(dataset.records, config))
+def build_cache(dataset: TripletDataset, config: EncoderConfig) -> Tokens:
+    """The tokens of every record, in record order (see _tokenize)."""
+    return _with_records(_tokenize(dataset.records, config), dataset.records)
+
+
+def split_tokens(dataset: TripletDataset, tokens: Tokens,
+                 holdout_views: int) -> tuple[Tokens, Tokens]:
+    """The tokens of every record of `dataset` split as
+    `dataset.split_views(holdout_views)` splits the records: (train, heldout)."""
+    held = np.array([heldout_view(rec.view_id, holdout_views) for rec in dataset.records],
+                    dtype=bool)
+    return tokens[~held], tokens[held]
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +419,8 @@ def _tokenizer_fields(config: EncoderConfig) -> dict:
 def token_cache_path(data_path, config: EncoderConfig) -> Path:
     """<data file name>.tokens-<tag>.occt beside the data file; the tag is
     a short hash of the tokenizer fields of `config`."""
-    fields = json.dumps(_tokenizer_fields(config), sort_keys=True).encode("utf-8")
-    tag = hashlib.sha256(fields).hexdigest()[:12]
+    doc = json.dumps(_tokenizer_fields(config), sort_keys=True).encode("utf-8")
+    tag = hashlib.sha256(doc).hexdigest()[:12]
     data_path = Path(data_path)
     return data_path.with_name(f"{data_path.name}.tokens-{tag}.occt")
 
@@ -425,8 +437,8 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _read_tokens(path: Path, meta: dict, config: EncoderConfig) -> _Tokens | None:
-    """The tokens stored at `path` if its metadata is `meta` and its tensors
+def _read_tokens(path: Path, meta: dict, config: EncoderConfig) -> dict[str, np.ndarray] | None:
+    """The geometry stored at `path` if its metadata is `meta` and its tensors
     have the shapes `meta` implies; None (with a warning unless the file is
     missing or belongs to other dataset bytes) otherwise."""
     try:
@@ -454,12 +466,11 @@ def _read_tokens(path: Path, meta: dict, config: EncoderConfig) -> _Tokens | Non
     if problem is not None:
         _warn(f"rebuilding token cache {path}: {problem}")
         return None
-    return _Tokens(entries["centers"], entries["rel_points"], entries["patch_colors"],
-                   entries["orders"].view(np.int64))
+    return dict(entries, orders=entries["orders"].view(np.int64))
 
 
 def load_or_build_cache(path, dataset: TripletDataset,
-                        config: EncoderConfig) -> tuple[list[CloudCache], TokenCacheInfo]:
+                        config: EncoderConfig) -> tuple[Tokens, TokenCacheInfo]:
     """build_cache(dataset, config), read from the token cache file of the
     dataset file `path` when it holds this file's and this config's tokens.
     Otherwise the tokens are computed and the file (re)written; a file that
@@ -467,48 +478,17 @@ def load_or_build_cache(path, dataset: TripletDataset,
     sidecar = token_cache_path(path, config)
     meta = {"format": _TOKENS_FORMAT, "dataset_sha256": _file_sha256(path),
             "tokenizer": _tokenizer_fields(config), "records": len(dataset.records)}
-    tokens = _read_tokens(sidecar, meta, config)
-    info = TokenCacheInfo(sidecar, meta["dataset_sha256"], hit=tokens is not None)
-    if tokens is None:
-        tokens = _tokenize(dataset.records, config)
-        entries = tokens._asdict()
-        entries["orders"] = tokens.orders.view(np.uint64)  # OCCT has no signed ints
+    geometry = _read_tokens(sidecar, meta, config)
+    info = TokenCacheInfo(sidecar, meta["dataset_sha256"], hit=geometry is not None)
+    if geometry is None:
+        geometry = _tokenize(dataset.records, config)
+        # OCCT has no signed ints.
+        entries = dict(geometry, orders=geometry["orders"].view(np.uint64))
         try:
             write_container_file(sidecar, entries, meta)
         except OSError as exc:
             _warn(f"token cache not written: {exc.filename}: {exc.strerror or exc}")
-    return _cloud_caches(dataset.records, tokens), info
-
-
-def split_caches(dataset: TripletDataset, caches: list[CloudCache],
-                 holdout_views: int) -> tuple[list[CloudCache], list[CloudCache]]:
-    """The caches of every record of `dataset` split as
-    `dataset.split_views(holdout_views)` splits the records: (train, heldout).
-    Each part numbers its objects by first appearance, as build_cache would."""
-    parts: tuple[list[CloudCache], list[CloudCache]] = ([], [])
-    for rec, cache in zip(dataset.records, caches, strict=True):
-        parts[heldout_view(rec.view_id, holdout_views)].append(cache)
-    renumbered = []
-    for part in parts:
-        ids: dict[int, int] = {}
-        renumbered.append([replace(c, object_index=ids.setdefault(c.object_index, len(ids)))
-                           for c in part])
-    return renumbered[0], renumbered[1]
-
-
-def _batch_arrays(batch: list[CloudCache], drop_mask: np.ndarray,
-                  text_pick: np.ndarray, color_constant: float):
-    feats = []
-    for item, drop in zip(batch, drop_mask):
-        colors = (np.full_like(item.patch_colors, color_constant)
-                  if drop else item.patch_colors)
-        feats.append(np.concatenate([item.rel_points, colors], axis=-1))
-    feats = np.stack(feats)                                  # (B, S, k, 6)
-    fwd = np.stack([b.fwd for b in batch], axis=1)           # (2, B, S)
-    inv = np.stack([b.inv for b in batch], axis=1)
-    image = np.stack([b.image_feature for b in batch])
-    text = np.stack([b.text_features[pick] for b, pick in zip(batch, text_pick)])
-    return feats, fwd, inv, image, text
+    return _with_records(geometry, dataset.records), info
 
 
 def encode_batch(feats: np.ndarray, fwd: np.ndarray, inv: np.ndarray,
@@ -518,19 +498,19 @@ def encode_batch(feats: np.ndarray, fwd: np.ndarray, inv: np.ndarray,
     return encoder_forward(tokens, fwd, inv, model.encoder, model.encoder_config)
 
 
-def train_step(batch: list[CloudCache], model: ModelState, step: int,
+def train_step(batch: Tokens, model: ModelState, step: int,
                steps_per_epoch: int, total_steps: int) -> dict:
-    """One optimizer step over a batch of cached clouds; returns the metrics row."""
+    """One optimizer step over a batch of tokens; returns the metrics row."""
     cfg = model.train_config
     rng = np.random.Generator(np.random.PCG64([cfg.seed, 0xD207, step]))
     drop_mask = rng.random(len(batch)) < cfg.color_drop_prob
-    text_pick = rng.integers(0, batch[0].text_features.shape[0], size=len(batch))
+    text_pick = rng.integers(0, batch.text_features.shape[1], size=len(batch))
 
-    feats, fwd, inv, image, text = _batch_arrays(
-        batch, drop_mask, text_pick, cfg.color_constant
-    )
-    z_point = encode_batch(feats, fwd, inv, model)
-    emb = build_embedding_batch(z_point, image, text, model.heads)
+    colors = np.where(drop_mask[:, None, None, None], cfg.color_constant, batch.patch_colors)
+    feats = np.concatenate([batch.rel_points, colors], axis=-1)
+    z_point = encode_batch(feats, *np.moveaxis(batch.orders, 0, 2), model)
+    text = batch.text_features[np.arange(len(batch)), text_pick]
+    emb = build_embedding_batch(z_point, batch.image_features, text, model.heads)
     tau = model.heads.temperature.value()
     loss, terms = total_loss(emb, tau, reduction="mean")
 
@@ -553,16 +533,17 @@ def train_step(batch: list[CloudCache], model: ModelState, step: int,
         "step": step,
         "lr": lr,
         "loss": float(loss.data),
-        "tau": float(np.clip(np.exp(model.heads.temperature.log_tau.data), 5e-3, 1.0)),
+        "tau": float(tau.data),  # the tau the loss used, before the update
         **terms,
     }
 
 
-def make_batches(caches: list[CloudCache], batch_size: int, epoch: int,
-                 seed: int) -> list[list[CloudCache]]:
-    """Batches for one epoch: every view used once, one view per object per
-    batch, and no two objects of the same class inside a batch whenever
-    it holds no more objects than there are classes.
+def make_batches(tokens: Tokens, batch_size: int, epoch: int,
+                 seed: int) -> list[np.ndarray]:
+    """Batches for one epoch, as arrays of rows of `tokens`: every view used
+    once, one view per object per batch, and no two objects of the same
+    class inside a batch whenever it holds no more objects than there are
+    classes. Objects are numbered by their first appearance in `tokens`.
 
     Each pass over the objects is cut into batches of batch_size; the last
     one holds the rest, and a rest of one object joins the batch before it.
@@ -575,17 +556,15 @@ def make_batches(caches: list[CloudCache], batch_size: int, epoch: int,
     sampler has to engineer them away.
     """
     rng = np.random.Generator(np.random.PCG64([seed, 0xBA7C, epoch]))
-    by_object: dict[int, list[CloudCache]] = {}
-    for c in caches:
-        by_object.setdefault(c.object_index, []).append(c)
-    views_per_object = min(len(v) for v in by_object.values())
-    view_orders = {
-        obj: rng.permutation(len(items))
-        for obj, items in sorted(by_object.items())
-    }
+    by_object: dict[str, list[int]] = {}
+    for row, object_id in enumerate(tokens.object_ids):
+        by_object.setdefault(object_id, []).append(row)
+    objects = list(by_object.values())  # rows of object i, in first-appearance order
+    views_per_object = min(len(rows) for rows in objects)
+    view_orders = [rng.permutation(len(rows)) for rows in objects]
     by_class: dict[int, list[int]] = {}
-    for obj, items in sorted(by_object.items()):
-        by_class.setdefault(items[0].label, []).append(obj)
+    for obj, rows in enumerate(objects):
+        by_class.setdefault(int(tokens.labels[rows[0]]), []).append(obj)
 
     batches = []
     for v in range(views_per_object):
@@ -605,11 +584,8 @@ def make_batches(caches: list[CloudCache], batch_size: int, epoch: int,
             # A batch of one has an identically zero contrastive loss.
             lone = groups.pop()
             groups[-1] += lone
-        for group in groups:
-            batches.append([
-                by_object[obj][view_orders[obj][v] % len(by_object[obj])]
-                for obj in group
-            ])
+        batches.extend(np.array([objects[obj][view_orders[obj][v]] for obj in group])
+                       for group in groups)
     return batches
 
 
@@ -628,45 +604,45 @@ def check_resume(model: ModelState, encoder_config: EncoderConfig,
 
 def run_pretraining(dataset: TripletDataset, encoder_config: EncoderConfig,
                     train_config: TrainConfig, model: ModelState | None = None,
-                    log=None, caches: list[CloudCache] | None = None,
+                    log=None, tokens: Tokens | None = None,
                     ) -> tuple[ModelState, list[dict]]:
     """Full deterministic training run; returns the model and per-step metrics.
 
-    Given a model, the run resumes it: the configs must be the model's own,
-    except that `epochs` may extend the run (see `check_resume`). Given
-    caches, they stand for the training split's build_cache (as
-    `split_caches` gives them), and are only checked for count and shape.
+    Given a model, the run resumes it at its step, mid-epoch too: the configs
+    must be the model's own, except that `epochs` may extend the run (see
+    `check_resume`). Given tokens, they stand for the training split's
+    build_cache (as `split_tokens` gives them), and are only checked for
+    count and shape.
     """
     train_set, _ = dataset.split_views(train_config.holdout_views)
     if not train_set.records:
         raise InvalidInput("no training records after the view split")
-    if caches is not None:
+    if tokens is not None:
         shape = (encoder_config.s_tokens, encoder_config.k_neighbors, 3)
-        if len(caches) != len(train_set.records):
-            raise ConfigError(f"{len(caches)} token caches for "
+        if len(tokens) != len(train_set.records):
+            raise ConfigError(f"{len(tokens)} token caches for "
                               f"{len(train_set.records)} training records")
-        wrong = next((c.rel_points.shape for c in caches if c.rel_points.shape != shape), None)
-        if wrong is not None:
-            raise ConfigError(f"token caches have (S, k) = {wrong[:2]}, the encoder "
-                              f"config asks for {shape[:2]}")
+        if tokens.rel_points.shape[1:] != shape:
+            raise ConfigError(f"token caches have (S, k) = {tokens.rel_points.shape[1:3]}, "
+                              f"the encoder config asks for {shape[:2]}")
     if model is None:
         model = init_model(encoder_config, train_config)
     else:
         check_resume(model, encoder_config, train_config)
         model.train_config = train_config
-    if caches is None:
-        caches = build_cache(train_set, encoder_config)
+    if tokens is None:
+        tokens = build_cache(train_set, encoder_config)
 
-    probe = make_batches(caches, train_config.batch_size, 0, train_config.seed)
+    probe = make_batches(tokens, train_config.batch_size, 0, train_config.seed)
     steps_per_epoch = len(probe)
     total_steps = steps_per_epoch * train_config.epochs
     metrics = []
     step = model.step
-    start_epoch = step // steps_per_epoch
-    for epoch in range(start_epoch, train_config.epochs):
-        for batch in make_batches(caches, train_config.batch_size, epoch,
-                                  train_config.seed):
-            row = train_step(batch, model, step, steps_per_epoch, total_steps)
+    for epoch in range(step // steps_per_epoch, train_config.epochs):
+        batches = make_batches(tokens, train_config.batch_size, epoch, train_config.seed)
+        # A model stepped mid-epoch skips the batches it has seen.
+        for rows in batches[step - epoch * steps_per_epoch:]:
+            row = train_step(tokens[rows], model, step, steps_per_epoch, total_steps)
             metrics.append(row)
             if log is not None:
                 log(row)
@@ -678,18 +654,14 @@ def run_pretraining(dataset: TripletDataset, encoder_config: EncoderConfig,
 # Evaluation
 
 
-def embed_clouds(caches: list[CloudCache], model: ModelState,
-                 batch_size: int = 32) -> np.ndarray:
-    """Unit-norm point embeddings (M, D) for cached clouds, without gradients."""
+def embed_clouds(tokens: Tokens, model: ModelState, batch_size: int = 32) -> np.ndarray:
+    """Unit-norm point embeddings (M, D) of tokenized clouds, without gradients."""
     out = []
     with ad.no_grad():
-        for start in range(0, len(caches), batch_size):
-            group = caches[start : start + batch_size]
-            feats, fwd, inv, _, _ = _batch_arrays(
-                group, np.zeros(len(group), dtype=bool),
-                np.zeros(len(group), dtype=np.int64), COLOR_CONSTANT,
-            )
-            z = encode_batch(feats, fwd, inv, model)
+        for start in range(0, len(tokens), batch_size):
+            chunk = tokens[start : start + batch_size]
+            feats = np.concatenate([chunk.rel_points, chunk.patch_colors], axis=-1)
+            z = encode_batch(feats, *np.moveaxis(chunk.orders, 0, 2), model)
             out.append(z.data / np.linalg.norm(z.data, axis=1, keepdims=True))
     return np.vstack(out)
 

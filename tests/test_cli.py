@@ -258,6 +258,56 @@ def test_eval_without_heldout_views_is_config_error(small_dataset, tmp_path, cap
     assert "held-out" in capsys.readouterr().err
 
 
+def test_probe_without_training_views_is_config_error(small_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "m.occt"
+    assert main(["pretrain", "--data", str(small_dataset), "--out", str(ckpt),
+                 "--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6",
+                 "--c-dim", "16", "--epochs", "0", "--warmup-epochs", "0"]) == 0
+    data = load_dataset(small_dataset)
+    data.records = data.split_views(2)[1].records
+    heldout_only = tmp_path / "heldout_only.occt"
+    save_dataset(heldout_only, data)
+    capsys.readouterr()
+    for mode in ("probe", "both"):
+        assert main(["eval", "--data", str(heldout_only), "--checkpoint", str(ckpt),
+                     "--mode", mode]) == 1
+        assert "no training views" in capsys.readouterr().err
+    assert main(["eval", "--data", str(heldout_only), "--checkpoint", str(ckpt)]) == 0
+
+
+@pytest.mark.parametrize("keep", [lambda r: False, lambda r: r.view_id >= 10],
+                         ids=["no-records", "heldout-only"])
+def test_pretrain_without_training_records_is_user_error(small_dataset, tmp_path, capsys,
+                                                         keep):
+    data = load_dataset(small_dataset)
+    data.records = [r for r in data.records if keep(r)]
+    path = tmp_path / "few.occt"
+    save_dataset(path, data)
+    rc = main(["pretrain", "--data", str(path), "--out", str(tmp_path / "m.occt"),
+               "--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6",
+               "--c-dim", "16", "--epochs", "1", "--warmup-epochs", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: no training records after the view split\n"
+
+
+def test_records_with_other_text_variant_counts_are_config_error(small_dataset, tmp_path,
+                                                                 capsys):
+    from occpoint.errors import ConfigError
+
+    data = load_dataset(small_dataset)
+    data.records[5].text_features = data.records[5].text_features[:1]
+    path = tmp_path / "ragged.occt"
+    save_dataset(path, data)
+    with pytest.raises(ConfigError, match="text features"):
+        load_dataset(path)
+    for argv in (["pretrain", "--data", str(path), "--out", str(tmp_path / "m.occt"),
+                  "--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6",
+                  "--c-dim", "16", "--epochs", "1", "--warmup-epochs", "0"],
+                 ["eval", "--data", str(path), "--checkpoint", str(tmp_path / "m.occt")]):
+        assert main(argv) == 1
+        assert "text features of shapes" in capsys.readouterr().err
+
+
 def test_bench_outputs_table_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "bench.csv"
     rc = main(["bench", "--preset", "toy", "--sizes", "16,32", "--runs", "3",

@@ -291,11 +291,11 @@ def test_cloud_permutation_invariance_end_to_end(rendered):
         assert np.array_equal(centers, base_centers)
         shuffled.append(dataclasses.replace(record, points=pts[perm], colors=cols[perm]))
     # The same geometry through the training cache, whole batch at once.
-    caches = training.build_cache(
+    tokens = training.build_cache(
         TripletDataset([record] + shuffled, rendered.class_names,
                        rendered.class_features, rendered.meta),
         toy_config(s_tokens=16, k_neighbors=8))
-    for cache in caches:
+    for cache in tokens:
         assert np.array_equal(cache.centers, base_centers[0])
         feats = np.concatenate([cache.rel_points, cache.patch_colors], axis=-1)
         assert np.array_equal(mini_pointnet_embed(Tensor(feats), params).data,
@@ -370,8 +370,7 @@ def test_single_cloud_equals_its_row_of_a_batch(rendered):
 
 
 def cache_arrays(cache):
-    return (cache.centers, cache.rel_points, cache.patch_colors,
-            cache.fwd, cache.inv)
+    return cache.centers, cache.rel_points, cache.patch_colors, cache.orders
 
 
 def test_build_cache_independent_of_chunk_size_and_point_counts(rendered, monkeypatch):

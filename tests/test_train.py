@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +10,8 @@ from occpoint.container import read_container_file, write_container_file
 from occpoint.dataset import generate_triplets, load_dataset, save_dataset
 from occpoint.encoder import toy_config
 from occpoint.errors import ConfigError, InvalidInput
-from occpoint.contrastive import init_alignment_heads
+from occpoint import training
+from occpoint.contrastive import TAU_MAX, TAU_MIN, init_alignment_heads
 from occpoint.synthetic import make_class_mesh
 from occpoint.training import (
     AdamWState,
@@ -27,7 +28,7 @@ from occpoint.training import (
     make_batches,
     run_pretraining,
     save_checkpoint,
-    split_caches,
+    split_tokens,
     token_cache_path,
     top_k_accuracy,
     train_step,
@@ -229,9 +230,9 @@ def test_zero_lr_keeps_parameters_bitwise():
                      weight_decay=0.0, seed=0)
     model = init_model(cfg, tc)
     before = {k: t.data.copy() for k, t in model.params().items()}
-    caches = build_cache(dataset.split_views(2)[0], cfg)
-    batches = make_batches(caches, 4, 0, 0)
-    train_step(batches[0], model, 0, len(batches), len(batches))
+    tokens = build_cache(dataset.split_views(2)[0], cfg)
+    batches = make_batches(tokens, 4, 0, 0)
+    train_step(tokens[batches[0]], model, 0, len(batches), len(batches))
     after = model.params()
     for k in before:
         assert np.array_equal(before[k], after[k].data)
@@ -300,6 +301,44 @@ def test_checkpoint_round_trip_and_resume(tmp_path):
     assert len(more) == len(full_metrics) - half_model.step
 
 
+@pytest.mark.parametrize("extra", [0, 2], ids=["on-epoch-boundary", "mid-epoch"])
+def test_resume_after_k_steps_gives_the_uninterrupted_checkpoint(tmp_path, extra):
+    dataset = tiny_dataset()
+    cfg, _ = tiny_setup()
+    tc = TrainConfig(batch_size=4, epochs=3, warmup_epochs=1, seed=13)
+    whole, _ = run_pretraining(dataset, cfg, tc)
+    save_checkpoint(tmp_path / "whole.occt", whole)
+
+    tokens = build_cache(dataset.split_views(tc.holdout_views)[0], cfg)
+    per_epoch = len(make_batches(tokens, tc.batch_size, 0, tc.seed))
+    k = per_epoch + extra
+    assert extra < per_epoch
+    model = init_model(cfg, tc)
+    for step in range(k):
+        epoch = step // per_epoch
+        rows = make_batches(tokens, tc.batch_size, epoch, tc.seed)[step % per_epoch]
+        train_step(tokens[rows], model, step, per_epoch, per_epoch * tc.epochs)
+    save_checkpoint(tmp_path / "part.occt", model)
+    resumed, rows = run_pretraining(dataset, cfg, tc, model=load_checkpoint(tmp_path / "part.occt"))
+    assert [row["step"] for row in rows] == list(range(k, per_epoch * tc.epochs))
+    save_checkpoint(tmp_path / "resumed.occt", resumed)
+    assert (tmp_path / "resumed.occt").read_bytes() == (tmp_path / "whole.occt").read_bytes()
+
+
+@pytest.mark.parametrize("log_tau", [np.log(TAU_MAX) + 1.0, np.log(TAU_MIN) - 1.0,
+                                     np.log(0.05)], ids=["above", "below", "inside"])
+def test_logged_tau_is_the_one_the_loss_used(log_tau):
+    dataset = tiny_dataset()
+    cfg, tc = tiny_setup()
+    model = init_model(cfg, replace(tc, base_lr=0.5, warmup_epochs=0))
+    model.heads.temperature.log_tau.data[...] = log_tau
+    tokens = build_cache(dataset.split_views(2)[0], cfg)
+    batches = make_batches(tokens, 4, 0, 0)
+    row = train_step(tokens[batches[0]], model, 0, len(batches), 10 * len(batches))
+    assert row["tau"] == float(np.clip(np.exp(log_tau), TAU_MIN, TAU_MAX))
+    assert model.heads.temperature.log_tau.data != log_tau  # the step moved it
+
+
 def test_resume_refuses_other_configs_and_takes_the_new_epochs():
     dataset = tiny_dataset()
     cfg, tc = tiny_setup(seed=11)
@@ -321,65 +360,68 @@ def test_resume_refuses_other_configs_and_takes_the_new_epochs():
 def test_batches_use_one_view_per_object():
     dataset = tiny_dataset()
     cfg, tc = tiny_setup()
-    caches = build_cache(dataset.split_views(2)[0], cfg)
+    tokens = build_cache(dataset.split_views(2)[0], cfg)
     for epoch in range(3):
-        for batch in make_batches(caches, 4, epoch, seed=1):
-            objs = [c.object_index for c in batch]
+        for rows in make_batches(tokens, 4, epoch, seed=1):
+            objs = list(tokens.object_ids[rows])
             assert len(objs) == len(set(objs))
 
 
 def test_batches_are_class_disjoint_when_they_fit():
     dataset = tiny_dataset()  # 3 classes, 2 objects each
     cfg, tc = tiny_setup()
-    caches = build_cache(dataset.split_views(2)[0], cfg)
+    tokens = build_cache(dataset.split_views(2)[0], cfg)
     for epoch in range(3):
-        for batch in make_batches(caches, 3, epoch, seed=2):
-            labels = [c.label for c in batch]
+        for rows in make_batches(tokens, 3, epoch, seed=2):
+            labels = list(tokens.labels[rows])
             assert len(labels) == len(set(labels))
 
 
 def test_batches_cover_every_view_each_epoch():
     dataset = tiny_dataset()
     cfg, tc = tiny_setup()
-    caches = build_cache(dataset.split_views(2)[0], cfg)
-    batches = make_batches(caches, 4, epoch=0, seed=1)
-    seen = [id(c) for batch in batches for c in batch]
-    assert len(seen) == len(caches)
-    assert len(set(seen)) == len(caches)
+    tokens = build_cache(dataset.split_views(2)[0], cfg)
+    batches = make_batches(tokens, 4, epoch=0, seed=1)
+    assert sorted(np.concatenate(batches)) == list(range(len(tokens)))
 
 
-def fake_caches(n_objects, n_classes, views):
-    return [SimpleNamespace(object_index=obj, label=obj % n_classes, view=v)
-            for obj in range(n_objects) for v in range(views)]
+def fake_tokens(n_objects, n_classes, views):
+    """What make_batches reads of Tokens: an object id and a label per row."""
+    objects = np.repeat(np.arange(n_objects), views)
+    return SimpleNamespace(object_ids=np.array([f"obj{o}" for o in objects], dtype=object),
+                           labels=objects % n_classes)
 
 
 @pytest.mark.parametrize("n_objects,batch_size,sizes", [
     (17, 8, [8, 9]), (9, 4, [4, 5]), (5, 4, [5]), (16, 8, [8, 8]), (6, 4, [4, 2]),
 ])
 def test_lone_leftover_joins_the_batch_before(n_objects, batch_size, sizes):
-    caches = fake_caches(n_objects, 8, views=10)
+    tokens = fake_tokens(n_objects, 8, views=10)
     for epoch in range(2):
-        batches = make_batches(caches, batch_size, epoch, seed=3)
+        batches = make_batches(tokens, batch_size, epoch, seed=3)
         assert [len(b) for b in batches] == sizes * 10
-        seen = [id(c) for batch in batches for c in batch]
-        assert sorted(seen) == sorted(id(c) for c in caches)
-        for batch in batches:
-            assert len({c.object_index for c in batch}) == len(batch)
+        assert sorted(np.concatenate(batches)) == list(range(n_objects * 10))
+        for rows in batches:
+            assert len(set(tokens.object_ids[rows])) == len(rows)
 
 
-def test_color_dropout_changes_inputs_not_geometry():
+def test_color_dropout_changes_inputs_not_geometry(monkeypatch):
     dataset = tiny_dataset()
     cfg, tc = tiny_setup()
-    caches = build_cache(dataset.split_views(2)[0], cfg)
-    from occpoint.training import _batch_arrays
-
-    batch = caches[:3]
-    feats_drop, *_ = _batch_arrays(batch, np.array([True, True, True]),
-                                   np.zeros(3, dtype=int), 0.4)
-    feats_keep, *_ = _batch_arrays(batch, np.array([False, False, False]),
-                                   np.zeros(3, dtype=int), 0.4)
-    assert np.array_equal(feats_drop[..., :3], feats_keep[..., :3])
-    assert np.all(feats_drop[..., 3:] == 0.4)
+    tokens = build_cache(dataset.split_views(2)[0], cfg)
+    seen = []
+    encode = training.encode_batch
+    monkeypatch.setattr(training, "encode_batch",
+                        lambda feats, *rest: seen.append(feats) or encode(feats, *rest))
+    batch = tokens[:3]
+    for prob in (1.0, 0.0):
+        model = init_model(cfg, replace(tc, color_drop_prob=prob, color_constant=0.4))
+        train_step(batch, model, 0, 1, 1)
+    dropped, kept = seen
+    assert np.array_equal(dropped[..., :3], batch.rel_points)
+    assert np.array_equal(kept[..., :3], batch.rel_points)
+    assert np.all(dropped[..., 3:] == 0.4)
+    assert np.array_equal(kept[..., 3:], batch.patch_colors)
 
 
 # --- evaluation helpers ------------------------------------------------------------
@@ -459,18 +501,11 @@ def test_probe_shots_monotone_trend_on_toy_features():
 
 # --- token cache file -----------------------------------------------------------
 
-CACHE_ARRAYS = ("centers", "rel_points", "patch_colors", "fwd", "inv")
-
-
-def assert_caches_equal(got, want):
+def assert_tokens_equal(got, want):
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for name in CACHE_ARRAYS:
-            a, b = getattr(g, name), getattr(w, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert (g.label, g.object_index) == (w.label, w.object_index)
-        assert np.array_equal(g.image_feature, w.image_feature)
-        assert np.array_equal(g.text_features, w.text_features)
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f.name
 
 
 @pytest.fixture(scope="module")
@@ -490,8 +525,8 @@ def test_token_cache_file_holds_build_cache_bitwise(saved_dataset, tmp_path):
     assert not info.hit and info.path == token_cache_path(path, cfg) and info.path.exists()
     warm, info = load_or_build_cache(path, dataset, cfg)
     assert info.hit
-    assert_caches_equal(cold, want)
-    assert_caches_equal(warm, want)
+    assert_tokens_equal(cold, want)
+    assert_tokens_equal(warm, want)
     entries, meta = read_container_file(info.path)
     r = len(dataset.records)
     assert {k: v.shape for k, v in entries.items()} == {
@@ -501,7 +536,7 @@ def test_token_cache_file_holds_build_cache_bitwise(saved_dataset, tmp_path):
     assert info.path.name.startswith("tiny.occt.tokens-")
 
 
-def test_split_caches_number_objects_as_build_cache_does():
+def test_split_tokens_batch_as_build_cache_of_the_split_does():
     dataset = tiny_dataset()
     cfg, _ = tiny_setup()
     # The last object's held-out views first: in the whole dataset it is
@@ -509,13 +544,37 @@ def test_split_caches_number_objects_as_build_cache_does():
     last = dataset.records[-1].object_id
     moved = [r for r in dataset.records if r.object_id == last and r.view_id >= 10]
     dataset.records = moved + [r for r in dataset.records if r not in moved]
-    whole = build_cache(dataset, cfg)
-    train, heldout = split_caches(dataset, whole, 2)
+    train, heldout = split_tokens(dataset, build_cache(dataset, cfg), 2)
     train_set, heldout_set = dataset.split_views(2)
-    assert_caches_equal(train, build_cache(train_set, cfg))
-    assert_caches_equal(heldout, build_cache(heldout_set, cfg))
-    copied = [c.object_index for c, r in zip(whole, dataset.records) if r.view_id < 10]
-    assert copied != [c.object_index for c in train]
+    assert_tokens_equal(train, build_cache(train_set, cfg))
+    assert_tokens_equal(heldout, build_cache(heldout_set, cfg))
+    assert train.object_ids[-1] == last
+    for epoch in range(3):
+        got = make_batches(train, 4, epoch, seed=5)
+        want = make_batches(build_cache(train_set, cfg), 4, epoch, seed=5)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_build_cache_rows_unpack_and_iterate_as_records(saved_dataset):
+    dataset = load_dataset(saved_dataset)
+    cfg, _ = tiny_setup()
+    dataset.records = dataset.records[:3]
+    tokens = build_cache(dataset, cfg)
+    first, second, third = tokens
+    assert first.centers.shape == (cfg.s_tokens, 3)
+    assert first.rel_points.shape == first.patch_colors.shape == (cfg.s_tokens, 6, 3)
+    assert first.orders.shape == (2, 2, cfg.s_tokens)
+    for i, (row, rec) in enumerate(zip(tokens, dataset.records, strict=True)):
+        assert (row.labels, row.object_ids) == (rec.label, rec.object_id)
+        assert np.array_equal(row.text_features, rec.text_features)
+        for f in fields(tokens):
+            assert np.array_equal(getattr(row, f.name), getattr(tokens, f.name)[i]), f.name
+    fwd, inv = np.moveaxis(tokens.orders, 0, 2)
+    assert fwd.shape == inv.shape == (2, 3, cfg.s_tokens)
+    assert np.array_equal(np.take_along_axis(fwd, inv, axis=-1),
+                          np.broadcast_to(np.arange(cfg.s_tokens), fwd.shape))
+    assert len(tokens[1:]) == len(tokens[[0, 2]]) == 2 and len(tokens[:0]) == 0
 
 
 def test_changed_dataset_misses_and_overwrites_the_cache_file(tmp_path):
@@ -525,11 +584,11 @@ def test_changed_dataset_misses_and_overwrites_the_cache_file(tmp_path):
     _, first = load_or_build_cache(path, load_dataset(path), cfg)
     save_dataset(path, tiny_dataset(seed=6))
     dataset = load_dataset(path)
-    caches, second = load_or_build_cache(path, dataset, cfg)
+    tokens, second = load_or_build_cache(path, dataset, cfg)
     assert not second.hit and second.path == first.path
     assert second.dataset_sha256 != first.dataset_sha256
     assert read_container_file(second.path)[1]["dataset_sha256"] == second.dataset_sha256
-    assert_caches_equal(caches, build_cache(dataset, cfg))
+    assert_tokens_equal(tokens, build_cache(dataset, cfg))
     assert load_or_build_cache(path, dataset, cfg)[1].hit
 
 
@@ -541,8 +600,8 @@ def test_changed_tokenizer_field_writes_a_second_cache_file(saved_dataset, tmp_p
     paths = set()
     for other in (cfg, replace(cfg, curve_a=CurveKind.MORTON), replace(cfg, k_neighbors=5),
                   replace(cfg, c_dim=8)):
-        caches, info = load_or_build_cache(path, dataset, other)
-        assert_caches_equal(caches, build_cache(dataset, other))
+        tokens, info = load_or_build_cache(path, dataset, other)
+        assert_tokens_equal(tokens, build_cache(dataset, other))
         paths.add(info.path)
     assert len(paths) == 3  # c_dim is not a tokenizer field
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -591,25 +650,25 @@ def test_damaged_cache_file_is_rebuilt_with_one_warning(saved_dataset, tmp_path,
     _, info = load_or_build_cache(path, dataset, cfg)
     damage(info.path)
     capsys.readouterr()
-    caches, again = load_or_build_cache(path, dataset, cfg)
+    tokens, again = load_or_build_cache(path, dataset, cfg)
     err = capsys.readouterr().err
     assert not again.hit and len(err.splitlines()) == 1 and str(info.path) in err
-    assert_caches_equal(caches, build_cache(dataset, cfg))
+    assert_tokens_equal(tokens, build_cache(dataset, cfg))
     assert load_or_build_cache(path, dataset, cfg)[1].hit
 
 
-def test_run_pretraining_with_given_caches(tmp_path):
+def test_run_pretraining_with_given_tokens(tmp_path):
     dataset = tiny_dataset()
     cfg, tc = tiny_setup(seed=3)
-    train, _ = split_caches(dataset, build_cache(dataset, cfg), tc.holdout_views)
-    given, _ = run_pretraining(dataset, cfg, tc, caches=train)
+    train, _ = split_tokens(dataset, build_cache(dataset, cfg), tc.holdout_views)
+    given, _ = run_pretraining(dataset, cfg, tc, tokens=train)
     built, _ = run_pretraining(dataset, cfg, tc)
     for name, model in (("given", given), ("built", built)):
         save_checkpoint(tmp_path / f"{name}.occt", model)
     assert (tmp_path / "given.occt").read_bytes() == (tmp_path / "built.occt").read_bytes()
 
     with pytest.raises(ConfigError, match="token caches for"):
-        run_pretraining(dataset, cfg, tc, caches=train[:-1])
+        run_pretraining(dataset, cfg, tc, tokens=train[:-1])
     for other in (replace(cfg, s_tokens=6), replace(cfg, k_neighbors=5)):
         with pytest.raises(ConfigError, match=r"\(S, k\)"):
-            run_pretraining(dataset, other, tc, caches=train)
+            run_pretraining(dataset, other, tc, tokens=train)
