@@ -73,9 +73,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def accumulate(self, g: np.ndarray) -> None:
         # g may be shared with other nodes (see the module docstring), so it
         # is stored as it is and never added to in place.
@@ -146,15 +143,13 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def parameter(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:
-    """Learnable tensor; with rng given, `data` is a shape and values are drawn
-    N(0, scale) with scale defaulting to 1/sqrt(fan_in)."""
-    if rng is not None:
-        shape = tuple(data)
-        fan_in = shape[0] if shape else 1
-        s = scale if scale is not None else fan_in ** -0.5
-        data = rng.normal(0.0, s, size=shape)
-    return Tensor(data, requires_grad=True)
+def parameter(shape, rng: np.random.Generator, scale: float | None = None) -> Tensor:
+    """Learnable tensor of `shape`, drawn N(0, scale) with scale defaulting to
+    1/sqrt(fan_in)."""
+    shape = tuple(shape)
+    fan_in = shape[0] if shape else 1
+    s = scale if scale is not None else fan_in ** -0.5
+    return Tensor(rng.normal(0.0, s, size=shape), requires_grad=True)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -12,6 +12,10 @@ Layout (all integers little-endian):
 
 One format serves every artifact the pipeline writes, so there is a single
 parser to test and fuzz.
+
+Writing joins the file once, from the preamble, the header, the zero pads and
+each array's bytes; the result is the only copy. Reading returns views of the
+file's buffer, one buffer per file, which stays alive while any entry does.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 import zlib
 from pathlib import Path
 
@@ -53,55 +58,39 @@ def _pad_to(n: int, align: int = ALIGN) -> int:
 def write_container(entries: dict[str, np.ndarray], meta: dict | None = None) -> bytes:
     """Serialize named arrays (plus free-form JSON metadata) to bytes.
 
+    The layout comes from shapes and dtypes alone and the checksum reads each
+    array in place, so the returned file is the one copy of the payload.
     Entry order is preserved; identical inputs produce identical bytes.
     """
-    specs = []
-    blobs = []
+    specs, arrays = [], []
     for name, arr in entries.items():
         arr = np.asarray(arr)
-        if arr.ndim > 0:
-            arr = np.ascontiguousarray(arr)  # 0-d arrays would be promoted to 1-d
         dname = dtype_name(arr)
-        blobs.append(arr.astype(_DTYPES[dname], copy=False).tobytes())
         specs.append({"name": name, "dtype": dname, "shape": list(arr.shape)})
+        # A flat byte view: memoryview.cast rejects 0-d and empty arrays.
+        arrays.append(np.ascontiguousarray(arr, _DTYPES[dname]).reshape(-1).view(np.uint8))
 
-    # Two-pass layout: header length shifts offsets, so fix offsets relative to
-    # a payload start we choose after measuring the header with placeholders.
     def build_header(offsets, crc):
         doc = dict(meta or {})
-        doc["tensors"] = [
-            {**spec, "offset": off} for spec, off in zip(specs, offsets)
-        ]
+        doc["tensors"] = [{**spec, "offset": off} for spec, off in zip(specs, offsets)]
         doc["crc32"] = crc
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    # Upper bound on header size using worst-case offset widths.
-    fake = build_header([2**63] * len(specs), 2**32 - 1)
-    payload_start = 16 + len(fake)
+    # The header's length shifts the offsets, so the payload starts after a
+    # header measured with worst-case offset and checksum widths.
+    payload_start = 16 + len(build_header([2**63] * len(specs), 2**32 - 1))
     payload_start += _pad_to(payload_start)
+    parts, offsets, crc, pos = [], [], 0, payload_start
+    for arr in arrays:
+        pad = bytes(_pad_to(pos))
+        crc = zlib.crc32(arr, zlib.crc32(pad, crc))
+        offsets.append(pos + len(pad))
+        pos = offsets[-1] + arr.size
+        parts += (pad, arr)
 
-    offsets = []
-    pos = payload_start
-    payload = bytearray()
-    for blob in blobs:
-        pad = _pad_to(pos)
-        payload += b"\x00" * pad
-        pos += pad
-        offsets.append(pos)
-        payload += blob
-        pos += len(blob)
-
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
     header = build_header(offsets, crc)
     header += b" " * (payload_start - 16 - len(header))
-
-    out = bytearray()
-    out += MAGIC
-    out += np.uint32(VERSION).tobytes()
-    out += np.uint64(len(header)).tobytes()
-    out += header
-    out += payload
-    return bytes(out)
+    return b"".join([struct.pack("<4sIQ", MAGIC, VERSION, len(header)), header, *parts])
 
 
 def _is_count(value) -> bool:
@@ -125,8 +114,9 @@ def _tensor_spec(i: int, spec) -> tuple[str, str, tuple[int, ...], int]:
     return name, dname, tuple(shape), offset
 
 
-def read_container(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
-    """Parse container bytes back into (entries, metadata).
+def read_container(data: bytes | bytearray) -> tuple[dict[str, np.ndarray], dict]:
+    """Parse container bytes back into (entries, metadata). The entries are
+    views of `data`, writable when `data` is.
 
     Raises FormatError (with the offending byte offset) on any structural
     damage: bad magic, truncation, a malformed tensor table, overlapping or
@@ -134,12 +124,11 @@ def read_container(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
     """
     if len(data) < 16:
         raise FormatError(f"truncated container: {len(data)} bytes < 16-byte preamble at offset 0")
-    if data[:4] != MAGIC:
-        raise FormatError(f"magic mismatch at offset 0: {data[:4]!r}")
-    version = int(np.frombuffer(data[4:8], dtype="<u4")[0])
+    magic, version, header_len = struct.unpack_from("<4sIQ", data)
+    if magic != MAGIC:
+        raise FormatError(f"magic mismatch at offset 0: {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported version {version} at offset 4")
-    header_len = int(np.frombuffer(data[8:16], dtype="<u8")[0])
     if 16 + header_len > len(data):
         raise FormatError(f"header extends past end of file at offset {len(data)}")
     try:
@@ -151,7 +140,7 @@ def read_container(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
 
     payload_start = 16 + header_len
     crc_stored = doc.get("crc32")
-    crc_actual = zlib.crc32(data[payload_start:]) & 0xFFFFFFFF
+    crc_actual = zlib.crc32(memoryview(data)[payload_start:])
     if crc_stored != crc_actual:
         raise FormatError(
             f"payload checksum mismatch at offset {payload_start}: "
@@ -172,8 +161,7 @@ def read_container(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
         if offset < payload_start or offset + nbytes > len(data):
             raise FormatError(f"tensor {name!r}: span [{offset}, {offset + nbytes}) out of bounds")
         spans.append((offset, offset + nbytes, name))
-        arr = np.frombuffer(data, dtype=dt, count=count, offset=offset)
-        entries[name] = arr.reshape(shape).copy()
+        entries[name] = np.frombuffer(data, dt, count, offset).reshape(shape)
 
     spans.sort()
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
@@ -209,5 +197,10 @@ def write_container_file(path, entries: dict[str, np.ndarray], meta: dict | None
 
 
 def read_container_file(path) -> tuple[dict[str, np.ndarray], dict]:
+    """read_container of the file at `path`, read into one writable buffer."""
     with open(path, "rb") as fh:
-        return read_container(fh.read())
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        got = fh.readinto(data)
+    if got != len(data):
+        raise FormatError(f"short read of {path}: {got} of {len(data)} bytes at offset {got}")
+    return read_container(data)

@@ -18,7 +18,7 @@ import numpy as np
 from .cameras import camera_ring
 from .container import read_container_file, write_container_file
 from .errors import ConfigError, InvalidConfig
-from .fixtures import class_anchors, object_features
+from .fixtures import OBJECT_NOISE, class_anchors, object_features
 from .meshio import TriangleMesh, normalize_mesh
 from .render import _ranks, backproject, rasterize, sample_points
 from .tokenizer import _squared_distance
@@ -194,7 +194,7 @@ def _covered(samples: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
 def generate_triplets(meshes: list[tuple[str, str, TriangleMesh]],
                       feature_dim: int = 64, resolution: int = 128,
                       n_points: int = 2048, seed: int = 7,
-                      object_noise: float | None = None,
+                      object_noise: float = OBJECT_NOISE,
                       with_summary: bool = False):
     """Build a TripletDataset from (object_id, class_name, mesh) entries.
 
@@ -206,11 +206,7 @@ def generate_triplets(meshes: list[tuple[str, str, TriangleMesh]],
     name_to_label = {c: i for i, c in enumerate(class_names)}
     anchors = class_anchors(len(class_names), feature_dim, seed)
     labels = [name_to_label[cls] for _, cls, _ in meshes]
-    if object_noise is None:
-        image_feats, text_feats = object_features(anchors, labels, seed)
-    else:
-        image_feats, text_feats = object_features(anchors, labels, seed,
-                                                  noise=object_noise)
+    image_feats, text_feats = object_features(anchors, labels, seed, noise=object_noise)
 
     poses = camera_ring((resolution, resolution))
     records = []
@@ -290,6 +286,12 @@ def load_dataset(path) -> TripletDataset:
         class_features = entries["class_features"].astype(np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"dataset {path}: missing or malformed entry {exc}") from exc
+    for i, r in enumerate(records):
+        for name, value, bound in (("label", r.label, len(class_names)),
+                                   ("view_id", r.view_id, N_VIEWS)):
+            if not 0 <= value < bound:
+                raise ConfigError(f"dataset {path}: record {i} ({r.object_id}) has "
+                                  f"{name} {value}, outside [0, {bound})")
     # Training stacks the records' text features: (variants, dim) must agree.
     shapes = sorted({r.text_features.shape for r in records})
     if len(shapes) > 1:

@@ -13,7 +13,7 @@ bitwise what it gets alone, as a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,13 +158,6 @@ class MiniPointNetParams:
     b2: Tensor
     w3: Tensor
     b3: Tensor
-
-    def tensors(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @property
-    def token_dim(self) -> int:
-        return self.w3.shape[1]
 
 
 def init_mini_pointnet(token_dim: int, rng: np.random.Generator,

@@ -212,10 +212,10 @@ class EmaState:
     """Zero-initialized shadow of the parameter store `weights`, with the
     update shadow <- d*shadow + (1-d)*param.
 
-    Reads are debiased by 1/(1 - d^t) so the average is meaningful from the
-    first steps even when the decay horizon exceeds the run length; with
-    constant parameters the raw shadow converges to them geometrically at
-    rate (1 - decay) per step either way.
+    `use_ema_weights` debiases it by 1/(1 - d^t) so the average is
+    meaningful from the first steps even when the decay horizon exceeds the
+    run length; with constant parameters the raw shadow converges to them
+    geometrically at rate (1 - decay) per step either way.
     """
 
     weights: FlatViews
@@ -235,11 +235,6 @@ class EmaState:
         self.updates += 1
         self.shadow.flat *= self.decay
         self.shadow.flat += np.multiply(self.weights.flat, 1.0 - self.decay, out=self.scratch)
-
-    def debiased(self, name: str) -> np.ndarray:
-        if self.updates == 0:
-            return self.shadow[name].copy()
-        return self.shadow[name] / (1.0 - self.decay ** self.updates)
 
 
 @contextmanager
@@ -686,10 +681,15 @@ def top_k_accuracy(ranked: np.ndarray, labels: np.ndarray, k: int) -> float:
     return float(hits.mean())
 
 
+# The probe's full-batch gradient descent: steps, step size and L2 weight.
+PROBE_ITERATIONS = 1000
+PROBE_LR = 0.1
+PROBE_L2 = 1e-4
+
+
 def linear_probe(train_features: np.ndarray, train_labels: np.ndarray,
                  test_features: np.ndarray, test_labels: np.ndarray,
-                 n_shot: int, seed: int = 0, iterations: int = 1000,
-                 lr: float = 0.1, l2: float = 1e-4) -> float:
+                 n_shot: int, seed: int = 0) -> float:
     """Few-shot probe: multinomial logistic regression on frozen features.
 
     Draws n_shot examples per class (seeded), trains full-batch gradient
@@ -712,14 +712,14 @@ def linear_probe(train_features: np.ndarray, train_labels: np.ndarray,
 
     w = np.zeros((x.shape[1], k))
     b = np.zeros(k)
-    for _ in range(iterations):
+    for _ in range(PROBE_ITERATIONS):
         logits = x @ w + b
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         gl = (p - onehot) / x.shape[0]
-        w -= lr * (x.T @ gl + l2 * w)
-        b -= lr * gl.sum(axis=0)
+        w -= PROBE_LR * (x.T @ gl + PROBE_L2 * w)
+        b -= PROBE_LR * gl.sum(axis=0)
     pred = (test_features @ w + b).argmax(axis=1)
     return float((pred == np.asarray(test_labels)).mean())
 

@@ -102,7 +102,7 @@ def _gc_pointnet_pool(seed):
     def fn():
         return ad.tensor_sum(ad.square(pointnet_pool(feats, params)))
 
-    tensors = {k: v for k, v in params.tensors().items() if k not in ("w3", "b3")}
+    tensors = {k: v for k, v in vars(params).items() if k not in ("w3", "b3")}
     return {"features": feats, **tensors}, fn
 
 

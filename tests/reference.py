@@ -1,16 +1,20 @@
 """Test-only oracles and helpers: the literal scan recurrence, the
 discretization formulas, a parameter count by enumeration, the per-tensor
-AdamW and EMA updates, and one-cloud adapters of the batched geometry, each
-written independently of the batched or flat code it checks.
+AdamW and EMA updates, one-cloud adapters of the batched geometry, and a
+container writer that builds the file from per-tensor blobs, each written
+independently of the batched, flat or one-copy code it checks.
 """
 
 from __future__ import annotations
 
+import json
+import zlib
 from dataclasses import fields
 
 import numpy as np
 
 from occpoint.autodiff import Tensor
+from occpoint.container import _DTYPES, MAGIC, VERSION, _pad_to, dtype_name
 from occpoint.curves import sort_by_curve
 from occpoint.encoder import named_parameters
 from occpoint.errors import InvalidInput, NumericalError
@@ -182,3 +186,52 @@ def ema_update_reference(shadow: dict[str, np.ndarray], params: dict[str, Tensor
     for name, t in params.items():
         shadow[name] *= decay
         shadow[name] += (1.0 - decay) * t.data
+
+
+def write_container_reference(entries: dict[str, np.ndarray], meta: dict | None = None) -> bytes:
+    """Version-1 container bytes built blob by blob: each array's `tobytes()`,
+    a payload buffer with the zero pads, then preamble, header and payload."""
+    specs = []
+    blobs = []
+    for name, arr in entries.items():
+        arr = np.asarray(arr)
+        if arr.ndim > 0:
+            arr = np.ascontiguousarray(arr)  # 0-d arrays would be promoted to 1-d
+        dname = dtype_name(arr)
+        blobs.append(arr.astype(_DTYPES[dname], copy=False).tobytes())
+        specs.append({"name": name, "dtype": dname, "shape": list(arr.shape)})
+
+    def build_header(offsets, crc):
+        doc = dict(meta or {})
+        doc["tensors"] = [
+            {**spec, "offset": off} for spec, off in zip(specs, offsets)
+        ]
+        doc["crc32"] = crc
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+    fake = build_header([2**63] * len(specs), 2**32 - 1)
+    payload_start = 16 + len(fake)
+    payload_start += _pad_to(payload_start)
+
+    offsets = []
+    pos = payload_start
+    payload = bytearray()
+    for blob in blobs:
+        pad = _pad_to(pos)
+        payload += b"\x00" * pad
+        pos += pad
+        offsets.append(pos)
+        payload += blob
+        pos += len(blob)
+
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    header = build_header(offsets, crc)
+    header += b" " * (payload_start - 16 - len(header))
+
+    out = bytearray()
+    out += MAGIC
+    out += np.uint32(VERSION).tobytes()
+    out += np.uint64(len(header)).tobytes()
+    out += header
+    out += payload
+    return bytes(out)

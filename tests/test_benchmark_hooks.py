@@ -7,6 +7,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from occpoint import container
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -29,3 +33,14 @@ def test_every_traced_hook_is_a_callable_of_occpoint():
         if not callable(owner):
             missing.append(f"occpoint.{module}.{path}")
     assert not missing, missing
+
+
+def test_bytes_written_counter_reads_the_file_size(tmp_path):
+    """perfbench's `container.bytes_written` adds len() of what
+    `write_container` returns, as the size of the file written."""
+    entries = {"x": np.arange(6, dtype=np.float32), "y": np.ones((2, 3))}
+    blob = container.write_container(entries, {"k": 1})
+    assert type(blob) is bytes
+    path = tmp_path / "c.occt"
+    container.write_container_file(path, entries, {"k": 1})
+    assert len(blob) == path.stat().st_size

@@ -437,6 +437,24 @@ def test_load_dataset_incomplete_is_config_error(small_dataset, tmp_path, capsys
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("label", 99), ("label", -1),
+                                          ("view_id", -5), ("view_id", 12)])
+def test_out_of_range_record_field_is_config_error(small_dataset, small_checkpoint, tmp_path,
+                                                    capsys, field, value):
+    from occpoint.errors import ConfigError
+
+    broken = rewrite(small_dataset, tmp_path / "broken.occt",
+                     lambda e, m: m["records"][3].__setitem__(field, value))
+    with pytest.raises(ConfigError, match=f"record 3 .* has {field} {value}, outside"):
+        load_dataset(broken)
+    for argv in (["pretrain", "--data", str(broken), "--out", str(tmp_path / "m.occt"),
+                  *TOY_SMALL, "--epochs", "0", "--warmup-epochs", "0"],
+                 ["eval", "--data", str(broken), "--checkpoint", str(small_checkpoint)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"{field} {value}, outside" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def small_checkpoint(small_dataset, tmp_path_factory):
     ckpt = tmp_path_factory.mktemp("ckpt") / "m.occt"

@@ -1,4 +1,7 @@
+import itertools
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from occpoint.container import (
     write_container_file,
 )
 from occpoint.errors import FormatError
+
+from reference import write_container_reference
 
 
 def sample_entries():
@@ -224,3 +229,83 @@ def test_write_replaces_existing_file(tmp_path):
     entries, meta = read_container_file(path)
     assert list(entries) == ["y"] and meta == {"tag": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["c.occt"]
+
+
+def oracle_entries():
+    rng = np.random.default_rng(5)
+    square = rng.normal(size=(5, 7))
+    return {
+        "scalar": np.float64(2.5),
+        "scalar_u32": np.array(7, dtype=np.uint32),
+        "empty": np.zeros((0, 3), dtype=np.float32),
+        "transposed": square.T,
+        "strided": np.arange(40, dtype=np.uint64)[::2],
+        "big_endian": rng.normal(size=(3, 4)).astype(">f8"),
+        "f32": rng.normal(size=(9,)).astype(np.float32),
+        "u32": rng.integers(0, 2**32, size=(2, 3)).astype(np.uint32),
+        "u64": rng.integers(0, 2**63, size=11).astype(np.uint64),
+    }
+
+
+@pytest.mark.parametrize("meta", [None, {"note": "fixture", "step": 3, "nested": {"a": [1]}}])
+def test_writer_matches_the_blob_oracle_byte_for_byte(meta):
+    entries = oracle_entries()
+    blob = write_container(entries, meta)
+    assert blob == write_container_reference(entries, meta)
+    for name, arr in entries.items():
+        assert write_container({name: arr}, meta) == write_container_reference({name: arr}, meta)
+    out, _ = read_container(blob)
+    for name, arr in entries.items():
+        assert out[name].shape == np.shape(arr)
+        assert np.array_equal(out[name], arr), name
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_and_read_peak_at_about_one_file_size(tmp_path):
+    entries = {"big": np.random.default_rng(0).normal(size=2 * 1024 * 1024),
+               "small": np.arange(5, dtype=np.float32)}
+    blob, write_peak = traced_peak(lambda: write_container(entries, {"k": 1}))
+    assert write_peak <= 1.25 * len(blob)
+    path = tmp_path / "c.occt"
+    path.write_bytes(blob)
+    del blob
+    (out, _), read_peak = traced_peak(lambda: read_container_file(path))
+    assert read_peak <= 1.25 * path.stat().st_size
+    assert np.array_equal(out["big"], entries["big"])
+
+
+def test_entries_of_one_file_are_writable_and_do_not_alias(tmp_path):
+    path = tmp_path / "c.occt"
+    write_container_file(path, sample_entries())
+    entries, _ = read_container_file(path)
+    for arr in entries.values():
+        assert arr.flags.writeable
+    for a, b in itertools.combinations(entries.values(), 2):
+        assert not np.shares_memory(a, b)
+    before = {k: v.copy() for k, v in entries.items()}
+    entries["alpha"][...] = 0
+    for name in ("beta", "gamma", "delta"):
+        assert np.array_equal(entries[name], before[name])
+
+
+def test_short_read_rejected(tmp_path, monkeypatch):
+    path = tmp_path / "c.occt"
+    write_container_file(path, sample_entries())
+    size = path.stat().st_size
+    real_fstat = os.fstat
+
+    def grown(fd):
+        st = real_fstat(fd)
+        return os.stat_result((*st[:6], st.st_size + 64, *st[7:]))
+
+    monkeypatch.setattr("occpoint.container.os.fstat", grown)
+    with pytest.raises(FormatError, match=f"short read of .*: {size} of {size + 64} bytes"):
+        read_container_file(path)

@@ -223,7 +223,7 @@ def test_fused_pointnet_matches_composed_oracle():
         feats = rng.normal(size=shape)
         feats[..., 1, :] = feats[..., 0, :]   # exact ties in the max pool
         x = Tensor(feats, requires_grad=True)
-        tensors = {"features": x, **params.tensors()}
+        tensors = {"features": x, **vars(params)}
         (got, got_grads), (want, want_grads) = (
             forward_and_grads(lambda: fn(x, params), tensors)
             for fn in (mini_pointnet_embed, composed_pointnet_embed)
@@ -259,7 +259,7 @@ def test_within_patch_permutation_invariance():
 def test_zero_weights_zero_tokens():
     rng = np.random.default_rng(8)
     params = init_mini_pointnet(8, rng)
-    for t in params.tensors().values():
+    for t in vars(params).values():
         t.data[:] = 0.0
     tokens = mini_pointnet_embed(Tensor(rng.normal(size=(2, 4, 6))), params)
     assert np.all(tokens.data == 0.0)
