@@ -2,12 +2,13 @@
 
 A Tensor wraps a float64 ndarray and records the operation that produced it;
 `backward()` replays the graph in reverse topological order. The op set is
-exactly what the pipeline needs (affine maps, pointwise nonlinearities,
-reductions, a clamp, a concatenation), plus array kernels with hand adjoints
-for the fused ops of `encoder`, `tokenizer` and `ssm`: row gathers and a
-depthwise 1D convolution. Everything is
-double precision so analytic gradients can be held to finite-difference
-checks at 1e-4 relative error.
+exactly what the pipeline needs: add, neg, mul, div, matmul and `affine`,
+pointwise nonlinearities, sums and means, a clamp, a concatenation,
+`layer_norm`, `logsumexp` and `l2_normalize_rows`. Tensors define only `+`,
+`-` and `*` as operators. Array kernels with hand adjoints serve the fused
+ops of `encoder`, `tokenizer` and `ssm`: row gathers and a depthwise 1D
+convolution. Everything is double precision so analytic gradients can be
+held to finite-difference checks at 1e-4 relative error.
 
 Gradients are never copied and never updated in place. `accumulate` keeps a
 node's first gradient by reference and adds later ones out of place, because
@@ -108,32 +109,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return add(self, neg(_wrap(other)))
 
-    def __rsub__(self, other):
-        return add(_wrap(other), neg(self))
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
@@ -244,10 +224,10 @@ def square(a: Tensor) -> Tensor:
     return Tensor(a.data * a.data, parents=(a,), backward=lambda g: a.accumulate(g * 2.0 * a.data))
 
 
-def sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-x)), into `out` when given (which may be x itself)."""
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), as a new array."""
     # exp overflow for very negative x saturates to 1/inf = 0, which is exact.
-    out = np.negative(x, out=np.empty_like(x) if out is None else out)
+    out = np.negative(x)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
@@ -323,24 +303,24 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return Tensor(out_data, parents=(a,), backward=lambda g: a.accumulate(g * mask))
 
 
-def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ W (+ b). W is (in, out); x is (..., in)."""
+def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x @ W + b. W is (in, out); x is (..., in)."""
     if x.data.shape[-1] != weight.data.shape[0]:
         raise ShapeError(
             f"affine: input dim {x.data.shape[-1]} != weight rows {weight.data.shape[0]}"
         )
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
+    return add(matmul(x, weight), bias)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     mu = mean(x, axis=-1, keepdims=True)
     centered = x - mu
     var = mean(square(centered), axis=-1, keepdims=True)
-    inv = div(Tensor(1.0), sqrt(var + eps))
+    inv = div(Tensor(1.0), sqrt(var + LAYER_NORM_EPS))
     return mul(centered, inv) * gain + bias
 
 
@@ -351,10 +331,11 @@ def logsumexp(a: Tensor, axis: int) -> Tensor:
     return log(summed) + Tensor(np.squeeze(shift.data, axis=axis))
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 0.0) -> Tensor:
-    """Rows scaled to unit L2 norm. Raises on an (eps-)zero row upstream."""
-    norms = sqrt(tensor_sum(square(x), axis=-1, keepdims=True) + eps)
-    return div(x, norms)
+def l2_normalize_rows(x: Tensor) -> Tensor:
+    """Rows scaled to unit L2 norm, x / sqrt(sum(x^2)). A zero row has no
+    direction and comes out NaN, which `train_step` reports as a non-finite
+    loss."""
+    return div(x, sqrt(tensor_sum(square(x), axis=-1, keepdims=True)))
 
 
 def conv1d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,

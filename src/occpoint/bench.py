@@ -19,8 +19,6 @@ from .encoder import (
 )
 from .training import curve_orders
 
-DEFAULT_SIZES = (128, 256, 512, 1024, 2048)
-
 _allocator_tuned = False
 
 
@@ -53,8 +51,7 @@ class BenchRow:
     latency_ms: float
 
 
-def measure_latencies(config: EncoderConfig, sizes, runs: int,
-                      seed: int = 0) -> dict[int, float]:
+def measure_latencies(config: EncoderConfig, sizes, runs: int, seed: int) -> dict[int, float]:
     """Median forward wall time (ms) per token count: one cloud's curve
     orders, then the encoder over its (1, S, C) tokens.
 
@@ -85,8 +82,7 @@ def measure_latencies(config: EncoderConfig, sizes, runs: int,
     return {s: float(np.median(ts) * 1e3) for s, ts in samples.items()}
 
 
-def run_benchmark(config: EncoderConfig, sizes=DEFAULT_SIZES, runs: int = 20,
-                  seed: int = 0) -> list[BenchRow]:
+def run_benchmark(config: EncoderConfig, sizes, runs: int, seed: int) -> list[BenchRow]:
     latencies = measure_latencies(config, sizes, runs, seed)
     rows = []
     for s in sizes:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import ConfigError
 
 CAMERA_RADIUS = 2.0
 VERTICAL_FOV = math.radians(60.0)
@@ -36,7 +36,7 @@ class CameraPose:
         self.position = np.asarray(self.position, dtype=np.float64)
         w, h = self.resolution
         if w < 1 or h < 1:
-            raise InvalidConfig(f"resolution must be positive, got {self.resolution}")
+            raise ConfigError(f"resolution must be positive, got {self.resolution}")
         f = -self.position
         f = f / np.linalg.norm(f)
         r = np.cross(f, WORLD_UP)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .bench import format_csv, format_table, run_benchmark
 from .container import VERSION, dtype_name, read_container_file, write_atomic
-from .curves import CurveKind
 from .dataset import generate_triplets, load_dataset, save_dataset
 from .encoder import EncoderConfig, count_params, desk_config, full_scale_config, toy_config
 from .errors import ConfigError, OccPointError
@@ -87,15 +86,14 @@ def _environment() -> dict:
 
 
 def write_manifest(path: Path, config: dict, seed: int, started: str,
-                   finished: str | None = None,
-                   command_line: list[str] | None = None,
+                   finished: str | None = None, *, command_line: list[str],
                    inputs: dict | None = None) -> None:
     doc = {
         "config": config,
         "seed": seed,
         "git": _git_describe(),
         "environment": _environment(),
-        "command_line": command_line if command_line is not None else sys.argv,
+        "command_line": command_line,
         "started": started,
         "finished": finished,
     }
@@ -116,12 +114,10 @@ def _now() -> str:
 
 def _encoder_config(args) -> EncoderConfig:
     """The preset with the hidden encoder flags of `pretrain` and `bench` applied."""
-    overrides = {name: getattr(args, name) for name in ENCODER_FLAGS
-                 if getattr(args, name) is not None}
-    for name in ("curve_a", "curve_b"):
-        if name in overrides:
-            overrides[name] = CurveKind.from_string(overrides[name])
-    return replace(PRESETS[args.preset](), **overrides)
+    doc = PRESETS[args.preset]().to_dict()
+    doc.update((name, getattr(args, name)) for name in ENCODER_FLAGS
+               if getattr(args, name) is not None)
+    return EncoderConfig.from_dict(doc)
 
 
 def cmd_synth(args) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cameras import camera_ring
 from .container import read_container_file, write_container_file
-from .errors import ConfigError, InvalidConfig
+from .errors import ConfigError
 from .fixtures import OBJECT_NOISE, class_anchors, object_features
 from .meshio import TriangleMesh, normalize_mesh
 from .render import _ranks, backproject, rasterize, sample_points
@@ -47,9 +47,9 @@ class TripletRecord:
     def __post_init__(self):
         dims = {self.image_feature.shape[-1], self.text_features.shape[-1]}
         if len(dims) != 1:
-            raise InvalidConfig(f"feature dims disagree: {dims}")
+            raise ConfigError(f"feature dims disagree: {dims}")
         if self.text_features.ndim != 2 or self.text_features.shape[0] < 1:
-            raise InvalidConfig("need at least one text feature per record")
+            raise ConfigError("need at least one text feature per record")
 
 
 @dataclass
@@ -100,10 +100,9 @@ def mesh_surface(mesh: TriangleMesh) -> Surface:
     return Surface(fv, areas / areas.sum(), center)
 
 
-def visible_fraction(mesh: TriangleMesh, cloud_points: np.ndarray,
+def visible_fraction(surface: Surface, cloud_points: np.ndarray,
                      camera_position: np.ndarray, samples: int = 512,
-                     seed: int = 0, resolution: int = 128,
-                     surface: Surface | None = None) -> float:
+                     seed: int = 0, resolution: int = 128) -> float:
     """Fraction of the camera-side half of the surface covered by the cloud.
 
     Surface samples are drawn uniformly by area; a sample counts as covered
@@ -111,10 +110,10 @@ def visible_fraction(mesh: TriangleMesh, cloud_points: np.ndarray,
     The denominator is the half of the surface on the camera side of the
     plane through the object center, so a sphere scores ~0.5 (the visible cap
     is half of the near hemisphere from radius-2 viewing distance).
-    `surface` is `mesh_surface(mesh)`, computed here when not given;
-    `generate_triplets` computes it once per mesh for all of its views.
+    `surface` is the mesh's `mesh_surface`, which `generate_triplets`
+    computes once per mesh for all of its views.
     """
-    fv, probs, center = mesh_surface(mesh) if surface is None else surface
+    fv, probs, center = surface
     rng = np.random.Generator(np.random.PCG64(seed))
     faces = rng.choice(len(probs), size=samples, p=probs)
     u, v = rng.random(samples), rng.random(samples)
@@ -229,10 +228,9 @@ def generate_triplets(meshes: list[tuple[str, str, TriangleMesh]],
                 text_features=text_feats[mi],
             ))
             if with_summary:
-                fractions.append(visible_fraction(mesh, cloud.points, pose.position,
+                fractions.append(visible_fraction(surface, cloud.points, pose.position,
                                                   seed=seed + pose.view_id,
-                                                  resolution=resolution,
-                                                  surface=surface))
+                                                  resolution=resolution))
     dataset = TripletDataset(
         records=records,
         class_names=class_names,

@@ -32,6 +32,7 @@ for scale reporting, including the analytic attention-equivalent model
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -39,12 +40,23 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .curves import CurveKind
-from .errors import InvalidConfig, ShapeError
-from .ssm import S6Params, init_s6, selective_scan
+from .errors import ConfigError, ShapeError
+from .ssm import S6Params, dt_rank, init_s6, selective_scan
 from .tokenizer import MiniPointNetParams, init_mini_pointnet
 
 CONV_WIDTH_STANDARD = 5  # symmetric padding 2: same length, bidirectional
 CONV_WIDTH_CAUSAL = 4    # left padding 3: strictly past-looking
+
+
+def check_integer_fields(config) -> None:
+    """Raise ConfigError unless each `int` field of a config dataclass holds an
+    integer: a bool, a float such as 16.5 or a string is refused, since a
+    checkpoint's header is not covered by its checksum."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and (isinstance(value, bool)
+                                or not isinstance(value, numbers.Integral)):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,21 +75,18 @@ class EncoderConfig:
     curve_bits: int = 10
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.l_blocks < 0:
-            raise InvalidConfig(f"l_blocks must be >= 0, got {self.l_blocks}")
+            raise ConfigError(f"l_blocks must be >= 0, got {self.l_blocks}")
         if self.conv_mode not in ("standard", "causal", "none"):
-            raise InvalidConfig(f"unknown conv_mode {self.conv_mode!r}")
+            raise ConfigError(f"unknown conv_mode {self.conv_mode!r}")
         if min(self.c_dim, self.s_tokens, self.k_neighbors, self.n_state,
                self.expand, self.embed_dim) < 1:
-            raise InvalidConfig("encoder dimensions must be positive")
+            raise ConfigError("encoder dimensions must be positive")
 
     @property
     def c_inner(self) -> int:
         return self.expand * self.c_dim
-
-    @property
-    def dt_rank(self) -> int:
-        return max(1, -(-self.c_inner // 16))
 
     @property
     def conv_width(self) -> int:
@@ -204,7 +213,7 @@ def stream_branches(z_in: Tensor, gate: Tensor, fwd: np.ndarray, inv: np.ndarray
     biases = (params.branch_h_b, params.branch_t_b)
     kernels, conv_biases = (((params.conv_h_kernel, params.conv_t_kernel),
                              (params.conv_h_bias, params.conv_t_bias)) if conv else ((), ()))
-    s6 = (params.s6_h.tensors(), params.s6_t.tensors())
+    s6 = (vars(params.s6_h), vars(params.s6_t))
     parents = (z_in, gate, *weights, *biases, *kernels, *conv_biases,
                *(t for tensors in s6 for t in tensors.values()))
     grad = ad.needs_grad(*parents)
@@ -290,8 +299,8 @@ def encoder_forward(tokens: Tensor, fwd: np.ndarray, inv: np.ndarray,
 def count_params(config: EncoderConfig) -> int:
     """Closed-form learnable-parameter count of the encoder tower
     (tokenizer + blocks + head; the contrastive projection heads are separate)."""
-    c, ci, n, r, w = (config.c_dim, config.c_inner, config.n_state,
-                      config.dt_rank, config.conv_width)
+    c, ci, n, w = config.c_dim, config.c_inner, config.n_state, config.conv_width
+    r = dt_rank(ci)
     hid = config.pointnet_hidden
     tokenizer = (6 * hid + hid) + (hid * c + c) + (c * c + c)
     # a_log + b/c projections + dt bottleneck (low, up, bias) + d_skip
@@ -330,7 +339,7 @@ def named_parameters(obj, prefix: str = ""):
 SCAN_FLOPS_PER_STATE = 9  # exp, two mults + add for h, dot-product term, misc
 
 
-def count_flops(config: EncoderConfig, s_tokens: int | None = None) -> float:
+def count_flops(config: EncoderConfig, s_tokens: int) -> float:
     """Analytic forward FLOPs of the encoder at a given token count.
 
     Affine maps cost 2*in*out per token, the depthwise conv 2*w per channel
@@ -338,13 +347,12 @@ def count_flops(config: EncoderConfig, s_tokens: int | None = None) -> float:
     per token plus its input-dependent projections. Token count enters every
     term linearly.
     """
-    s = config.s_tokens if s_tokens is None else s_tokens
-    c, ci, n, r, w = (config.c_dim, config.c_inner, config.n_state,
-                      config.dt_rank, config.conv_width)
+    c, ci, n, w = config.c_dim, config.c_inner, config.n_state, config.conv_width
+    r = dt_rank(ci)
     hid = config.pointnet_hidden
     k = config.k_neighbors
 
-    tokenizer = s * k * (2 * 6 * hid + 2 * hid * c) + s * 2 * c * c
+    tokenizer = s_tokens * k * (2 * 6 * hid + 2 * hid * c) + s_tokens * 2 * c * c
     s6 = (
         2 * ci * r + 2 * r * ci    # dt bottleneck
         + 2 * (2 * ci * n)         # input-dependent B and C projections
@@ -361,12 +369,11 @@ def count_flops(config: EncoderConfig, s_tokens: int | None = None) -> float:
         + 6 * ci                   # SiLU activations and gating products
     )
     head = 2 * c * config.embed_dim
-    return float(tokenizer + s * (config.l_blocks * block_per_token + head))
+    return float(tokenizer + s_tokens * (config.l_blocks * block_per_token + head))
 
 
-def attention_equivalent_flops(config: EncoderConfig, s_tokens: int | None = None) -> float:
+def attention_equivalent_flops(config: EncoderConfig, s_tokens: int) -> float:
     """Analytic stand-in for a Transformer encoder at the same L, C, S:
     4*S^2*C + 8*S*C^2 per block. No Transformer is implemented."""
-    s = config.s_tokens if s_tokens is None else s_tokens
-    c = config.c_dim
+    s, c = s_tokens, config.c_dim
     return float(config.l_blocks * (4 * s * s * c + 8 * s * c * c))

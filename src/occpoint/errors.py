@@ -13,10 +13,6 @@ class DegenerateMesh(OccPointError):
     """Mesh collapses to a point; normalization is undefined."""
 
 
-class InvalidConfig(OccPointError):
-    """A configuration value is out of its legal range."""
-
-
 class EmptyCloud(OccPointError):
     """An operation received or produced a point cloud with no points."""
 
@@ -38,4 +34,6 @@ class FormatError(OccPointError):
 
 
 class ConfigError(OccPointError):
-    """Stored artifacts disagree with each other (e.g. checkpoint vs fixtures)."""
+    """A configuration value is wrong (of the wrong type or out of its legal
+    range), or stored artifacts disagree with each other (e.g. checkpoint vs
+    dataset)."""

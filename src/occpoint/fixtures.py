@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import ConfigError
 
 OBJECT_NOISE = 0.15
 CAPTION_NOISE = 0.03
@@ -21,7 +21,7 @@ TEXT_VARIANTS = 2
 def class_anchors(n_classes: int, dim: int, seed: int) -> np.ndarray:
     """(K, dim) orthonormal rows."""
     if n_classes > dim:
-        raise InvalidConfig(f"need dim >= n_classes for orthonormal anchors, "
+        raise ConfigError(f"need dim >= n_classes for orthonormal anchors, "
                             f"got {n_classes} > {dim}")
     rng = np.random.Generator(np.random.PCG64([seed, 0xA17C]))
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))

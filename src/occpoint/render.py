@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cameras import CameraPose
-from .errors import EmptyCloud, InvalidConfig
+from .errors import ConfigError, EmptyCloud
 from .meshio import TriangleMesh
 
 BACKGROUND_GRAY = 0.5
@@ -63,13 +63,11 @@ class DepthImage:
 @dataclass
 class PartialPointCloud:
     points: np.ndarray  # (N, 3)
-    colors: np.ndarray | None = None  # (N, 3) in [0, 1]
-    view_id: int = 0
+    colors: np.ndarray  # (N, 3) in [0, 1]
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if self.colors is not None:
-            self.colors = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
+        self.colors = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
         if self.points.shape[0] < 1:
             raise EmptyCloud("point cloud has no points")
 
@@ -124,7 +122,7 @@ def rasterize(mesh: TriangleMesh, pose: CameraPose) -> tuple[DepthImage, np.ndar
     """
     w, h = pose.resolution
     if w < 1 or h < 1:
-        raise InvalidConfig(f"zero-resolution image {pose.resolution}")
+        raise ConfigError(f"zero-resolution image {pose.resolution}")
 
     depth = np.full(h * w, np.inf, dtype=np.float64)
     color = np.full((h * w, 3), BACKGROUND_GRAY, dtype=np.float64)
@@ -237,7 +235,7 @@ def backproject(depth: DepthImage, color: np.ndarray, pose: CameraPose) -> Parti
     """One object-space point per covered pixel: camera + depth * pixel ray."""
     h, w = depth.values.shape
     if color.shape[:2] != (h, w):
-        raise InvalidConfig(
+        raise ConfigError(
             f"depth {depth.values.shape} and color {color.shape[:2]} resolutions differ"
         )
     mask = depth.covered
@@ -246,7 +244,7 @@ def backproject(depth: DepthImage, color: np.ndarray, pose: CameraPose) -> Parti
     rays = pose.pixel_rays(mask)
     d = depth.values[mask][:, None]
     points = pose.position + d * rays
-    return PartialPointCloud(points=points, colors=color[mask].copy(), view_id=pose.view_id)
+    return PartialPointCloud(points=points, colors=color[mask].copy())
 
 
 def sample_points(cloud: PartialPointCloud, n: int = 2048, rng_seed: int = 0) -> PartialPointCloud:
@@ -256,13 +254,9 @@ def sample_points(cloud: PartialPointCloud, n: int = 2048, rng_seed: int = 0) ->
     replacement otherwise.
     """
     if n <= 0:
-        raise InvalidConfig(f"sample size must be positive, got {n}")
+        raise ConfigError(f"sample size must be positive, got {n}")
     total = cloud.points.shape[0]
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     replace = total < n
     idx = rng.choice(total, size=n, replace=replace)
-    return PartialPointCloud(
-        points=cloud.points[idx],
-        colors=None if cloud.colors is None else cloud.colors[idx],
-        view_id=cloud.view_id,
-    )
+    return PartialPointCloud(points=cloud.points[idx], colors=cloud.colors[idx])

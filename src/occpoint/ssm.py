@@ -30,7 +30,7 @@ callers' (Z, B, L, .) and (Z, C, N) layouts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class S6Params:
     b_bias: Tensor       # (N,)
     c_weight: Tensor     # (C, N)
     c_bias: Tensor       # (N,)
-    dt_low: Tensor       # (C, R) bottleneck, R = ceil(C / 16)
+    dt_low: Tensor       # (C, R) bottleneck, R = dt_rank(C)
     dt_up: Tensor        # (R, C)
     dt_bias: Tensor      # (C,)
     d_skip: Tensor       # (C,)
@@ -63,14 +63,16 @@ class S6Params:
     def channels(self) -> int:
         return self.a_log.shape[0]
 
-    def tensors(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+def dt_rank(channels: int) -> int:
+    """Rank of the step-size bottleneck over C channels: ceil(C / 16), at least 1."""
+    return max(1, -(-channels // 16))
 
 
 def init_s6(channels: int, n_state: int, rng: np.random.Generator) -> S6Params:
     """Initialization: A spread log-uniformly over [-16, -1] per state index,
     step bias set so the initial delta lands log-uniformly in [1e-3, 1e-1]."""
-    dt_rank = max(1, -(-channels // 16))
+    rank = dt_rank(channels)
     magnitudes = np.exp(np.linspace(np.log(1.0), np.log(16.0), n_state))
     a_log = np.log(np.tile(magnitudes, (channels, 1)))
     dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=channels))
@@ -81,8 +83,8 @@ def init_s6(channels: int, n_state: int, rng: np.random.Generator) -> S6Params:
         b_bias=Tensor(np.zeros(n_state), requires_grad=True),
         c_weight=ad.parameter((channels, n_state), rng),
         c_bias=Tensor(np.zeros(n_state), requires_grad=True),
-        dt_low=ad.parameter((channels, dt_rank), rng),
-        dt_up=ad.parameter((dt_rank, channels), rng),
+        dt_low=ad.parameter((channels, rank), rng),
+        dt_up=ad.parameter((rank, channels), rng),
         dt_bias=Tensor(dt_bias, requires_grad=True),
         d_skip=Tensor(np.ones(channels), requires_grad=True),
     )
@@ -103,8 +105,7 @@ def _batch_major(v):
     return np.ascontiguousarray(np.moveaxis(v, 0, 2))
 
 
-def _scan_forward(xt, dt, bt, ct, a, d, check: bool = True,
-                  keep_states: bool = False):
+def _scan_forward(xt, dt, bt, ct, a, d, keep_states: bool = False):
     """Core recurrence on plain arrays, every stream in one loop over L.
     The step inputs come time-major (see `_time_major`): xt/dt (L, Z, B, C)
     for x and delta, bt/ct (L, Z, B, N) for bmat and cmat; a: (Z, C, N);
@@ -139,7 +140,7 @@ def _scan_forward(xt, dt, bt, ct, a, d, check: bool = True,
         h = np.multiply(h, abar, out=h if h_all is None else h_all[t])
         h += np.einsum("zbn,zbc->zbnc", bt[t], dxt[t], out=bx)
         np.matmul(ct[t, :, :, None], h, out=yt[t, :, :, None])
-        if check and (t % FINITE_CHECK_STRIDE == 0 or t == length - 1):
+        if t % FINITE_CHECK_STRIDE == 0 or t == length - 1:
             if not np.all(np.isfinite(h)):
                 raise NumericalError(f"non-finite state at step {t}")
     yt += d[:, None] * xt
@@ -153,8 +154,7 @@ def _scan_backward(g, x, xt, dt, bt, ct, a, d, h_all=None, abar_all=None):
     gradients for (x, delta, bmat, cmat, a, d), each C-contiguous in the
     batch-major layout of the forward's callers."""
     if h_all is None:
-        _, h_all, abar_all = _scan_forward(xt, dt, bt, ct, a, d, check=False,
-                                           keep_states=True)
+        _, h_all, abar_all = _scan_forward(xt, dt, bt, ct, a, d, keep_states=True)
     length = xt.shape[0]
     (gt,) = _time_major(g)
     dxt = dt * xt

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InvalidConfig, InvalidInput, NumericalError, ShapeError
+from .errors import ConfigError, InvalidInput, NumericalError, ShapeError
 
 COLOR_CONSTANT = 0.4  # substituted per channel when a cloud has no colors
 
@@ -99,9 +99,9 @@ def knn_group(points: np.ndarray, colors: np.ndarray,
     points = _as_batch(points)
     b, n, _ = points.shape
     if k < 1:
-        raise InvalidConfig(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     if k > n:
-        raise InvalidConfig(f"k={k} exceeds cloud size {n}")
+        raise ConfigError(f"k={k} exceeds cloud size {n}")
     center_indices = np.asarray(center_indices, dtype=np.int64).reshape(b, -1)
     centers = np.take_along_axis(points, center_indices[..., None], axis=1)
     s = centers.shape[1]

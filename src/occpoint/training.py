@@ -58,6 +58,7 @@ from .dataset import N_VIEWS, TripletDataset, TripletRecord, heldout_view
 from .encoder import (
     EncoderConfig,
     EncoderParams,
+    check_integer_fields,
     encoder_forward,
     init_encoder,
     named_parameters,
@@ -88,6 +89,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self)
         # A batch of one gives an identically zero contrastive loss.
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
@@ -344,6 +346,9 @@ def _tokenize(records: list[TripletRecord], config: EncoderConfig) -> dict[str, 
     by_size: dict[int, list[int]] = {}
     for i, rec in enumerate(records):
         by_size.setdefault(len(rec.points), []).append(i)
+    if by_size and k > min(by_size):
+        # Checked before the (R, S, k, 3) arrays are allocated.
+        raise ConfigError(f"k_neighbors={k} exceeds the smallest cloud's {min(by_size)} points")
     r = len(records)
     centers, rel_points = np.empty((r, s, 3)), np.empty((r, s, k, 3))
     patch_colors, orders = np.empty((r, s, k, 3)), np.empty((r, 2, 2, s), dtype=np.int64)
@@ -555,7 +560,13 @@ def make_batches(tokens: Tokens, batch_size: int, epoch: int,
     for row, object_id in enumerate(tokens.object_ids):
         by_object.setdefault(object_id, []).append(row)
     objects = list(by_object.values())  # rows of object i, in first-appearance order
-    views_per_object = min(len(rows) for rows in objects)
+    views = {object_id: len(rows) for object_id, rows in by_object.items()}
+    fewest, most = min(views, key=views.get), max(views, key=views.get)
+    if views[fewest] != views[most]:
+        raise ConfigError(f"object {fewest} has {views[fewest]} views and object {most} "
+                          f"{views[most]}: every object needs the same view count to use "
+                          f"each view once per epoch")
+    views_per_object = views[fewest]
     view_orders = [rng.permutation(len(rows)) for rows in objects]
     by_class: dict[int, list[int]] = {}
     for obj, rows in enumerate(objects):
@@ -649,12 +660,15 @@ def run_pretraining(dataset: TripletDataset, encoder_config: EncoderConfig,
 # Evaluation
 
 
-def embed_clouds(tokens: Tokens, model: ModelState, batch_size: int = 32) -> np.ndarray:
+EMBED_BATCH = 32  # clouds per forward pass in embed_clouds
+
+
+def embed_clouds(tokens: Tokens, model: ModelState) -> np.ndarray:
     """Unit-norm point embeddings (M, D) of tokenized clouds, without gradients."""
     out = []
     with ad.no_grad():
-        for start in range(0, len(tokens), batch_size):
-            chunk = tokens[start : start + batch_size]
+        for start in range(0, len(tokens), EMBED_BATCH):
+            chunk = tokens[start : start + EMBED_BATCH]
             feats = np.concatenate([chunk.rel_points, chunk.patch_colors], axis=-1)
             z = encode_batch(feats, *np.moveaxis(chunk.orders, 0, 2), model)
             out.append(z.data / np.linalg.norm(z.data, axis=1, keepdims=True))
@@ -759,8 +773,15 @@ def load_checkpoint(path) -> ModelState:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint {path}: missing or malformed metadata {exc}") from exc
     model = init_model(encoder_config, train_config)
+    slots = _slots(model)
+    extra = sorted(entries.keys() - {f"{slot}/{name}" for name in model.opt.weights
+                                     for slot in slots})
+    if extra:
+        shown = ", ".join(extra[:4]) + (", ..." if len(extra) > 4 else "")
+        raise ConfigError(f"checkpoint {path} holds {len(extra)} tensors the model "
+                          f"does not expect: {shown}")
     for name in model.opt.weights:
-        for slot, views in _slots(model).items():
+        for slot, views in slots.items():
             stored = entries.get(f"{slot}/{name}")
             if stored is None or stored.shape != views[name].shape:
                 found = "missing" if stored is None else f"of shape {stored.shape}"

@@ -110,7 +110,7 @@ def _recurrence(x, delta, bmat, cmat, a, d) -> Tensor:
 
 def composed_scan(x: Tensor, s6) -> Tensor:
     """Selective scan of a (B, L, C) Tensor with its projections as autodiff ops."""
-    delta = softplus(ad.affine(ad.affine(x, s6.dt_low), s6.dt_up, s6.dt_bias))
+    delta = softplus(ad.affine(ad.matmul(x, s6.dt_low), s6.dt_up, s6.dt_bias))
     bmat = ad.affine(x, s6.b_weight, s6.b_bias)
     cmat = ad.affine(x, s6.c_weight, s6.c_bias)
     return _recurrence(x, delta, bmat, cmat, ad.neg(ad.exp(s6.a_log)), s6.d_skip)

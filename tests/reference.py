@@ -105,7 +105,7 @@ def scan(x: np.ndarray, params: S6Params) -> np.ndarray:
 def scan_tensor(x: Tensor, params: S6Params) -> Tensor:
     """`selective_scan` of one (B, L, C) Tensor through one S6Params, as an
     autodiff op whose gradients reach the input and every parameter."""
-    tensors = params.tensors()
+    tensors = vars(params)
     y, adjoint = selective_scan(x.data[None], (params,))
 
     def backward(g):

@@ -9,7 +9,13 @@ from pathlib import Path
 
 import numpy as np
 
-from occpoint import container
+from occpoint import autodiff as ad
+from occpoint import container, dataset
+from occpoint.cameras import camera_ring
+from occpoint.encoder import toy_config
+from occpoint.meshio import normalize_mesh
+from occpoint.synthetic import make_class_mesh
+from occpoint.training import TrainConfig, build_cache, init_model, make_batches, train_step
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -44,3 +50,41 @@ def test_bytes_written_counter_reads_the_file_size(tmp_path):
     path = tmp_path / "c.occt"
     container.write_container_file(path, entries, {"k": 1})
     assert len(blob) == path.stat().st_size
+
+
+def test_every_counter_reads_a_real_result():
+    """Each of perfbench's counters, installed as `--trace 1` installs it,
+    counts a real call: a change to a counted function's return type fails
+    here, not only when the benchmark traces."""
+    tracing = load_tracing()
+    mesh = normalize_mesh(make_class_mesh("cube", 0, 1))
+    entries = {"x": np.arange(6, dtype=np.float32), "y": np.ones((2, 3))}
+    x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+    loss = ad.tensor_sum(ad.mul(x, x))  # x, the product and the sum
+    with tracing.traced(tracing.Tracer()) as tracer:
+        depth, _ = dataset.rasterize(mesh, camera_ring((24, 24))[0])
+        blob = container.write_container(entries, {"k": 1})
+        loss.backward()
+    assert dict(tracer.counters) == {
+        "render.covered_pixels": int(depth.covered.sum()),
+        "container.bytes_written": len(blob),
+        "autodiff.graph_nodes": 3,
+    }
+    assert {name for _, _, name, _ in tracing.COUNTERS} == set(tracer.counters)
+    assert tracer.counters["render.covered_pixels"] > 0
+
+
+def test_toy_train_step_graph_has_at_most_270_nodes():
+    """Ratchet on the autodiff graph of one train step at the toy preset
+    (two blocks), counted as perfbench's `autodiff.graph_nodes` counts it."""
+    tracing = load_tracing()
+    meshes = [(f"{cls}_0", cls, make_class_mesh(cls, 0, 5)) for cls in ("cube", "sphere", "cone")]
+    data = dataset.generate_triplets(meshes, feature_dim=16, resolution=48, n_points=256, seed=5)
+    config = toy_config(embed_dim=16)
+    model = init_model(config, TrainConfig(batch_size=3, epochs=1, warmup_epochs=0))
+    tokens = build_cache(data.split_views(2)[0], config)
+    rows = make_batches(tokens, 3, 0, 0)[0]
+    with tracing.traced(tracing.Tracer()) as tracer:
+        train_step(tokens[rows], model, 0, 1, 1)
+    assert tracer.calls["autodiff.backward"] == 1
+    assert tracer.counters["autodiff.graph_nodes"] <= 270

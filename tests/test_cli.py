@@ -234,7 +234,8 @@ def test_eval_dimension_mismatch_is_config_error(small_dataset, tmp_path, capsys
 
 
 @pytest.mark.parametrize("flag,value", [("--batch-size", "1"), ("--holdout-views", "0"),
-                                        ("--holdout-views", "12")])
+                                        ("--holdout-views", "12"),
+                                        ("--k-neighbors", "1000000")])
 def test_pretrain_rejects_degenerate_config(small_dataset, tmp_path, capsys, flag, value):
     rc = main(["pretrain", "--data", str(small_dataset), "--out", str(tmp_path / "m.occt"),
                "--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6",
@@ -288,6 +289,22 @@ def test_pretrain_without_training_records_is_user_error(small_dataset, tmp_path
                "--c-dim", "16", "--epochs", "1", "--warmup-epochs", "0"])
     assert rc == 1
     assert capsys.readouterr().err == "error: no training records after the view split\n"
+
+
+def test_pretrain_refuses_objects_with_unequal_view_counts(small_dataset, tmp_path, capsys):
+    """Each epoch uses every training view once, so every object needs the
+    same number of them: one record moved to a held-out view id leaves its
+    object one short."""
+    def move_to_heldout(entries, meta):
+        record = next(r for r in meta["records"] if r["view_id"] == 0)
+        record["view_id"] = 10
+
+    data = rewrite(small_dataset, tmp_path / "uneven.occt", move_to_heldout)
+    rc = main(["pretrain", "--data", str(data), "--out", str(tmp_path / "m.occt"),
+               "--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6",
+               "--c-dim", "16", "--epochs", "1", "--warmup-epochs", "0"])
+    assert rc == 1
+    assert "has 9 views" in capsys.readouterr().err
 
 
 def test_records_with_other_text_variant_counts_are_config_error(small_dataset, tmp_path,
@@ -480,6 +497,13 @@ def first_param(entries):
     pytest.param(lambda e, m: e.pop(f"param/{first_param(e)}"), id="no-param-tensor"),
     pytest.param(lambda e, m: e.__setitem__(f"opt/v/{first_param(e)}", np.zeros(3)),
                  id="wrong-shape-moment"),
+    # The checksum covers the tensors, not the header: edits to it must be refused.
+    pytest.param(lambda e, m: m["encoder_config"].__setitem__("c_dim", 16.5), id="float-c-dim"),
+    pytest.param(lambda e, m: m["encoder_config"].__setitem__("expand", 1.5), id="float-expand"),
+    pytest.param(lambda e, m: m["encoder_config"].__setitem__("l_blocks", True), id="bool-l-blocks"),
+    pytest.param(lambda e, m: m["train_config"].__setitem__("seed", True), id="bool-seed"),
+    pytest.param(lambda e, m: m["encoder_config"].__setitem__("l_blocks", 1),
+                 id="unexpected-tensors"),
 ])
 def test_load_checkpoint_incomplete_is_config_error(small_checkpoint, small_dataset, tmp_path,
                                                      capsys, edit):

@@ -18,7 +18,7 @@ from occpoint.encoder import (
     named_parameters,
     toy_config,
 )
-from occpoint.errors import InvalidConfig, ShapeError
+from occpoint.errors import ConfigError, ShapeError
 from occpoint.training import curve_orders
 
 from composed import assert_grads_match, composed_block_forward, forward_and_grads
@@ -282,8 +282,15 @@ def test_ablation_configs_run_forward_and_backward(curve_a, curve_b, conv_mode):
 
 
 def test_invalid_conv_mode_rejected():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         EncoderConfig(conv_mode="dilated")
+
+
+@pytest.mark.parametrize("field,value", [("c_dim", 16.5), ("expand", 1.5), ("l_blocks", True),
+                                         ("s_tokens", 32.0), ("curve_bits", "10")])
+def test_integer_fields_refuse_other_values(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        EncoderConfig(**{field: value})
 
 
 # --- scale accounting -----------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from occpoint.cameras import CameraPose, camera_ring
-from occpoint.errors import DegenerateMesh, EmptyCloud, InvalidConfig, InvalidMesh
+from occpoint.errors import ConfigError, DegenerateMesh, EmptyCloud, InvalidMesh
 from occpoint.meshio import TriangleMesh, load_obj, normalize_mesh, save_obj
 from occpoint.render import backproject, rasterize, sample_points
 from occpoint.synthetic import make_cube, make_icosphere, toy_object_set
@@ -89,7 +89,7 @@ def test_unit_sphere_projects_inside_frame():
 
 
 def test_zero_resolution_rejected():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         CameraPose(position=np.array([2.0, 0, 0]), resolution=(0, 64))
 
 
@@ -285,7 +285,7 @@ def test_sample_deterministic_under_seed():
 
 
 def test_sample_rejects_zero():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         sample_points(make_cloud(10), 0)
 
 

@@ -12,8 +12,8 @@ import pytest
 
 from occpoint import dataset, render
 from occpoint.cameras import CameraPose, camera_ring
-from occpoint.dataset import generate_triplets, visible_fraction
-from occpoint.errors import InvalidConfig
+from occpoint.dataset import generate_triplets, mesh_surface, visible_fraction
+from occpoint.errors import ConfigError
 from occpoint.meshio import TriangleMesh, normalize_mesh
 from occpoint.render import (
     BACKGROUND_GRAY,
@@ -37,7 +37,7 @@ def reference_rasterize(mesh: TriangleMesh, pose: CameraPose) -> tuple[DepthImag
     """
     w, h = pose.resolution
     if w < 1 or h < 1:
-        raise InvalidConfig(f"zero-resolution image {pose.resolution}")
+        raise ConfigError(f"zero-resolution image {pose.resolution}")
 
     depth = np.full((h, w), np.inf, dtype=np.float64)
     color = np.full((h, w, 3), BACKGROUND_GRAY, dtype=np.float64)
@@ -104,10 +104,11 @@ def reference_rasterize(mesh: TriangleMesh, pose: CameraPose) -> tuple[DepthImag
 
 def reference_visible_fraction(mesh: TriangleMesh, cloud_points: np.ndarray,
                      camera_position: np.ndarray, samples: int = 512,
-                     seed: int = 0, resolution: int = 128, surface=None) -> float:
+                     seed: int = 0, resolution: int = 128) -> float:
     """Fraction of the camera-side half of the surface covered by the cloud.
-    Takes `visible_fraction`'s arguments but ignores `surface`: the oracle
-    recomputes the face areas and the centre from the mesh for every view.
+    Takes `visible_fraction`'s arguments with the mesh in place of its
+    `mesh_surface`: the oracle recomputes the face areas and the centre from
+    the mesh for every view.
 
     Surface samples are drawn uniformly by area; a sample counts as covered
     when some back-projected point lies within a few pixel footprints of it.
@@ -226,7 +227,7 @@ def test_visible_fraction_matches_oracle_bitwise():
             depth, color = rasterize(mesh, pose)
             cloud = sample_points(backproject(depth, color, pose), 2048, rng_seed=pose.view_id)
             for samples in (512, 40):
-                got = visible_fraction(mesh, cloud.points, pose.position,
+                got = visible_fraction(mesh_surface(mesh), cloud.points, pose.position,
                                        samples=samples, seed=pose.view_id)
                 want = reference_visible_fraction(mesh, cloud.points, pose.position,
                                                   samples=samples, seed=pose.view_id)
@@ -354,21 +355,27 @@ def test_visible_fraction_block_size_does_not_matter(monkeypatch):
     pose = camera_ring((64, 64))[5]
     depth, color = rasterize(mesh, pose)
     points = backproject(depth, color, pose).points
-    want = visible_fraction(mesh, points, pose.position)
+    want = visible_fraction(mesh_surface(mesh), points, pose.position)
     assert want == reference_visible_fraction(mesh, points, pose.position)
     for cells in (1, 2, 7, 10_000):
         monkeypatch.setattr(dataset, "_GRID_CELLS", cells)
-        assert visible_fraction(mesh, points, pose.position) == want
+        assert visible_fraction(mesh_surface(mesh), points, pose.position) == want
 
 
 def test_every_view_fraction_of_the_corpus_matches_oracle_at_96(monkeypatch):
-    pairs = []
+    pairs, meshes = [], {}
 
-    def both(*args, **kwargs):
-        got = visible_fraction(*args, **kwargs)
-        pairs.append((got, reference_visible_fraction(*args, **kwargs)))
+    def surface_of(mesh):
+        surface = mesh_surface(mesh)
+        meshes[id(surface)] = mesh
+        return surface
+
+    def both(surface, *args, **kwargs):
+        got = visible_fraction(surface, *args, **kwargs)
+        pairs.append((got, reference_visible_fraction(meshes[id(surface)], *args, **kwargs)))
         return got
 
+    monkeypatch.setattr(dataset, "mesh_surface", surface_of)
     monkeypatch.setattr(dataset, "visible_fraction", both)
     _, summary = generate_triplets(toy_object_set(0), resolution=96, with_summary=True)
     assert len(pairs) == 16 * 12

@@ -238,7 +238,7 @@ def test_scan_gradients_match_finite_differences():
 
 def random_s6(rng, channels, n_state):
     params = init_s6(channels, n_state, rng)
-    for t in params.tensors().values():
+    for t in vars(params).values():
         t.data = t.data + 0.3 * rng.normal(size=t.shape)
     return params
 
@@ -248,7 +248,7 @@ def test_scan_gradients_match_composed_projections():
     for shape in ((2, 12, 5), (1, 40, 8), (3, 7, 3)):
         params = random_s6(rng, shape[-1], 4)
         x = Tensor(rng.normal(size=shape), requires_grad=True)
-        tensors = {"input": x, **params.tensors()}
+        tensors = {"input": x, **vars(params)}
         (got, got_grads), (want, want_grads) = (
             forward_and_grads(lambda: fn(x, params), tensors)
             for fn in (scan_tensor, composed_scan)
@@ -269,7 +269,7 @@ def test_stream_stacked_scan_matches_each_stream_alone():
     gx, grads = adjoint(gy)
     for z, params in enumerate(streams):
         xt = Tensor(x[z], requires_grad=True)
-        tensors = {"input": xt, **params.tensors()}
+        tensors = {"input": xt, **vars(params)}
         for t in tensors.values():
             t.zero_grad()
         alone = scan_tensor(xt, params)

@@ -8,7 +8,7 @@ from occpoint import training
 from occpoint.autodiff import Tensor
 from occpoint.dataset import TripletDataset, generate_triplets
 from occpoint.encoder import toy_config
-from occpoint.errors import InvalidConfig, InvalidInput
+from occpoint.errors import ConfigError, InvalidInput
 from occpoint.synthetic import toy_object_set
 from occpoint.tokenizer import (
     COLOR_CONSTANT,
@@ -202,7 +202,7 @@ def test_knn_distance_tie_broken_by_coordinates_then_colors():
 
 
 def test_knn_k_exceeding_cloud_rejected():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         knn_one(np.zeros((4, 3)), None, np.array([0]), 5)
 
 

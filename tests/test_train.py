@@ -88,6 +88,10 @@ def test_config_validation():
         TrainConfig(color_drop_prob=1.5)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=5, warmup_epochs=10)
+    for bad in (dict(batch_size=8.5), dict(epochs=3.0), dict(seed=True), dict(seed="1")):
+        with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be an integer"):
+            TrainConfig(**bad)
+    TrainConfig(seed=np.int64(3))
 
 
 @pytest.mark.parametrize("bad", [dict(batch_size=1), dict(batch_size=0),
