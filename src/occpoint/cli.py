@@ -17,20 +17,20 @@ import platform
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bench import format_csv, format_table, run_benchmark
 from .container import VERSION, dtype_name, read_container_file, write_atomic
-from .dataset import generate_triplets, load_dataset, save_dataset
-from .encoder import EncoderConfig, count_params, desk_config, full_scale_config, toy_config
+from .dataset import N_VIEWS, generate_triplets, load_dataset, save_dataset
+from .encoder import (CONV_MODES, EncoderConfig, count_params, desk_config,
+                      full_scale_config, toy_config)
 from .errors import ConfigError, OccPointError
 from .meshio import load_obj, save_obj
 from .synthetic import toy_object_set
 from .training import (
-    TokenCacheInfo,
     TrainConfig,
     build_cache,  # noqa: F401  perfbench's tracer wraps cli.build_cache by name
     check_resume,
@@ -48,10 +48,9 @@ from .training import (
 
 PRESETS = {"desk": desk_config, "toy": toy_config, "full": full_scale_config}
 
-# Hidden encoder overrides of `pretrain` and `bench`: (dest, type, choices).
-ENCODER_FLAGS = {"l_blocks": (int, None), "c_dim": (int, None), "s_tokens": (int, None),
-                 "k_neighbors": (int, None), "curve_a": (str, None), "curve_b": (str, None),
-                 "conv_mode": (str, ("standard", "causal", "none"))}
+# Hidden encoder overrides of `pretrain` and `bench`, by EncoderConfig field.
+ENCODER_FLAGS = ("l_blocks", "c_dim", "s_tokens", "k_neighbors", "curve_a", "curve_b",
+                 "conv_mode")
 
 
 def _git_describe() -> str:
@@ -102,12 +101,6 @@ def write_manifest(path: Path, config: dict, seed: int, started: str,
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
 
 
-def _dataset_inputs(token_cache: TokenCacheInfo) -> dict:
-    """The manifest's record of a run's dataset and of its token cache file."""
-    return {"dataset_sha256": token_cache.dataset_sha256,
-            "token_cache": {"path": str(token_cache.path), "hit": token_cache.hit}}
-
-
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -149,7 +142,7 @@ def cmd_gen(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    dataset, summary = generate_triplets(
+    dataset, visible = generate_triplets(
         meshes, feature_dim=args.embed_dim, resolution=args.resolution,
         n_points=args.points, seed=args.seed, with_summary=True,
     )
@@ -158,9 +151,8 @@ def cmd_gen(args) -> int:
                    {"resolution": args.resolution, "points": args.points,
                     "embed_dim": args.embed_dim, "meshes": len(meshes)},
                    args.seed, started, _now(), command_line=args._argv)
-    print(f"objects: {summary.objects}  views: {summary.views}  "
-          f"points/cloud: {summary.points_per_cloud}  "
-          f"mean visible fraction: {summary.mean_visible_fraction:.3f}")
+    print(f"objects: {len(meshes)}  views: {N_VIEWS}  points/cloud: {args.points}  "
+          f"mean visible fraction: {visible:.3f}")
     print(f"wrote {out}")
     return 0
 
@@ -185,7 +177,7 @@ def cmd_pretrain(args) -> int:
         check_resume(model, encoder_config, train_config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    tokens, token_cache = load_or_build_cache(args.data, dataset, encoder_config)
+    tokens, inputs = load_or_build_cache(args.data, dataset, encoder_config)
     tokens, _ = split_tokens(dataset, tokens, train_config.holdout_views)
     manifest_path = out.with_suffix(".manifest.json")
     resolved = {
@@ -194,7 +186,6 @@ def cmd_pretrain(args) -> int:
         "full_scale_params": count_params(full_scale_config()),
         "preset_params": count_params(encoder_config),
     }
-    inputs = _dataset_inputs(token_cache)
     write_manifest(manifest_path, resolved, args.seed, started,
                    command_line=args._argv, inputs=inputs)
 
@@ -232,7 +223,7 @@ def cmd_eval(args) -> int:
         )
     if args.mode != "zero-shot" and not train.records:
         raise ConfigError("dataset has no training views to fit the linear probe on")
-    tokens, token_cache = load_or_build_cache(args.data, dataset, model.encoder_config)
+    tokens, inputs = load_or_build_cache(args.data, dataset, model.encoder_config)
     train_tokens, tokens = split_tokens(dataset, tokens, holdout)
     params = model.params()
     report = {}
@@ -252,7 +243,6 @@ def cmd_eval(args) -> int:
         print(f"{key}: {value:.4f}")
     if args.out:
         write_atomic(args.out, json.dumps(report, indent=2) + "\n")
-        inputs = _dataset_inputs(token_cache)
         inputs["heldout_view_ids"] = sorted({r.view_id for r in heldout.records})
         write_manifest(Path(args.out).with_suffix(".manifest.json"),
                        {"checkpoint": str(args.checkpoint), "mode": args.mode},
@@ -347,9 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=cmd_inspect)
 
+    # Each flag's type follows its field's annotation; a curve is parsed by
+    # EncoderConfig.from_dict.
+    types = {f.name: int if f.type == "int" else str for f in fields(EncoderConfig)}
     for sp in (sub.choices["pretrain"], sub.choices["bench"]):
-        for name, (kind, choices) in ENCODER_FLAGS.items():
-            sp.add_argument(f"--{name.replace('_', '-')}", type=kind, choices=choices,
+        for name in ENCODER_FLAGS:
+            sp.add_argument(f"--{name.replace('_', '-')}", type=types[name],
+                            choices=CONV_MODES if name == "conv_mode" else None,
                             default=None, dest=name, help=argparse.SUPPRESS)
 
     return parser

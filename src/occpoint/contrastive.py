@@ -82,20 +82,16 @@ def init_alignment_heads(embed_dim: int, rng: np.random.Generator) -> AlignmentH
     )
 
 
-def project(head: ProjectionHead, features) -> Tensor:
-    """Affine map then row-wise L2 normalization; rows must come out nonzero."""
-    feats = features if isinstance(features, Tensor) else Tensor(features)
+def project(head: ProjectionHead, feats: Tensor) -> Tensor:
+    """Affine map of (B, D_in) features, then `normalize_rows`: the rows must
+    come out nonzero."""
     if feats.ndim != 2:
         raise ShapeError(f"project expects (B, D_in), got {feats.shape}")
     if feats.shape[1] != head.weight.shape[0]:
         raise ShapeError(
             f"project: features dim {feats.shape[1]} != head input {head.weight.shape[0]}"
         )
-    out = ad.affine(feats, head.weight, head.bias)
-    norms = np.linalg.norm(out.data, axis=1)
-    if np.any(norms < 1e-12):
-        raise NumericalError("zero-norm row after projection; cannot normalize")
-    return ad.l2_normalize_rows(out)
+    return normalize_rows(ad.affine(feats, head.weight, head.bias))
 
 
 def normalize_rows(feats: Tensor) -> Tensor:
@@ -155,8 +151,8 @@ class EmbeddingBatch:
     z_mixed: Tensor
 
 
-def build_embedding_batch(point_embed: Tensor, image_features, text_features,
-                          heads: AlignmentHeads) -> EmbeddingBatch:
+def build_embedding_batch(point_embed: Tensor, image_features: Tensor,
+                          text_features: Tensor, heads: AlignmentHeads) -> EmbeddingBatch:
     """Project raw features and assemble the four normalized embedding sets."""
     z_point = normalize_rows(point_embed)
     z_image = project(heads.image, image_features)
@@ -167,9 +163,6 @@ def build_embedding_batch(point_embed: Tensor, image_features, text_features,
 
 def total_loss(batch: EmbeddingBatch, tau: Tensor, reduction: str = "mean"):
     """Four-term objective; returns (loss Tensor, per-term float breakdown)."""
-    for name in ("z_text", "z_image", "z_point", "z_mixed"):
-        if getattr(batch, name, None) is None:
-            raise InvalidInput(f"missing modality {name}")
     terms = {
         "point_image": cross_modal_loss(batch.z_point, batch.z_image, tau, reduction),
         "point_text": cross_modal_loss(batch.z_point, batch.z_text, tau, reduction),

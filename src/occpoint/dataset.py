@@ -74,14 +74,6 @@ class TripletDataset:
         )
 
 
-@dataclass
-class GenSummary:
-    objects: int
-    views: int
-    points_per_cloud: int
-    mean_visible_fraction: float
-
-
 class Surface(NamedTuple):
     """What `visible_fraction` needs of a mesh, whatever the view."""
 
@@ -200,6 +192,10 @@ def generate_triplets(meshes: list[tuple[str, str, TriangleMesh]],
     Renders the 12 preset views, back-projects and resamples each cloud to
     n_points, and attaches per-object fixture features derived from seeded
     class anchors.
+
+    With `with_summary`, returns (dataset, mean visible fraction): the mean
+    over every rendered view of `visible_fraction`, the share of the mesh's
+    surface that the view's cloud covers.
     """
     class_names = sorted({cls for _, cls, _ in meshes})
     name_to_label = {c: i for i, c in enumerate(class_names)}
@@ -239,13 +235,7 @@ def generate_triplets(meshes: list[tuple[str, str, TriangleMesh]],
               "feature_dim": feature_dim},
     )
     if with_summary:
-        summary = GenSummary(
-            objects=len(meshes),
-            views=N_VIEWS,
-            points_per_cloud=n_points,
-            mean_visible_fraction=float(np.mean(fractions)),
-        )
-        return dataset, summary
+        return dataset, float(np.mean(fractions))
     return dataset
 
 

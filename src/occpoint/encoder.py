@@ -32,6 +32,7 @@ for scale reporting, including the analytic attention-equivalent model
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields, replace
 
@@ -46,17 +47,23 @@ from .tokenizer import MiniPointNetParams, init_mini_pointnet
 
 CONV_WIDTH_STANDARD = 5  # symmetric padding 2: same length, bidirectional
 CONV_WIDTH_CAUSAL = 4    # left padding 3: strictly past-looking
+CONV_MODES = ("standard", "causal", "none")
 
 
-def check_integer_fields(config) -> None:
+def check_number_fields(config) -> None:
     """Raise ConfigError unless each `int` field of a config dataclass holds an
-    integer: a bool, a float such as 16.5 or a string is refused, since a
-    checkpoint's header is not covered by its checksum."""
+    integer and each `float` field a finite real number: a bool, a string,
+    None, 16.5 for an int or NaN for a float is refused, since a checkpoint's
+    header is not covered by its checksum."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "int" and (isinstance(value, bool)
                                 or not isinstance(value, numbers.Integral)):
             raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Real)
+                                  or not -math.inf < value < math.inf):
+            raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,18 +77,18 @@ class EncoderConfig:
     pointnet_hidden: int = 64
     curve_a: CurveKind = CurveKind.HILBERT
     curve_b: CurveKind = CurveKind.TRANS_HILBERT
-    conv_mode: str = "standard"  # standard | causal | none
+    conv_mode: str = "standard"  # one of CONV_MODES
     embed_dim: int = 64
     curve_bits: int = 10
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_number_fields(self)
         if self.l_blocks < 0:
             raise ConfigError(f"l_blocks must be >= 0, got {self.l_blocks}")
-        if self.conv_mode not in ("standard", "causal", "none"):
+        if self.conv_mode not in CONV_MODES:
             raise ConfigError(f"unknown conv_mode {self.conv_mode!r}")
         if min(self.c_dim, self.s_tokens, self.k_neighbors, self.n_state,
-               self.expand, self.embed_dim) < 1:
+               self.expand, self.pointnet_hidden, self.embed_dim) < 1:
             raise ConfigError("encoder dimensions must be positive")
 
     @property
@@ -260,13 +267,9 @@ def stream_branches(z_in: Tensor, gate: Tensor, fwd: np.ndarray, inv: np.ndarray
 def block_forward(z_prev: Tensor, fwd: np.ndarray, inv: np.ndarray,
                   params: BlockParams, config: EncoderConfig) -> Tensor:
     """One two-stream block over (B, S, C) tokens. fwd/inv are the (2, B, S)
-    sort and unsort orders of curve a and curve b (`training.curve_orders`)."""
-    if z_prev.ndim != 3:
-        raise ShapeError(f"block_forward expects (B, S, C) tokens, got {z_prev.shape}")
-    orders = (2,) + z_prev.shape[:2]
-    if fwd.shape != orders or inv.shape != orders:
-        raise ShapeError(f"curve orders have shapes {fwd.shape} and {inv.shape}, "
-                         f"tokens need {orders}")
+    sort and unsort orders of curve a and curve b (`training.curve_orders`).
+    The shapes are not checked here: `encoder_forward`, the caller, checks
+    them once for all of its blocks."""
     z_in = ad.layer_norm(z_prev, params.norm_gain, params.norm_bias)
     gate = ad.silu(ad.affine(z_in, params.gate_w, params.gate_b))
     branches = stream_branches(z_in, gate, fwd, inv, params, config)
@@ -284,6 +287,10 @@ def encoder_forward(tokens: Tensor, fwd: np.ndarray, inv: np.ndarray,
         raise ShapeError(f"expected (B, S, {config.c_dim}) tokens, got {tokens.shape}")
     if tokens.shape[1] != config.s_tokens:
         raise ShapeError(f"got {tokens.shape[1]} tokens, config says {config.s_tokens}")
+    orders = (2,) + tokens.shape[:2]
+    if fwd.shape != orders or inv.shape != orders:
+        raise ShapeError(f"curve orders have shapes {fwd.shape} and {inv.shape}, "
+                         f"tokens need {orders}")
     if len(params.blocks) != config.l_blocks:
         raise ShapeError(f"{len(params.blocks)} block params for l_blocks={config.l_blocks}")
     z = tokens

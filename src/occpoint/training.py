@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -58,7 +59,7 @@ from .dataset import N_VIEWS, TripletDataset, TripletRecord, heldout_view
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    check_integer_fields,
+    check_number_fields,
     encoder_forward,
     init_encoder,
     named_parameters,
@@ -89,7 +90,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_number_fields(self)
         # A batch of one gives an identically zero contrastive loss.
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
@@ -402,15 +403,6 @@ _TOKENS_FORMAT = "occpoint-tokens/1"
 _TOKENIZER_FIELDS = ("s_tokens", "k_neighbors", "curve_a", "curve_b", "curve_bits")
 
 
-@dataclass(frozen=True)
-class TokenCacheInfo:
-    """Where a dataset's tokens came from, for the run manifests."""
-
-    path: Path
-    dataset_sha256: str
-    hit: bool
-
-
 def _tokenizer_fields(config: EncoderConfig) -> dict:
     doc = config.to_dict()
     return {name: doc[name] for name in _TOKENIZER_FIELDS}
@@ -470,16 +462,21 @@ def _read_tokens(path: Path, meta: dict, config: EncoderConfig) -> dict[str, np.
 
 
 def load_or_build_cache(path, dataset: TripletDataset,
-                        config: EncoderConfig) -> tuple[Tokens, TokenCacheInfo]:
-    """build_cache(dataset, config), read from the token cache file of the
-    dataset file `path` when it holds this file's and this config's tokens.
-    Otherwise the tokens are computed and the file (re)written; a file that
-    cannot be written is skipped with a warning."""
+                        config: EncoderConfig) -> tuple[Tokens, dict]:
+    """(tokens, inputs): build_cache(dataset, config), read from the token
+    cache file of the dataset file `path` when it holds this file's and this
+    config's tokens. Otherwise the tokens are computed and the file
+    (re)written; a file that cannot be written is skipped with a warning.
+
+    `inputs` is what the run manifests record of the dataset and the file:
+    {"dataset_sha256": ..., "token_cache": {"path": ..., "hit": ...}}.
+    """
     sidecar = token_cache_path(path, config)
     meta = {"format": _TOKENS_FORMAT, "dataset_sha256": _file_sha256(path),
             "tokenizer": _tokenizer_fields(config), "records": len(dataset.records)}
     geometry = _read_tokens(sidecar, meta, config)
-    info = TokenCacheInfo(sidecar, meta["dataset_sha256"], hit=geometry is not None)
+    inputs = {"dataset_sha256": meta["dataset_sha256"],
+              "token_cache": {"path": str(sidecar), "hit": geometry is not None}}
     if geometry is None:
         geometry = _tokenize(dataset.records, config)
         # OCCT has no signed ints.
@@ -488,12 +485,16 @@ def load_or_build_cache(path, dataset: TripletDataset,
             write_container_file(sidecar, entries, meta)
         except OSError as exc:
             _warn(f"token cache not written: {exc.filename}: {exc.strerror or exc}")
-    return _with_records(geometry, dataset.records), info
+    return _with_records(geometry, dataset.records), inputs
 
 
-def encode_batch(feats: np.ndarray, fwd: np.ndarray, inv: np.ndarray,
+def encode_batch(rel_points: np.ndarray, colors: np.ndarray, orders: np.ndarray,
                  model: ModelState) -> Tensor:
-    """(B, S, k, 6) patch features and (2, B, S) curve orders -> (B, D)."""
+    """(B, D) point embeddings of a batch as `Tokens` stores it: (B, S, k, 3)
+    relative points and colors, and (B, 2, 2, S) curve orders (fwd, then inv).
+    The patch features are the points and colors side by side."""
+    feats = np.concatenate([rel_points, colors], axis=-1)
+    fwd, inv = np.moveaxis(orders, 0, 2)
     tokens = mini_pointnet_embed(Tensor(feats), model.encoder.pointnet)
     return encoder_forward(tokens, fwd, inv, model.encoder, model.encoder_config)
 
@@ -507,10 +508,10 @@ def train_step(batch: Tokens, model: ModelState, step: int,
     text_pick = rng.integers(0, batch.text_features.shape[1], size=len(batch))
 
     colors = np.where(drop_mask[:, None, None, None], cfg.color_constant, batch.patch_colors)
-    feats = np.concatenate([batch.rel_points, colors], axis=-1)
-    z_point = encode_batch(feats, *np.moveaxis(batch.orders, 0, 2), model)
+    z_point = encode_batch(batch.rel_points, colors, batch.orders, model)
     text = batch.text_features[np.arange(len(batch)), text_pick]
-    emb = build_embedding_batch(z_point, batch.image_features, text, model.heads)
+    emb = build_embedding_batch(z_point, Tensor(batch.image_features), Tensor(text),
+                                model.heads)
     tau = model.heads.temperature.value()
     loss, terms = total_loss(emb, tau, reduction="mean")
 
@@ -669,8 +670,7 @@ def embed_clouds(tokens: Tokens, model: ModelState) -> np.ndarray:
     with ad.no_grad():
         for start in range(0, len(tokens), EMBED_BATCH):
             chunk = tokens[start : start + EMBED_BATCH]
-            feats = np.concatenate([chunk.rel_points, chunk.patch_colors], axis=-1)
-            z = encode_batch(feats, *np.moveaxis(chunk.orders, 0, 2), model)
+            z = encode_batch(chunk.rel_points, chunk.patch_colors, chunk.orders, model)
             out.append(z.data / np.linalg.norm(z.data, axis=1, keepdims=True))
     return np.vstack(out)
 
@@ -685,7 +685,7 @@ def zero_shot_classify(point_embeddings: np.ndarray, class_text_features: np.nda
     if class_text_features.shape[0] < 1:
         raise InvalidInput("need at least one candidate class")
     with ad.no_grad():
-        z_cls = project(heads.text, class_text_features).data
+        z_cls = project(heads.text, Tensor(class_text_features)).data
     sims = point_embeddings @ z_cls.T
     return np.argsort(-sims, axis=1, kind="stable")
 
@@ -768,10 +768,14 @@ def load_checkpoint(path) -> ModelState:
     try:
         encoder_config = EncoderConfig.from_dict(meta["encoder_config"])
         train_config = TrainConfig(**meta["train_config"])
-        step, opt_step = int(meta["step"]), int(meta["opt_step"])
-        ema_updates = int(meta.get("ema_updates", step))
+        counters = {"step": meta["step"], "opt_step": meta["opt_step"],
+                    "ema_updates": meta.get("ema_updates", meta["step"])}
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint {path}: missing or malformed metadata {exc}") from exc
+    for name, value in counters.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ConfigError(f"checkpoint {path}: {name} must be a non-negative integer, "
+                              f"got {value!r}")
     model = init_model(encoder_config, train_config)
     slots = _slots(model)
     extra = sorted(entries.keys() - {f"{slot}/{name}" for name in model.opt.weights
@@ -788,7 +792,7 @@ def load_checkpoint(path) -> ModelState:
                 raise ConfigError(f"checkpoint tensor {slot}/{name} is {found}, "
                                   f"the model expects {views[name].shape}")
             views[name][...] = stored
-    model.step = step
-    model.opt.step = opt_step
-    model.ema.updates = ema_updates
+    model.step = counters["step"]
+    model.opt.step = counters["opt_step"]
+    model.ema.updates = counters["ema_updates"]
     return model

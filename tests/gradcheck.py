@@ -171,7 +171,7 @@ def _gc_heads(seed):
     text = rng.normal(size=(4, 6))
 
     def fn():
-        emb = build_embedding_batch(Tensor(z_point), image, text, heads)
+        emb = build_embedding_batch(Tensor(z_point), Tensor(image), Tensor(text), heads)
         loss, _ = total_loss(emb, heads.temperature.value(), reduction="mean")
         return loss
 
@@ -201,13 +201,14 @@ def _gc_total_loss(seed):
     for block in model.encoder.blocks:
         block.out_w.data[...] = rng.normal(size=block.out_w.shape) * 0.5
     feats = rng.normal(size=(3, cfg.s_tokens, cfg.k_neighbors, 6))
-    fwd, inv = curve_orders(rng.uniform(-1, 1, size=(3, cfg.s_tokens, 3)), cfg)
+    fwd_inv = np.stack(curve_orders(rng.uniform(-1, 1, size=(3, cfg.s_tokens, 3)), cfg))
+    orders = np.moveaxis(fwd_inv, 2, 0)  # (B, 2, 2, S), as Tokens stores them
     image = rng.normal(size=(3, cfg.embed_dim))
     text = rng.normal(size=(3, cfg.embed_dim))
 
     def fn():
-        z = encode_batch(feats, fwd, inv, model)
-        emb = build_embedding_batch(z, image, text, model.heads)
+        z = encode_batch(feats[..., :3], feats[..., 3:], orders, model)
+        emb = build_embedding_batch(z, Tensor(image), Tensor(text), model.heads)
         loss, _ = total_loss(emb, model.heads.temperature.value(), "mean")
         return loss
 

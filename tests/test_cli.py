@@ -111,10 +111,10 @@ def test_gen_sphere_visible_fraction_near_half(tmp_path):
     from occpoint.dataset import generate_triplets
     from occpoint.meshio import load_obj
 
-    _, summary = generate_triplets([("sphere_00", "sphere", load_obj(d / "sphere_00.obj"))],
+    _, visible = generate_triplets([("sphere_00", "sphere", load_obj(d / "sphere_00.obj"))],
                                    feature_dim=8, resolution=64, n_points=512,
                                    seed=3, with_summary=True)
-    assert abs(summary.mean_visible_fraction - 0.5) <= 0.1
+    assert abs(visible - 0.5) <= 0.1
 
 
 def test_pretrain_eval_round_trip(small_dataset, tmp_path):
@@ -504,6 +504,18 @@ def first_param(entries):
     pytest.param(lambda e, m: m["train_config"].__setitem__("seed", True), id="bool-seed"),
     pytest.param(lambda e, m: m["encoder_config"].__setitem__("l_blocks", 1),
                  id="unexpected-tensors"),
+    pytest.param(lambda e, m: m.__setitem__("step", -1), id="negative-step"),
+    pytest.param(lambda e, m: m.__setitem__("step", True), id="bool-step"),
+    pytest.param(lambda e, m: m.__setitem__("step", 2.7), id="float-step"),
+    pytest.param(lambda e, m: m.__setitem__("opt_step", -3), id="negative-opt-step"),
+    pytest.param(lambda e, m: m.__setitem__("ema_updates", -3), id="negative-ema-updates"),
+    pytest.param(lambda e, m: m["train_config"].__setitem__("ema_decay", "x"), id="str-ema-decay"),
+    pytest.param(lambda e, m: m["train_config"].__setitem__("weight_decay", None),
+                 id="null-weight-decay"),
+    pytest.param(lambda e, m: m["train_config"].__setitem__("base_lr", float("nan")),
+                 id="nan-base-lr"),
+    pytest.param(lambda e, m: m["encoder_config"].__setitem__("pointnet_hidden", 0),
+                 id="zero-pointnet-hidden"),
 ])
 def test_load_checkpoint_incomplete_is_config_error(small_checkpoint, small_dataset, tmp_path,
                                                      capsys, edit):

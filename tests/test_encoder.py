@@ -159,20 +159,18 @@ def test_zero_gate_annihilates_both_streams():
 
 def test_permutation_size_mismatch_rejected():
     rng = np.random.default_rng(3)
-    cfg, params, z, fwd, inv = batched_instance(rng)
+    cfg, _, z, fwd, inv = batched_instance(rng)
+    enc = init_encoder(cfg, rng)
     nb, s = z.shape[:2]
     longer = np.broadcast_to(np.arange(s + 1), (2, nb, s + 1))
     for bad_fwd, bad_inv in ((longer, inv), (fwd, longer), (fwd[:1], inv[:1]),
                              (fwd[:, :1], inv[:, :1]), (fwd[0], inv[0])):
         with pytest.raises(ShapeError):
-            block_forward(Tensor(z), bad_fwd, bad_inv, params, cfg)
+            encoder_forward(Tensor(z), bad_fwd, bad_inv, enc, cfg)
 
 
 def test_two_dimensional_tokens_rejected():
     rng = np.random.default_rng(33)
-    cfg, params, z, fwd, inv = random_instance(rng)
-    with pytest.raises(ShapeError):
-        block_forward(Tensor(z[0]), fwd, inv, params, cfg)
     ecfg = toy_config(s_tokens=6, c_dim=5, l_blocks=1)
     enc = init_encoder(ecfg, rng)
     efwd, einv = curve_orders(rng.uniform(-1, 1, size=(1, 6, 3)), ecfg)

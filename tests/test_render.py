@@ -377,11 +377,11 @@ def test_every_view_fraction_of_the_corpus_matches_oracle_at_96(monkeypatch):
 
     monkeypatch.setattr(dataset, "mesh_surface", surface_of)
     monkeypatch.setattr(dataset, "visible_fraction", both)
-    _, summary = generate_triplets(toy_object_set(0), resolution=96, with_summary=True)
+    _, visible = generate_triplets(toy_object_set(0), resolution=96, with_summary=True)
     assert len(pairs) == 16 * 12
     got, want = zip(*pairs)
     assert got == want
-    assert summary.mean_visible_fraction == float(np.mean(want))
+    assert visible == float(np.mean(want))
 
 
 # ---------------------------------------------------------------------------

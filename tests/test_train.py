@@ -1,4 +1,5 @@
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -418,17 +419,20 @@ def test_color_dropout_changes_inputs_not_geometry(monkeypatch):
     tokens = build_cache(dataset.split_views(2)[0], cfg)
     seen = []
     encode = training.encode_batch
-    monkeypatch.setattr(training, "encode_batch",
-                        lambda feats, *rest: seen.append(feats) or encode(feats, *rest))
+
+    def spy(rel_points, colors, orders, model):
+        assert rel_points is batch.rel_points and orders is batch.orders
+        seen.append(colors)
+        return encode(rel_points, colors, orders, model)
+
+    monkeypatch.setattr(training, "encode_batch", spy)
     batch = tokens[:3]
     for prob in (1.0, 0.0):
         model = init_model(cfg, replace(tc, color_drop_prob=prob, color_constant=0.4))
         train_step(batch, model, 0, 1, 1)
     dropped, kept = seen
-    assert np.array_equal(dropped[..., :3], batch.rel_points)
-    assert np.array_equal(kept[..., :3], batch.rel_points)
-    assert np.all(dropped[..., 3:] == 0.4)
-    assert np.array_equal(kept[..., 3:], batch.patch_colors)
+    assert np.all(dropped == 0.4)
+    assert np.array_equal(kept, batch.patch_colors)
 
 
 # --- evaluation helpers ------------------------------------------------------------
@@ -528,19 +532,20 @@ def test_token_cache_file_holds_build_cache_bitwise(saved_dataset, tmp_path):
     dataset = load_dataset(path)
     cfg, _ = tiny_setup()
     want = build_cache(dataset, cfg)
-    cold, info = load_or_build_cache(path, dataset, cfg)
-    assert not info.hit and info.path == token_cache_path(path, cfg) and info.path.exists()
-    warm, info = load_or_build_cache(path, dataset, cfg)
-    assert info.hit
+    cold, inputs = load_or_build_cache(path, dataset, cfg)
+    sidecar = token_cache_path(path, cfg)
+    assert inputs["token_cache"] == {"path": str(sidecar), "hit": False} and sidecar.exists()
+    warm, inputs = load_or_build_cache(path, dataset, cfg)
+    assert inputs["token_cache"]["hit"]
     assert_tokens_equal(cold, want)
     assert_tokens_equal(warm, want)
-    entries, meta = read_container_file(info.path)
+    entries, meta = read_container_file(sidecar)
     r = len(dataset.records)
     assert {k: v.shape for k, v in entries.items()} == {
         "centers": (r, 8, 3), "rel_points": (r, 8, 6, 3), "patch_colors": (r, 8, 6, 3),
         "orders": (r, 2, 2, 8)}
     assert meta["records"] == r and meta["tokenizer"]["s_tokens"] == 8
-    assert info.path.name.startswith("tiny.occt.tokens-")
+    assert sidecar.name.startswith("tiny.occt.tokens-")
 
 
 def test_split_tokens_batch_as_build_cache_of_the_split_does():
@@ -592,11 +597,12 @@ def test_changed_dataset_misses_and_overwrites_the_cache_file(tmp_path):
     save_dataset(path, tiny_dataset(seed=6))
     dataset = load_dataset(path)
     tokens, second = load_or_build_cache(path, dataset, cfg)
-    assert not second.hit and second.path == first.path
-    assert second.dataset_sha256 != first.dataset_sha256
-    assert read_container_file(second.path)[1]["dataset_sha256"] == second.dataset_sha256
+    assert second["token_cache"] == dict(first["token_cache"], hit=False)
+    assert second["dataset_sha256"] != first["dataset_sha256"]
+    stored = read_container_file(second["token_cache"]["path"])[1]["dataset_sha256"]
+    assert stored == second["dataset_sha256"]
     assert_tokens_equal(tokens, build_cache(dataset, cfg))
-    assert load_or_build_cache(path, dataset, cfg)[1].hit
+    assert load_or_build_cache(path, dataset, cfg)[1]["token_cache"]["hit"]
 
 
 def test_changed_tokenizer_field_writes_a_second_cache_file(saved_dataset, tmp_path):
@@ -607,9 +613,9 @@ def test_changed_tokenizer_field_writes_a_second_cache_file(saved_dataset, tmp_p
     paths = set()
     for other in (cfg, replace(cfg, curve_a=CurveKind.MORTON), replace(cfg, k_neighbors=5),
                   replace(cfg, c_dim=8)):
-        tokens, info = load_or_build_cache(path, dataset, other)
+        tokens, inputs = load_or_build_cache(path, dataset, other)
         assert_tokens_equal(tokens, build_cache(dataset, other))
-        paths.add(info.path)
+        paths.add(Path(inputs["token_cache"]["path"]))
     assert len(paths) == 3  # c_dim is not a tokenizer field
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [path.name] + [p.name for p in paths])
@@ -654,14 +660,14 @@ def test_damaged_cache_file_is_rebuilt_with_one_warning(saved_dataset, tmp_path,
     path.write_bytes(saved_dataset.read_bytes())
     dataset = load_dataset(path)
     cfg, _ = tiny_setup()
-    _, info = load_or_build_cache(path, dataset, cfg)
-    damage(info.path)
+    sidecar = load_or_build_cache(path, dataset, cfg)[1]["token_cache"]["path"]
+    damage(Path(sidecar))
     capsys.readouterr()
     tokens, again = load_or_build_cache(path, dataset, cfg)
     err = capsys.readouterr().err
-    assert not again.hit and len(err.splitlines()) == 1 and str(info.path) in err
+    assert not again["token_cache"]["hit"] and len(err.splitlines()) == 1 and sidecar in err
     assert_tokens_equal(tokens, build_cache(dataset, cfg))
-    assert load_or_build_cache(path, dataset, cfg)[1].hit
+    assert load_or_build_cache(path, dataset, cfg)[1]["token_cache"]["hit"]
 
 
 def test_run_pretraining_with_given_tokens(tmp_path):

@@ -14,7 +14,12 @@ and the pairs the change won (a tie counts for neither side), read in the
 direction `BENCHMARK.json` gives for the metric. Under each metric it says
 whether a gain may be claimed: at least 9/10 of the pairs won, and a median
 gap, in the better direction, larger than the parent's interquartile range.
-Runs that are not `correct`, or that fail operations, are reported too.
+It also says whether the metric regressed: "worse than bound" when the
+change's median is worse than the parent's by more than the metric's bound
+(a fraction of the parent's median), "unresolved" when it is not but the
+parent's interquartile range is wider than the bound, unless every change
+run beats every parent run, and "within bound" otherwise. Runs that are not
+`correct`, or that fail operations, are reported too.
 Standard library only.
 """
 
@@ -55,7 +60,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(workload: str, pairs: list[tuple[dict, dict]], better: dict[str, str]) -> None:
+def report(workload: str, pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> None:
     print(f"\n{workload}: {len(pairs)} pairs")
     for side, index in (("parent", 0), ("change", 1)):
         bad = [(p[index]["correct"], p[index]["failed"]) for p in pairs
@@ -67,7 +72,7 @@ def report(workload: str, pairs: list[tuple[dict, dict]], better: dict[str, str]
     for name in pairs[0][0]["metrics"]:
         old = [p[0]["metrics"][name]["value"] for p in pairs]
         new = [p[1]["metrics"][name]["value"] for p in pairs]
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        sign = -1.0 if spec[name]["better"] == "lower" else 1.0
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         (o1, om, o3), (n1, nm, n3) = quartiles(old), quartiles(new)
         ratio = nm / om if om else float("nan")
@@ -75,6 +80,7 @@ def report(workload: str, pairs: list[tuple[dict, dict]], better: dict[str, str]
               + f" {nm:12.4g} [{n1:.4g}, {n3:.4g}]".ljust(31)
               + f" {ratio:13.3f} {wins:3d}/{len(pairs)}")
         print(f"  {'':18s} {gain_verdict(wins, len(pairs), sign * (nm - om), o3 - o1)}")
+        print(f"  {'':18s} {regression_verdict(old, new, sign, spec[name]['bound'])}")
 
 
 def gain_verdict(wins: int, pairs: int, gain: float, parent_iqr: float) -> str:
@@ -89,6 +95,31 @@ def gain_verdict(wins: int, pairs: int, gain: float, parent_iqr: float) -> str:
             f"{gain:.4g} {'>' if clear else '<='} parent IQR {parent_iqr:.4g}")
 
 
+def regression_verdict(old: list[float], new: list[float], sign: float,
+                       bound: float) -> str:
+    """Whether the change regressed one metric, from the parent's runs `old`
+    and the change's runs `new`. `sign` is 1 when higher is better and -1
+    when lower is; `bound` is the worst allowed change of the median, as a
+    fraction of the parent's median. A median worse by more than the bound
+    is "worse than bound". Otherwise the metric is "unresolved" when the
+    parent's runs spread wider than the bound, measured by their
+    interquartile range, unless every change run beats every parent run;
+    else it is "within bound"."""
+    (o1, om, o3), (_, nm, _) = quartiles(old), quartiles(new)
+    limit = bound * abs(om)
+    loss = sign * (om - nm)  # positive when the change is worse
+    separated = min(sign * b for b in new) > max(sign * a for a in old)
+    if loss > limit:
+        verdict = "worse than bound"
+    elif o3 - o1 > limit and not separated:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    return (f"{verdict}: median {'worse' if loss > 0 else 'better'} by {abs(loss):.4g}, "
+            f"bound {limit:.4g}, parent IQR {o3 - o1:.4g}"
+            + ("; every change run beats every parent run" if separated else ""))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -101,7 +132,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seeds = parse_seeds(args.seeds)
     results = {}
     for workload in args.workload:
@@ -117,7 +148,7 @@ def main(argv=None) -> int:
                       flush=True)
             pairs.append((runs["parent"], runs["change"]))
         results[workload] = {"seeds": seeds, "pairs": pairs}
-        report(workload, pairs, better)
+        report(workload, pairs, metrics)
     if args.out:
         args.out.write_text(json.dumps(results, indent=1) + "\n")
     return 0
