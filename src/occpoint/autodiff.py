@@ -2,13 +2,15 @@
 
 A Tensor wraps a float64 ndarray and records the operation that produced it;
 `backward()` replays the graph in reverse topological order. The op set is
-exactly what the pipeline needs: add, neg, mul, div, matmul and `affine`,
-pointwise nonlinearities, sums and means, a clamp, a concatenation,
-`layer_norm`, `logsumexp` and `l2_normalize_rows`. Tensors define only `+`,
-`-` and `*` as operators. Array kernels with hand adjoints serve the fused
-ops of `encoder`, `tokenizer` and `ssm`: row gathers and a depthwise 1D
-convolution. Everything is double precision so analytic gradients can be
-held to finite-difference checks at 1e-4 relative error.
+exactly what the pipeline needs, each op one node with a hand adjoint: `add`,
+`exp`, `silu`, the clamp `clip`, `concat`, `affine` (x @ W + b), `mean` and
+`layer_norm`. Tensors define no arithmetic operators. The fused ops of
+`encoder`, `tokenizer`, `ssm` and `contrastive` build on the array kernels
+here: sigmoid and SiLU, row gathers, a weight gradient over leading axes and
+a depthwise 1D convolution. The finer ops these were once composed of live
+in `tests/composed.py` as their oracles. Everything is double precision so
+analytic gradients can be held to finite-difference checks at 1e-4 relative
+error.
 
 Gradients are never copied and never updated in place. `accumulate` keeps a
 node's first gradient by reference and adds later ones out of place, because
@@ -105,22 +107,8 @@ class Tensor:
                 node._backward(node.grad)
                 node.grad = None  # interior: its parents hold what they need
 
-    # Operator sugar; scalars and ndarrays are promoted to constant Tensors.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other)))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def parameter(shape, rng: np.random.Generator, scale: float | None = None) -> Tensor:
@@ -157,71 +145,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward=backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    return Tensor(-a.data, parents=(a,), backward=lambda g: a.accumulate(-g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(out_data, parents=(a, b), backward=backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor(out_data, parents=(a, b), backward=backward)
-
-
 def weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of W in a @ W from the output gradient g: one GEMM over all
     leading axes, (..., k) x (..., j) -> (k, j)."""
     return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b with 2D b (weight matrices are always 2D here); a may be batched."""
-    if b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2D right operand, got {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate(weight_grad(a.data, g))
-
-    return Tensor(out_data, parents=(a, b), backward=backward)
-
-
 def exp(a: Tensor) -> Tensor:
     e = np.exp(a.data)
     return Tensor(e, parents=(a,), backward=lambda g: a.accumulate(g * e))
-
-
-def log(a: Tensor) -> Tensor:
-    return Tensor(np.log(a.data), parents=(a,), backward=lambda g: a.accumulate(g / a.data))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    r = np.sqrt(a.data)
-    return Tensor(r, parents=(a,), backward=lambda g: a.accumulate(g * 0.5 / r))
-
-
-def square(a: Tensor) -> Tensor:
-    return Tensor(a.data * a.data, parents=(a,), backward=lambda g: a.accumulate(g * 2.0 * a.data))
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
@@ -252,22 +184,6 @@ def silu(a: Tensor) -> Tensor:
         a.accumulate(g * (s + out * (1.0 - s)))
 
     return Tensor(out, parents=(a,), backward=backward)
-
-
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a.accumulate(np.broadcast_to(g, a.data.shape))
-
-    return Tensor(out_data, parents=(a,), backward=backward)
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
@@ -309,33 +225,72 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"affine: input dim {x.data.shape[-1]} != weight rows {weight.data.shape[0]}"
         )
-    return add(matmul(x, weight), bias)
+    out = x.data @ weight.data
+    out += bias.data
+    if not needs_grad(x, weight, bias):
+        return Tensor(out)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(g @ weight.data.T)
+        if weight.requires_grad:
+            weight.accumulate(weight_grad(x.data, g))
+        if bias.requires_grad:
+            bias.accumulate(_unbroadcast(g, bias.data.shape))
+
+    return Tensor(out, parents=(x, weight, bias), backward=backward)
+
+
+def mean(a: Tensor, axis: int) -> Tensor:
+    """The sum over `axis` times 1 / its length."""
+    scale = 1.0 / a.data.shape[axis]
+    out = a.data.sum(axis=axis) * scale
+
+    def backward(g):
+        a.accumulate(np.broadcast_to(np.expand_dims(g * scale, axis), a.data.shape))
+
+    return Tensor(out, parents=(a,), backward=backward)
 
 
 LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = mean(square(centered), axis=-1, keepdims=True)
-    inv = div(Tensor(1.0), sqrt(var + LAYER_NORM_EPS))
-    return mul(centered, inv) * gain + bias
+    """Normalize over the last axis, then scale and shift: xhat * gain + bias
+    with xhat = (x - mu) / sqrt(var + eps). Without a gradient to take, the
+    arrays are updated in place and nothing is kept. The adjoint is the
+    closed form (gh - mean(gh) - xhat * mean(gh * xhat)) / sqrt(var + eps)
+    with gh = g * gain."""
+    scale = 1.0 / x.data.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu *= scale
+    xhat = x.data - mu
+    inv = (xhat * xhat).sum(axis=-1, keepdims=True)
+    inv *= scale
+    inv += LAYER_NORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    if not needs_grad(x, gain, bias):
+        xhat *= gain.data
+        xhat += bias.data
+        return Tensor(xhat)
+    out = xhat * gain.data
+    out += bias.data
 
+    def backward(g):
+        if bias.requires_grad:
+            bias.accumulate(_unbroadcast(g, bias.data.shape))
+        if gain.requires_grad:
+            gain.accumulate(_unbroadcast(g * xhat, gain.data.shape))
+        if x.requires_grad:
+            gh = g * gain.data
+            gx = gh - gh.sum(axis=-1, keepdims=True) * scale
+            gx -= xhat * ((gh * xhat).sum(axis=-1, keepdims=True) * scale)
+            gx *= inv
+            x.accumulate(gx)
 
-def logsumexp(a: Tensor, axis: int) -> Tensor:
-    """Stable log-sum-exp; the max shift is a constant so the gradient is exact."""
-    shift = Tensor(a.data.max(axis=axis, keepdims=True))
-    summed = tensor_sum(exp(a - shift), axis=axis)
-    return log(summed) + Tensor(np.squeeze(shift.data, axis=axis))
-
-
-def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Rows scaled to unit L2 norm, x / sqrt(sum(x^2)). A zero row has no
-    direction and comes out NaN, which `train_step` reports as a non-finite
-    loss."""
-    return div(x, sqrt(tensor_sum(square(x), axis=-1, keepdims=True)))
+    return Tensor(out, parents=(x, gain, bias), backward=backward)
 
 
 def conv1d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,

@@ -199,9 +199,12 @@ def cmd_pretrain(args) -> int:
     save_checkpoint(out, model)
     write_manifest(manifest_path, resolved, args.seed, started, _now(),
                    command_line=args._argv, inputs=inputs)
-    final = metrics[-1]["loss"] if metrics else float("nan")
-    print(f"trained {len(metrics)} steps in {time.time() - t0:.1f}s; "
-          f"final loss {final:.4f}")
+    if metrics:
+        print(f"trained {len(metrics)} steps in {time.time() - t0:.1f}s; "
+              f"final loss {metrics[-1]['loss']:.4f}")
+    else:
+        print(f"no step ran; the checkpoint holds the "
+              f"{'resumed' if args.resume else 'initial'} weights")
     print(f"wrote {out} and {metrics_path}")
     return 0
 

@@ -14,6 +14,12 @@ computed with log-sum-exp stabilization. The printed form sums over the
 batch; training uses the mean-reduced variant (sum / B) for step-size
 stability. The total objective adds four pairs: point<->image, point<->text,
 image<->text, mixed<->text, sharing one temperature.
+
+Each pair's loss is one autodiff node with a closed-form gradient (as in
+CLIP, Radford et al., arXiv 2103.00020). By sims = za zb^T / tau it is
+scale * (softmax_rows(sims) + softmax_cols(sims) - 2I), scale 1/2 or 1/(2B)
+when mean-reduced; za gets gsims zb / tau, zb gets gsims^T za / tau and tau
+gets -sum(gsims * sims) / tau.
 """
 
 from __future__ import annotations
@@ -87,41 +93,41 @@ def project(head: ProjectionHead, feats: Tensor) -> Tensor:
     come out nonzero."""
     if feats.ndim != 2:
         raise ShapeError(f"project expects (B, D_in), got {feats.shape}")
-    if feats.shape[1] != head.weight.shape[0]:
-        raise ShapeError(
-            f"project: features dim {feats.shape[1]} != head input {head.weight.shape[0]}"
-        )
     return normalize_rows(ad.affine(feats, head.weight, head.bias))
 
 
 def normalize_rows(feats: Tensor) -> Tensor:
-    norms = np.linalg.norm(feats.data, axis=-1)
+    """Rows scaled to unit L2 norm, x / sqrt(sum(x^2)), as one op; a row of
+    norm under 1e-12 has no direction and is refused. The adjoint is
+    (g - y * sum(g * y)) / norm for the output rows y."""
+    x = feats.data
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     if np.any(norms < 1e-12):
         raise NumericalError("zero-norm row; cannot normalize")
-    return ad.l2_normalize_rows(feats)
-
-
-def _transpose(x: Tensor) -> Tensor:
-    out_data = x.data.T
+    out = x / norms
+    if not ad.needs_grad(feats):
+        return Tensor(out)
 
     def backward(g):
-        x.accumulate(g.T)
+        feats.accumulate((g - out * (g * out).sum(axis=-1, keepdims=True)) / norms)
 
-    return Tensor(out_data, parents=(x,), backward=backward)
+    return Tensor(out, parents=(feats,), backward=backward)
 
 
-def _directional(za: Tensor, zb: Tensor, tau: Tensor) -> Tensor:
-    """sum_i [ sim_ii/tau - logsumexp_j sim_ij/tau ]."""
-    sims = ad.div(ad.matmul(za, _transpose(zb)), tau)
-    b = sims.shape[0]
-    diag = ad.tensor_sum(ad.mul(sims, Tensor(np.eye(b))))
-    lse = ad.tensor_sum(ad.logsumexp(sims, axis=1))
-    return diag - lse
+def _matched_log_prob(sims: np.ndarray) -> tuple[float, np.ndarray]:
+    """l = sum_i [sims_ii - logsumexp_j sims_ij], and the row softmax of sims."""
+    shift = sims.max(axis=1, keepdims=True)
+    e = np.exp(sims - shift)
+    summed = e.sum(axis=1)
+    lse = np.log(summed) + shift[:, 0]
+    e /= summed[:, None]
+    return (sims * np.eye(len(sims))).sum() - lse.sum(), e
 
 
 def cross_modal_loss(za: Tensor, zb: Tensor, tau: Tensor,
                      reduction: str = "sum") -> Tensor:
-    """Symmetric contrastive loss between two modalities.
+    """Symmetric contrastive loss between two modalities, as one op with the
+    closed-form adjoint of the module docstring.
 
     za, zb: (B, D) unit-norm rows. tau: positive scalar. reduction "sum" is
     the printed definition; "mean" divides by the batch size.
@@ -135,10 +141,28 @@ def cross_modal_loss(za: Tensor, zb: Tensor, tau: Tensor,
     if np.any(tau.data <= 0):
         raise InvalidInput(f"temperature must be positive, got {tau.data}")
 
-    loss = ad.mul(ad.add(_directional(za, zb, tau), _directional(zb, za, tau)), Tensor(-0.5))
-    if reduction == "mean":
-        loss = ad.div(loss, Tensor(float(za.shape[0])))
-    return loss
+    a, b, t = za.data, zb.data, tau.data
+    count = float(a.shape[0]) if reduction == "mean" else 1.0
+    sims = (a @ b.T) / t
+    # Both products, and the masked diagonal sum, round as the composed graph
+    # in tests/composed.py does, so the loss keeps its bits.
+    l_ab, soft_rows = _matched_log_prob(sims)
+    l_ba, soft_cols = _matched_log_prob((b @ a.T) / t)
+    loss = (l_ab + l_ba) * -0.5 / count
+
+    def backward(g):
+        gsims = soft_rows + soft_cols.T
+        gsims -= 2.0 * np.eye(len(a))
+        gsims *= g * 0.5 / count
+        if tau.requires_grad:
+            tau.accumulate(-(gsims * sims).sum() / t)
+        gsims /= t
+        if za.requires_grad:
+            za.accumulate(gsims @ b)
+        if zb.requires_grad:
+            zb.accumulate(gsims.T @ a)
+
+    return Tensor(loss, parents=(za, zb, tau), backward=backward)
 
 
 @dataclass

@@ -548,6 +548,8 @@ def make_batches(tokens: Tokens, batch_size: int, epoch: int,
 
     Each pass over the objects is cut into batches of batch_size; the last
     one holds the rest, and a rest of one object joins the batch before it.
+    Fewer than two objects are refused: a batch of one has an identically
+    zero contrastive loss.
 
     Same-class collisions matter at desk scale: with per-object text/image
     fixtures, a color-dropped cloud and its same-class partner are near
@@ -561,6 +563,9 @@ def make_batches(tokens: Tokens, batch_size: int, epoch: int,
     for row, object_id in enumerate(tokens.object_ids):
         by_object.setdefault(object_id, []).append(row)
     objects = list(by_object.values())  # rows of object i, in first-appearance order
+    if len(objects) < 2:
+        raise ConfigError(f"a contrastive batch needs at least two objects; the training "
+                          f"split has {len(objects)}")
     views = {object_id: len(rows) for object_id, rows in by_object.items()}
     fewest, most = min(views, key=views.get), max(views, key=views.get)
     if views[fewest] != views[most]:
@@ -587,8 +592,7 @@ def make_batches(tokens: Tokens, batch_size: int, epoch: int,
                     rotation.append(members[cls][d])
         groups = [rotation[start : start + batch_size]
                   for start in range(0, len(rotation), batch_size)]
-        if len(groups) > 1 and len(groups[-1]) == 1:
-            # A batch of one has an identically zero contrastive loss.
+        if len(groups[-1]) == 1:
             lone = groups.pop()
             groups[-1] += lone
         batches.extend(np.array([objects[obj][view_orders[obj][v]] for obj in group])

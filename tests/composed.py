@@ -1,11 +1,14 @@
-"""Test-only oracles: the block branch and the mini-PointNet composed from
-autodiff ops, one node per operation, as the encoder ran them before both
-became single ops with hand adjoints.
+"""Test-only oracles: the ops that became single nodes with hand adjoints,
+composed from finer autodiff ops, one node per operation, as they ran before.
 
-The fused ops sum each gradient in the order the composed graphs do, so the
-forwards and the gradients agree to the last bit. The autodiff ops that only
-these composed graphs use (sigmoid, softplus, the token reorder, the max
-pool and the depthwise convolution) are defined here.
+The block branch and the mini-PointNet sum each gradient in the order their
+composed graphs do, so the forwards and the gradients agree to the last bit.
+The affine map and the mean do too. The layer norm, the row normalization
+and the contrastive loss keep their composed forwards bit for bit, but their
+adjoints are closed forms that round differently, within 1e-12 relative.
+The finer ops that only these composed forms use (arithmetic, log, sqrt,
+square, sums, log-sum-exp, transpose, sigmoid, softplus, the token reorder,
+the max pool and the depthwise convolution) are defined here.
 """
 
 from __future__ import annotations
@@ -14,9 +17,128 @@ import numpy as np
 
 from occpoint import autodiff as ad
 from occpoint import ssm
-from occpoint.autodiff import Tensor
+from occpoint.autodiff import LAYER_NORM_EPS, Tensor, _unbroadcast
 from occpoint.encoder import _conv_padding
 from occpoint.errors import ShapeError
+
+
+def neg(a: Tensor) -> Tensor:
+    return Tensor(-a.data, parents=(a,), backward=lambda g: a.accumulate(-g))
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    """a - b, as a + (-b)."""
+    return ad.add(a, neg(b))
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    out_data = a.data * b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
+
+    return Tensor(out_data, parents=(a, b), backward=backward)
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    out_data = a.data / b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+
+    return Tensor(out_data, parents=(a, b), backward=backward)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b with 2D b (weight matrices are always 2D here); a may be batched."""
+    if b.data.ndim != 2:
+        raise ShapeError(f"matmul expects 2D right operand, got {b.data.shape}")
+    out_data = a.data @ b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate(ad.weight_grad(a.data, g))
+
+    return Tensor(out_data, parents=(a, b), backward=backward)
+
+
+def log(a: Tensor) -> Tensor:
+    return Tensor(np.log(a.data), parents=(a,), backward=lambda g: a.accumulate(g / a.data))
+
+
+def sqrt(a: Tensor) -> Tensor:
+    r = np.sqrt(a.data)
+    return Tensor(r, parents=(a,), backward=lambda g: a.accumulate(g * 0.5 / r))
+
+
+def square(a: Tensor) -> Tensor:
+    return Tensor(a.data * a.data, parents=(a,), backward=lambda g: a.accumulate(g * 2.0 * a.data))
+
+
+def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a.accumulate(np.broadcast_to(g, a.data.shape))
+
+    return Tensor(out_data, parents=(a,), backward=backward)
+
+
+def logsumexp(a: Tensor, axis: int) -> Tensor:
+    """Stable log-sum-exp; the max shift is a constant so the gradient is exact."""
+    shift = Tensor(a.data.max(axis=axis, keepdims=True))
+    summed = tensor_sum(ad.exp(sub(a, shift)), axis=axis)
+    return ad.add(log(summed), Tensor(np.squeeze(shift.data, axis=axis)))
+
+
+def transpose(x: Tensor) -> Tensor:
+    return Tensor(x.data.T, parents=(x,), backward=lambda g: x.accumulate(g.T))
+
+
+def composed_affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    return ad.add(matmul(x, weight), bias)
+
+
+def composed_mean(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / a.data.shape[axis]))
+
+
+def composed_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    mu = composed_mean(x, axis=-1, keepdims=True)
+    centered = sub(x, mu)
+    var = composed_mean(square(centered), axis=-1, keepdims=True)
+    inv = div(Tensor(1.0), sqrt(ad.add(var, Tensor(LAYER_NORM_EPS))))
+    return ad.add(mul(mul(centered, inv), gain), bias)
+
+
+def composed_normalize_rows(feats: Tensor) -> Tensor:
+    return div(feats, sqrt(tensor_sum(square(feats), axis=-1, keepdims=True)))
+
+
+def _directional(za: Tensor, zb: Tensor, tau: Tensor) -> Tensor:
+    """sum_i [ sim_ii/tau - logsumexp_j sim_ij/tau ]."""
+    sims = div(matmul(za, transpose(zb)), tau)
+    b = sims.shape[0]
+    diag = tensor_sum(mul(sims, Tensor(np.eye(b))))
+    lse = tensor_sum(logsumexp(sims, axis=1))
+    return sub(diag, lse)
+
+
+def composed_cross_modal_loss(za: Tensor, zb: Tensor, tau: Tensor, reduction: str) -> Tensor:
+    loss = mul(ad.add(_directional(za, zb, tau), _directional(zb, za, tau)), Tensor(-0.5))
+    if reduction == "mean":
+        loss = div(loss, Tensor(float(za.shape[0])))
+    return loss
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -110,10 +232,10 @@ def _recurrence(x, delta, bmat, cmat, a, d) -> Tensor:
 
 def composed_scan(x: Tensor, s6) -> Tensor:
     """Selective scan of a (B, L, C) Tensor with its projections as autodiff ops."""
-    delta = softplus(ad.affine(ad.matmul(x, s6.dt_low), s6.dt_up, s6.dt_bias))
+    delta = softplus(ad.affine(matmul(x, s6.dt_low), s6.dt_up, s6.dt_bias))
     bmat = ad.affine(x, s6.b_weight, s6.b_bias)
     cmat = ad.affine(x, s6.c_weight, s6.c_bias)
-    return _recurrence(x, delta, bmat, cmat, ad.neg(ad.exp(s6.a_log)), s6.d_skip)
+    return _recurrence(x, delta, bmat, cmat, neg(ad.exp(s6.a_log)), s6.d_skip)
 
 
 def composed_branch(z_in, gate, fwd, inv, weight, bias, kernel, conv_bias, s6, config):
@@ -123,7 +245,7 @@ def composed_branch(z_in, gate, fwd, inv, weight, bias, kernel, conv_bias, s6, c
         pl, pr = _conv_padding(config)
         tokens = depthwise_conv1d(tokens, kernel, conv_bias, pl, pr)
     scanned = composed_scan(ad.silu(tokens), s6)
-    return ad.mul(take_rows(scanned, inv, fwd), gate)
+    return mul(take_rows(scanned, inv, fwd), gate)
 
 
 def composed_block_forward(z_prev: Tensor, fwd, inv, params, config) -> Tensor:
@@ -144,7 +266,7 @@ def forward_and_grads(fn, tensors: dict, weight_seed: int = 0):
         t.zero_grad()
     out = fn()
     weight = np.random.default_rng(weight_seed).normal(size=out.shape)
-    ad.tensor_sum(ad.mul(out, Tensor(weight))).backward()
+    tensor_sum(mul(out, Tensor(weight))).backward()
     return out.data, {name: t.grad for name, t in tensors.items()}
 
 

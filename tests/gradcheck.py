@@ -23,7 +23,7 @@ from occpoint.ssm import init_s6
 from occpoint.tokenizer import init_mini_pointnet, mini_pointnet_embed, pointnet_pool
 from occpoint.training import TrainConfig, curve_orders, encode_batch, init_model
 
-from composed import depthwise_conv1d
+from composed import depthwise_conv1d, square, sub, tensor_sum
 from reference import scan_tensor
 
 
@@ -78,7 +78,7 @@ def _gc_affine(seed):
 
     def fn():
         out = ad.affine(Tensor(x), w, b)
-        return ad.tensor_sum(ad.square(out - Tensor(target)))
+        return tensor_sum(square(sub(out, Tensor(target))))
 
     return {"w": w, "b": b}, fn
 
@@ -89,7 +89,7 @@ def _gc_mini_pointnet(seed):
     feats = rng.normal(size=(2, 4, 5, 6))
 
     def fn():
-        return ad.tensor_sum(ad.square(mini_pointnet_embed(Tensor(feats), params)))
+        return tensor_sum(square(mini_pointnet_embed(Tensor(feats), params)))
 
     return dict(named_parameters(params)), fn
 
@@ -100,7 +100,7 @@ def _gc_pointnet_pool(seed):
     feats = Tensor(rng.normal(size=(2, 4, 5, 6)), requires_grad=True)
 
     def fn():
-        return ad.tensor_sum(ad.square(pointnet_pool(feats, params)))
+        return tensor_sum(square(pointnet_pool(feats, params)))
 
     tensors = {k: v for k, v in vars(params).items() if k not in ("w3", "b3")}
     return {"features": feats, **tensors}, fn
@@ -114,7 +114,7 @@ def _gc_conv1d(seed):
 
     def fn():
         out = depthwise_conv1d(Tensor(x), kernel, bias, 2, 2)
-        return ad.tensor_sum(ad.square(out))
+        return tensor_sum(square(out))
 
     return {"kernel": kernel, "bias": bias}, fn
 
@@ -125,7 +125,7 @@ def _gc_selective_scan(seed):
     x = rng.normal(size=(1, 16, 4))
 
     def fn():
-        return ad.tensor_sum(ad.square(scan_tensor(Tensor(x), params)))
+        return tensor_sum(square(scan_tensor(Tensor(x), params)))
 
     return dict(named_parameters(params)), fn
 
@@ -140,7 +140,7 @@ def _gc_stream_branches(seed):
     fwd, inv = curve_orders(rng.uniform(-1, 1, size=(2, 5, 3)), cfg)
 
     def fn():
-        return ad.tensor_sum(ad.square(stream_branches(z_in, gate, fwd, inv, block, cfg)))
+        return tensor_sum(square(stream_branches(z_in, gate, fwd, inv, block, cfg)))
 
     tensors = {k: v for k, v in named_parameters(block)
                if k.startswith(("branch_", "conv_", "s6_"))}
@@ -158,7 +158,7 @@ def _gc_block(seed):
     fwd, inv = curve_orders(rng.uniform(-1, 1, size=(1, 5, 3)), cfg)
 
     def fn():
-        return ad.tensor_sum(ad.square(block_forward(Tensor(x), fwd, inv, block, cfg)))
+        return tensor_sum(square(block_forward(Tensor(x), fwd, inv, block, cfg)))
 
     return dict(named_parameters(block)), fn
 

@@ -5,9 +5,14 @@ import pytest
 
 from occpoint import autodiff as ad
 from occpoint.autodiff import Tensor
+from occpoint.contrastive import TAU_MAX, TAU_MIN, cross_modal_loss, normalize_rows
 from occpoint.errors import ShapeError
 
-from composed import amax, depthwise_conv1d, sigmoid, softplus, take_rows
+from composed import (
+    amax, composed_affine, composed_cross_modal_loss, composed_layer_norm, composed_mean,
+    composed_normalize_rows, depthwise_conv1d, div, forward_and_grads, log, logsumexp, matmul,
+    mul, sigmoid, softplus, sqrt, square, sub, take_rows, tensor_sum,
+)
 
 
 def finite_diff(fn, tensor, h=1e-6, samples=10, seed=0):
@@ -53,17 +58,17 @@ _NUM = np.random.default_rng(44).normal(size=(3, 4))
 
 
 @pytest.mark.parametrize("op_name,builder", [
-    ("mul_broadcast", lambda x: ad.tensor_sum(ad.mul(x, Tensor(_W14)))),
-    ("div", lambda x: ad.tensor_sum(ad.div(Tensor(_NUM), ad.add(ad.square(x), Tensor(1.0))))),
-    ("exp", lambda x: ad.tensor_sum(ad.exp(x))),
-    ("log_of_square", lambda x: ad.tensor_sum(ad.log(ad.add(ad.square(x), Tensor(0.5))))),
-    ("sqrt", lambda x: ad.tensor_sum(ad.sqrt(ad.add(ad.square(x), Tensor(0.1))))),
-    ("sigmoid", lambda x: ad.tensor_sum(sigmoid(x))),
-    ("silu", lambda x: ad.tensor_sum(ad.silu(x))),
-    ("softplus", lambda x: ad.tensor_sum(softplus(x))),
-    ("mean_axis", lambda x: ad.tensor_sum(ad.square(ad.mean(x, axis=1)))),
-    ("logsumexp", lambda x: ad.tensor_sum(ad.logsumexp(x, axis=1))),
-    ("l2norm", lambda x: ad.tensor_sum(ad.mul(ad.l2_normalize_rows(x), Tensor(_W34)))),
+    ("mul_broadcast", lambda x: tensor_sum(mul(x, Tensor(_W14)))),
+    ("div", lambda x: tensor_sum(div(Tensor(_NUM), ad.add(square(x), Tensor(1.0))))),
+    ("exp", lambda x: tensor_sum(ad.exp(x))),
+    ("log_of_square", lambda x: tensor_sum(log(ad.add(square(x), Tensor(0.5))))),
+    ("sqrt", lambda x: tensor_sum(sqrt(ad.add(square(x), Tensor(0.1))))),
+    ("sigmoid", lambda x: tensor_sum(sigmoid(x))),
+    ("silu", lambda x: tensor_sum(ad.silu(x))),
+    ("softplus", lambda x: tensor_sum(softplus(x))),
+    ("mean_axis", lambda x: tensor_sum(square(ad.mean(x, axis=1)))),
+    ("logsumexp", lambda x: tensor_sum(logsumexp(x, axis=1))),
+    ("l2norm", lambda x: tensor_sum(mul(normalize_rows(x), Tensor(_W34)))),
 ])
 def test_pointwise_and_reduction_grads(op_name, builder):
     x = param(np.random.default_rng(1).normal(size=(3, 4)))
@@ -77,7 +82,7 @@ def test_matmul_grads_batched():
     target = rng.normal(size=(2, 5, 4))
 
     def fn():
-        return ad.tensor_sum(ad.square(ad.matmul(x, w) - Tensor(target)))
+        return tensor_sum(square(sub(matmul(x, w), Tensor(target))))
 
     assert finite_diff(fn, x) < 1e-6
     assert finite_diff(fn, w) < 1e-6
@@ -91,10 +96,59 @@ def test_layer_norm_grads():
     weight = rng.normal(size=(4, 6))
 
     def fn():
-        return ad.tensor_sum(ad.mul(ad.layer_norm(x, gain, bias), Tensor(weight)))
+        return tensor_sum(mul(ad.layer_norm(x, gain, bias), Tensor(weight)))
 
     for t in (x, gain, bias):
         assert finite_diff(fn, t) < 1e-6
+
+
+def _rows(rng, shape, unit=False):
+    x = rng.normal(size=shape)
+    return Tensor(x / np.linalg.norm(x, axis=-1, keepdims=True) if unit else x,
+                  requires_grad=True)
+
+
+def _single_node_cases():
+    """(id, inputs, op, composed form, bitwise gradients) per one-node op."""
+    rng = np.random.default_rng(17)
+    x, w, b = _rows(rng, (2, 5, 6)), _rows(rng, (6, 4)), _rows(rng, (4,))
+    yield "affine", {"x": x, "weight": w, "bias": b}, ad.affine, composed_affine, True
+    for axis in (0, 1):
+        yield (f"mean_axis_{axis}", {"a": _rows(rng, (3, 4, 5))},
+               lambda a, axis=axis: ad.mean(a, axis),
+               lambda a, axis=axis: composed_mean(a, axis), True)
+    inputs = {"x": _rows(rng, (2, 5, 6)), "gain": _rows(rng, (6,)), "bias": _rows(rng, (6,))}
+    yield "layer_norm", inputs, ad.layer_norm, composed_layer_norm, False
+    yield "normalize_rows", {"feats": _rows(rng, (7, 5))}, normalize_rows, \
+        composed_normalize_rows, False
+    for tau in (TAU_MIN, TAU_MAX):
+        for reduction in ("sum", "mean"):
+            for batch in (1, 8):
+                inputs = {"za": _rows(rng, (batch, 6), unit=True),
+                          "zb": _rows(rng, (batch, 6), unit=True),
+                          "tau": Tensor(tau, requires_grad=True)}
+                yield (f"cross_modal_loss_tau_{tau}_{reduction}_B{batch}", inputs,
+                       lambda za, zb, tau, r=reduction: cross_modal_loss(za, zb, tau, r),
+                       lambda za, zb, tau, r=reduction: composed_cross_modal_loss(za, zb, tau, r),
+                       False)
+
+
+@pytest.mark.parametrize("inputs, op, composed, bitwise_grads",
+                         [pytest.param(*case[1:], id=case[0]) for case in _single_node_cases()])
+def test_one_node_op_matches_composed_oracle(inputs, op, composed, bitwise_grads):
+    """Each one-node op's forward is its composed form's bit for bit. The
+    affine map's and the mean's gradients are too; the closed-form adjoints
+    of the others round differently, within 1e-12 relative."""
+    got, got_grads = forward_and_grads(lambda: op(**inputs), inputs)
+    want, want_grads = forward_and_grads(lambda: composed(**inputs), inputs)
+    assert np.array_equal(got, want)
+    for name, g in got_grads.items():
+        w = want_grads[name]
+        assert g.shape == np.shape(w), name
+        if bitwise_grads:
+            assert np.array_equal(g, w), name
+        else:
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
 
 
 def test_take_rows_grads_and_round_trip():
@@ -112,7 +166,7 @@ def test_take_rows_grads_and_round_trip():
     assert np.array_equal(restored.data, x.data)
 
     def fn():
-        return ad.tensor_sum(ad.mul(take_rows(x, perm, inv), Tensor(weight)))
+        return tensor_sum(mul(take_rows(x, perm, inv), Tensor(weight)))
 
     assert finite_diff(fn, x) < 1e-6
     # The backward gather by the inverse is the scatter by the forward index.
@@ -142,14 +196,14 @@ def test_amax_grads():
     weight = rng.normal(size=(3, 4))
 
     def fn():
-        return ad.tensor_sum(ad.mul(amax(x, axis=1), Tensor(weight)))
+        return tensor_sum(mul(amax(x, axis=1), Tensor(weight)))
 
     assert finite_diff(fn, x) < 1e-6
 
 
 def test_clip_gradient_masking():
     x = param(np.array([-2.0, 0.5, 3.0]))
-    out = ad.tensor_sum(ad.clip(x, 0.0, 1.0))
+    out = tensor_sum(ad.clip(x, 0.0, 1.0))
     out.backward()
     assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
 
@@ -161,7 +215,7 @@ def test_concat_grads():
     weight = rng.normal(size=(3, 6))
 
     def fn():
-        return ad.tensor_sum(ad.mul(ad.concat([a, b], axis=1), Tensor(weight)))
+        return tensor_sum(mul(ad.concat([a, b], axis=1), Tensor(weight)))
 
     assert finite_diff(fn, a) < 1e-6
     assert finite_diff(fn, b) < 1e-6
@@ -174,7 +228,7 @@ def test_depthwise_conv1d_standard_and_causal():
     bias = param(rng.normal(size=3))
 
     def fn():
-        return ad.tensor_sum(ad.square(depthwise_conv1d(x, kernel, bias, 2, 2)))
+        return tensor_sum(square(depthwise_conv1d(x, kernel, bias, 2, 2)))
 
     for t in (x, kernel, bias):
         assert finite_diff(fn, t) < 1e-6
@@ -182,7 +236,7 @@ def test_depthwise_conv1d_standard_and_causal():
     causal_kernel = param(rng.normal(size=(3, 4)))
 
     def fn_causal():
-        return ad.tensor_sum(ad.square(depthwise_conv1d(x, causal_kernel, bias, 3, 0)))
+        return tensor_sum(square(depthwise_conv1d(x, causal_kernel, bias, 3, 0)))
 
     assert finite_diff(fn_causal, causal_kernel) < 1e-6
 
@@ -213,22 +267,22 @@ def test_backward_requires_scalar():
 def test_no_grad_context():
     x = Tensor(np.ones(3), requires_grad=True)
     with ad.no_grad():
-        y = ad.tensor_sum(ad.exp(x))
+        y = tensor_sum(ad.exp(x))
     assert not y.requires_grad
 
 
 def test_diamond_graph_accumulates_once_per_path():
     x = param(np.array([2.0]))
-    y = ad.add(ad.square(x), ad.mul(x, Tensor(3.0)))  # x^2 + 3x
-    ad.tensor_sum(y).backward()
+    y = ad.add(square(x), mul(x, Tensor(3.0)))  # x^2 + 3x
+    tensor_sum(y).backward()
     assert np.allclose(x.grad, [2 * 2.0 + 3.0])
 
 
 def test_gradients_accumulate_across_backward_calls():
     x = param(np.array([1.0, 2.0]))
-    ad.tensor_sum(ad.square(x)).backward()
+    tensor_sum(square(x)).backward()
     first = x.grad.copy()
-    ad.tensor_sum(ad.square(x)).backward()
+    tensor_sum(square(x)).backward()
     assert np.allclose(x.grad, 2 * first)
 
 
@@ -238,7 +292,7 @@ def test_shared_gradient_buffer_is_never_updated_in_place():
     a = param(np.array([1.0, 2.0]))
     b = param(np.array([3.0, 4.0]))
     s = ad.add(a, b)
-    loss = ad.tensor_sum(ad.add(ad.mul(s, Tensor(2.0)), ad.square(a)))
+    loss = tensor_sum(ad.add(mul(s, Tensor(2.0)), square(a)))
     loss.backward()
     assert np.array_equal(a.grad, [2.0 + 2.0, 2.0 + 4.0])
     assert np.array_equal(b.grad, [2.0, 2.0])
@@ -251,8 +305,8 @@ def test_backward_frees_interior_gradients_and_keeps_leaf_gradients():
     rng = np.random.default_rng(15)
     w = param(rng.normal(size=(3, 2)))
     x = Tensor(rng.normal(size=(4, 3)))
-    hidden = ad.silu(ad.matmul(x, w))
-    loss = ad.tensor_sum(ad.square(hidden))
+    hidden = ad.silu(matmul(x, w))
+    loss = tensor_sum(square(hidden))
     loss.backward()
     first = w.grad.copy()
     assert hidden.grad is None and loss.grad is None

@@ -1,6 +1,8 @@
-"""The no-regression verdict of tools/bench_pairs.py, on synthetic runs."""
+"""The verdicts, the failed-operation share and the `--out` summary of
+tools/bench_pairs.py, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,48 @@ def test_regression_verdict_bound_is_relative_to_the_parent_median():
         "within bound: median worse by 20, bound 25,")
     assert bench_pairs.regression_verdict(old, scaled(old, 1.2), LOWER, 0.15).startswith(
         "worse than bound: median worse by 20, bound 15,")
+
+
+def fake_run(value, failed=0, attempted=50):
+    return {"correct": True, "attempted": attempted, "failed": failed,
+            "metrics": {"latency_ms_p50": {"value": value}}}
+
+
+def test_failed_share_sums_over_runs():
+    runs = [fake_run(1.0, failed=1, attempted=40), fake_run(1.0, failed=0, attempted=60)]
+    assert bench_pairs.failed_share(runs) == "1/100 operations failed (1.000%)"
+    assert bench_pairs.failed_share([fake_run(1.0, attempted=0)]) == "0/0 operations failed"
+
+
+def test_out_writes_each_metric_summary_beside_the_runs(tmp_path, monkeypatch, capsys):
+    """Four alternating pairs with stubbed runs: the change is 20 % slower and
+    fails one operation in 50 per run."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        root.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]}))
+    values = {parent: [10.0, 11.0, 9.0, 10.0], change: [12.0, 13.2, 10.8, 12.0]}
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(checkout)
+        i = seed - 1
+        return fake_run(values[checkout][i], failed=int(checkout == change))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1-4",
+                             "--out", str(out)]) == 0
+    assert calls == [parent, change, change, parent, parent, change, change, parent]
+    printed = capsys.readouterr().out
+    assert "parent: 4/4 runs correct with 0 failed; 0/200 operations failed (0.000%)" in printed
+    assert "change: 0/4 runs correct with 0 failed; 4/200 operations failed (2.000%)" in printed
+    doc = json.loads(out.read_text())["w"]
+    assert doc["seeds"] == [1, 2, 3, 4] and len(doc["pairs"]) == 4
+    row = doc["summary"]["latency_ms_p50"]
+    assert row["parent"]["median"] == 10.0 and row["change"]["median"] == 12.0
+    assert row["parent"]["q1"] < row["parent"]["median"] < row["parent"]["q3"]
+    assert row["wins"] == 0 and row["pairs"] == 4
+    assert row["gain"].startswith("no gain: 0/4 wins")
+    assert row["regression"].startswith("within bound: median worse by 2, bound 2.5,")

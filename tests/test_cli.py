@@ -140,7 +140,7 @@ def test_pretrain_eval_round_trip(small_dataset, tmp_path):
     assert {"probe_1shot", "probe_16shot"} <= set(report)
 
 
-def test_pretrain_epochs_zero_checkpoint_equals_init(small_dataset, tmp_path):
+def test_pretrain_epochs_zero_checkpoint_equals_init(small_dataset, tmp_path, capsys):
     from occpoint.encoder import toy_config
     from occpoint.training import TrainConfig, init_model, load_checkpoint
 
@@ -150,6 +150,7 @@ def test_pretrain_epochs_zero_checkpoint_equals_init(small_dataset, tmp_path):
                "--c-dim", "16", "--epochs", "0", "--warmup-epochs", "0",
                "--seed", "5"])
     assert rc == 0
+    assert "no step ran; the checkpoint holds the initial weights" in capsys.readouterr().out
     loaded = load_checkpoint(ckpt)
     dataset = load_dataset(small_dataset)
     fresh = init_model(
@@ -305,6 +306,25 @@ def test_pretrain_refuses_objects_with_unequal_view_counts(small_dataset, tmp_pa
                "--c-dim", "16", "--epochs", "1", "--warmup-epochs", "0"])
     assert rc == 1
     assert "has 9 views" in capsys.readouterr().err
+
+
+def test_pretrain_refuses_a_single_object(small_mesh_dir, tmp_path, capsys):
+    """One object makes every batch a batch of one, whose contrastive loss is
+    identically zero: the run must stop before its first step."""
+    meshes = tmp_path / "one"
+    meshes.mkdir()
+    (meshes / "cube_00.obj").write_bytes((small_mesh_dir / "cube_00.obj").read_bytes())
+    data = tmp_path / "one.occt"
+    assert main(["gen", "--meshes", str(meshes), "--out", str(data), "--resolution", "48",
+                 "--points", "256", "--embed-dim", "16", "--seed", "7"]) == 0
+    ckpt = tmp_path / "m.occt"
+    rc = main(["pretrain", "--data", str(data), "--out", str(ckpt), "--preset", "toy",
+               "--s-tokens", "8", "--k-neighbors", "6", "--c-dim", "16",
+               "--batch-size", "2", "--epochs", "1", "--warmup-epochs", "0"])
+    assert rc == 1
+    assert "at least two" in capsys.readouterr().err
+    assert not ckpt.exists()
+    assert not ckpt.with_suffix(".metrics.jsonl").read_text()
 
 
 def test_records_with_other_text_variant_counts_are_config_error(small_dataset, tmp_path,

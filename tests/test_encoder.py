@@ -21,7 +21,9 @@ from occpoint.encoder import (
 from occpoint.errors import ConfigError, ShapeError
 from occpoint.training import curve_orders
 
-from composed import assert_grads_match, composed_block_forward, forward_and_grads
+from composed import (
+    assert_grads_match, composed_block_forward, forward_and_grads, square, tensor_sum,
+)
 from reference import count_params_enumerated, selective_scan_reference, tokenize
 
 # The transcription oracle below restates the block as literal numpy, one
@@ -266,7 +268,7 @@ def test_ablation_configs_run_forward_and_backward(curve_a, curve_b, conv_mode):
     tokens = Tensor(rng.normal(size=(1, 6, 8)), requires_grad=False)
     fwd, inv = curve_orders(rng.uniform(-1, 1, size=(1, 6, 3)), cfg)
     z = encoder_forward(tokens, fwd, inv, params, cfg)
-    loss = ad.tensor_sum(ad.square(z))
+    loss = tensor_sum(square(z))
     loss.backward()
     from occpoint.encoder import named_parameters
 

@@ -9,7 +9,7 @@ from occpoint.autodiff import Tensor
 from occpoint.errors import InvalidInput, NumericalError
 from occpoint.ssm import S6Params, init_s6, selective_scan
 
-from composed import assert_grads_match, composed_scan, forward_and_grads
+from composed import assert_grads_match, composed_scan, forward_and_grads, mul, tensor_sum
 from reference import (
     scan,
     scan_states_reference,
@@ -273,7 +273,7 @@ def test_stream_stacked_scan_matches_each_stream_alone():
         for t in tensors.values():
             t.zero_grad()
         alone = scan_tensor(xt, params)
-        ad.tensor_sum(ad.mul(alone, Tensor(gy[z]))).backward()
+        tensor_sum(mul(alone, Tensor(gy[z]))).backward()
         assert np.array_equal(alone.data, y[z])
         assert_grads_match({"input": gx[z], **grads[z]},
                            {name: t.grad for name, t in tensors.items()})

@@ -19,7 +19,9 @@ change's median is worse than the parent's by more than the metric's bound
 (a fraction of the parent's median), "unresolved" when it is not but the
 parent's interquartile range is wider than the bound, unless every change
 run beats every parent run, and "within bound" otherwise. Runs that are not
-`correct`, or that fail operations, are reported too.
+`correct`, or that fail operations, are reported too, with each side's share
+of failed operations over all its runs. `--out` writes the raw runs and,
+per metric, the medians, quartiles, wins and both verdicts.
 Standard library only.
 """
 
@@ -60,27 +62,53 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(workload: str, pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> None:
+def failed_share(runs: list[dict]) -> str:
+    """The share of operations that failed over all of one side's runs."""
+    failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+    return f"{failed}/{attempted} operations failed" + (
+        f" ({failed / attempted:.3%})" if attempted else "")
+
+
+def summarize(old: list[float], new: list[float], metric: dict) -> dict:
+    """One metric's medians, quartiles, wins and both verdicts, from the
+    parent's runs `old` and the change's runs `new`, paired by index."""
+    sign = -1.0 if metric["better"] == "lower" else 1.0
+    wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+    (o1, om, o3), (n1, nm, n3) = quartiles(old), quartiles(new)
+    return {
+        "parent": {"median": om, "q1": o1, "q3": o3},
+        "change": {"median": nm, "q1": n1, "q3": n3},
+        "ratio": nm / om if om else float("nan"),
+        "wins": wins,
+        "pairs": len(old),
+        "gain": gain_verdict(wins, len(old), sign * (nm - om), o3 - o1),
+        "regression": regression_verdict(old, new, sign, metric["bound"]),
+    }
+
+
+def report(workload: str, pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> dict:
+    """Print the summary of one workload's pairs; return it per metric."""
     print(f"\n{workload}: {len(pairs)} pairs")
     for side, index in (("parent", 0), ("change", 1)):
-        bad = [(p[index]["correct"], p[index]["failed"]) for p in pairs
-               if not p[index]["correct"] or p[index]["failed"]]
-        print(f"  {side}: {len(pairs) - len(bad)}/{len(pairs)} runs correct with 0 failed"
+        runs = [p[index] for p in pairs]
+        bad = [(r["correct"], r["failed"]) for r in runs if not r["correct"] or r["failed"]]
+        print(f"  {side}: {len(pairs) - len(bad)}/{len(pairs)} runs correct with 0 failed; "
+              + failed_share(runs)
               + (f"; others (correct, failed): {bad}" if bad else ""))
     print(f"  {'metric':18s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
           f" {'change/parent':>13s} {'wins':>6s}")
+    summary = {}
     for name in pairs[0][0]["metrics"]:
         old = [p[0]["metrics"][name]["value"] for p in pairs]
         new = [p[1]["metrics"][name]["value"] for p in pairs]
-        sign = -1.0 if spec[name]["better"] == "lower" else 1.0
-        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
-        (o1, om, o3), (n1, nm, n3) = quartiles(old), quartiles(new)
-        ratio = nm / om if om else float("nan")
-        print(f"  {name:18s} {om:12.4g} [{o1:.4g}, {o3:.4g}]".ljust(51)
-              + f" {nm:12.4g} [{n1:.4g}, {n3:.4g}]".ljust(31)
-              + f" {ratio:13.3f} {wins:3d}/{len(pairs)}")
-        print(f"  {'':18s} {gain_verdict(wins, len(pairs), sign * (nm - om), o3 - o1)}")
-        print(f"  {'':18s} {regression_verdict(old, new, sign, spec[name]['bound'])}")
+        row = summary[name] = summarize(old, new, spec[name])
+        o, n = row["parent"], row["change"]
+        print(f"  {name:18s} {o['median']:12.4g} [{o['q1']:.4g}, {o['q3']:.4g}]".ljust(51)
+              + f" {n['median']:12.4g} [{n['q1']:.4g}, {n['q3']:.4g}]".ljust(31)
+              + f" {row['ratio']:13.3f} {row['wins']:3d}/{row['pairs']}")
+        print(f"  {'':18s} {row['gain']}")
+        print(f"  {'':18s} {row['regression']}")
+    return summary
 
 
 def gain_verdict(wins: int, pairs: int, gain: float, parent_iqr: float) -> str:
@@ -128,7 +156,8 @@ def main(argv=None) -> int:
                         help="a workload of BENCHMARK.json; repeat for several")
     parser.add_argument("--seeds", required=True, help="e.g. 7201-7210 or 1,5,9")
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--out", type=Path, help="write every run's result here as JSON")
+    parser.add_argument("--out", type=Path, help="write every run's result and each "
+                        "metric's summary here as JSON")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
@@ -147,8 +176,8 @@ def main(argv=None) -> int:
                                     for k, v in runs[side]["metrics"].items()}),
                       flush=True)
             pairs.append((runs["parent"], runs["change"]))
-        results[workload] = {"seeds": seeds, "pairs": pairs}
-        report(workload, pairs, metrics)
+        summary = report(workload, pairs, metrics)
+        results[workload] = {"seeds": seeds, "pairs": pairs, "summary": summary}
     if args.out:
         args.out.write_text(json.dumps(results, indent=1) + "\n")
     return 0
