@@ -299,25 +299,38 @@ def conv1d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     axis: x is (Z, B, S, C), kernel (Z, C, w) and bias (Z, C), one kernel per
     stream. The output has length S: the input is zero-padded by pad_left
     before and w - 1 - pad_left after. Returns the output and the padded
-    input that `conv1d_backward` reads."""
+    input that `conv1d_backward` reads.
+
+    Each stream runs on its own, with its taps copied to a contiguous (w, C)
+    array, so that every multiply broadcasts a contiguous row of C taps. The
+    taps are summed in order j = 0..w-1, then the bias."""
     s = x.shape[-2]
-    w = kernel.shape[-1]
-    xp = np.zeros(x.shape[:-2] + (s + w - 1, x.shape[-1]))
+    xp = np.zeros(x.shape[:-2] + (s + kernel.shape[-1] - 1, x.shape[-1]))
     xp[..., pad_left : pad_left + s, :] = x
     out = np.zeros(x.shape)
-    for j in range(w):
-        out += xp[..., j : j + s, :] * kernel[:, None, None, :, j]
-    out += bias[:, None, None, :]
+    for z, taps in enumerate(_taps(kernel)):
+        for j, tap in enumerate(taps):
+            out[z] += xp[z, :, j : j + s, :] * tap
+        out[z] += bias[z]
     return out, xp
 
 
 def conv1d_backward(g: np.ndarray, xp: np.ndarray, kernel: np.ndarray,
                     pad_left: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (input, kernel, bias) of `conv1d_forward`'s output."""
+    """Gradients (input, kernel, bias) of `conv1d_forward`'s output. The
+    input gradient runs per stream over contiguous taps, as the forward
+    does; the kernel gradient is one einsum per tap over both streams."""
     s = g.shape[-2]
     gxp = np.zeros_like(xp)
+    for z, taps in enumerate(_taps(kernel)):
+        for j, tap in enumerate(taps):
+            gxp[z, :, j : j + s, :] += g[z] * tap
     gk = np.zeros_like(kernel)
     for j in range(kernel.shape[-1]):
-        gxp[..., j : j + s, :] += g * kernel[:, None, None, :, j]
         gk[:, :, j] = np.einsum("zbsc,zbsc->zc", g, xp[..., j : j + s, :])
     return gxp[..., pad_left : pad_left + s, :], gk, g.sum(axis=(1, 2))
+
+
+def _taps(kernel: np.ndarray) -> np.ndarray:
+    """(Z, C, w) kernel -> C-contiguous (Z, w, C) taps."""
+    return np.ascontiguousarray(np.swapaxes(kernel, 1, 2))

@@ -35,6 +35,7 @@ from .training import (
     build_cache,  # noqa: F401  perfbench's tracer wraps cli.build_cache by name
     check_resume,
     embed_clouds,
+    epoch_steps,
     linear_probe,
     load_checkpoint,
     load_or_build_cache,
@@ -179,6 +180,7 @@ def cmd_pretrain(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     tokens, inputs = load_or_build_cache(args.data, dataset, encoder_config)
     tokens, _ = split_tokens(dataset, tokens, train_config.holdout_views)
+    epoch_steps(tokens, train_config)  # refuses an unusable split before any file is written
     manifest_path = out.with_suffix(".manifest.json")
     resolved = {
         "encoder_config": encoder_config.to_dict(),

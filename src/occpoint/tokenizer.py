@@ -172,22 +172,36 @@ def init_mini_pointnet(token_dim: int, rng: np.random.Generator,
     )
 
 
+# Elements of one (patches, k, C) slice of the no-grad pointnet_pool.
+_POOL_BLOCK_LIMIT = 1 << 17
+
+
 def pointnet_pool(feats: Tensor, p: MiniPointNetParams) -> Tensor:
     """Per-point affine -> SiLU -> affine -> SiLU, max over the k points, as
     one op: (..., S, k, 6) -> (..., S, C).
 
     Its hand adjoint routes the pooled gradient through the second SiLU only
     at the argmax rows, the only rows it reaches. Without a gradient to take,
-    the arrays are updated in place and nothing is kept.
+    the MLP runs over slices of _POOL_BLOCK_LIMIT // (k * C) patches, in
+    place, each pooled into its rows of the output, so no (..., S, k, C)
+    array is ever whole and nothing is kept. The slicing changes only the
+    GEMMs' row counts, and the pooled tokens are bitwise those of the
+    recorded path (tests/test_tokenizer.py).
     """
     x = feats.data
     w1, b1, w2, b2 = p.w1, p.b1, p.w2, p.b2
     if not ad.needs_grad(feats, w1, b1, w2, b2):
-        h = x @ w1.data
-        h += b1.data
-        h = ad.silu_array(h) @ w2.data
-        h += b2.data
-        return Tensor(ad.silu_array(h).max(axis=-2))
+        k, channels = x.shape[-2], w2.shape[1]
+        patches = x.reshape(-1, k, x.shape[-1])
+        out = np.empty((len(patches), channels))
+        step = max(1, _POOL_BLOCK_LIMIT // (k * channels))
+        for start in range(0, len(patches), step):
+            h = patches[start : start + step] @ w1.data
+            h += b1.data
+            h = ad.silu_array(h) @ w2.data
+            h += b2.data
+            ad.silu_array(h).max(axis=-2, out=out[start : start + step])
+        return Tensor(out.reshape(x.shape[:-2] + (channels,)))
 
     h1 = x @ w1.data
     h1 += b1.data

@@ -600,6 +600,15 @@ def make_batches(tokens: Tokens, batch_size: int, epoch: int,
     return batches
 
 
+def epoch_steps(tokens: Tokens, train_config: TrainConfig) -> int:
+    """Steps per epoch over a training split. A split that no epoch can be
+    cut from is refused: one with no records (`InvalidInput`), and the ones
+    `make_batches` refuses (`ConfigError`)."""
+    if not len(tokens):
+        raise InvalidInput("no training records after the view split")
+    return len(make_batches(tokens, train_config.batch_size, 0, train_config.seed))
+
+
 def check_resume(model: ModelState, encoder_config: EncoderConfig,
                  train_config: TrainConfig) -> None:
     """Refuse to resume `model` under configs other than its own: a run
@@ -626,8 +635,6 @@ def run_pretraining(dataset: TripletDataset, encoder_config: EncoderConfig,
     count and shape.
     """
     train_set, _ = dataset.split_views(train_config.holdout_views)
-    if not train_set.records:
-        raise InvalidInput("no training records after the view split")
     if tokens is not None:
         shape = (encoder_config.s_tokens, encoder_config.k_neighbors, 3)
         if len(tokens) != len(train_set.records):
@@ -644,8 +651,7 @@ def run_pretraining(dataset: TripletDataset, encoder_config: EncoderConfig,
     if tokens is None:
         tokens = build_cache(train_set, encoder_config)
 
-    probe = make_batches(tokens, train_config.batch_size, 0, train_config.seed)
-    steps_per_epoch = len(probe)
+    steps_per_epoch = epoch_steps(tokens, train_config)
     total_steps = steps_per_epoch * train_config.epochs
     metrics = []
     step = model.step
@@ -665,15 +671,31 @@ def run_pretraining(dataset: TripletDataset, encoder_config: EncoderConfig,
 # Evaluation
 
 
-EMBED_BATCH = 32  # clouds per forward pass in embed_clouds
+# Byte budget of one (2, b, S, C_inner) float64 stream array in embed_clouds.
+EMBED_BLOCK_BYTES = 1 << 19
+
+
+def embed_batch_size(config: EncoderConfig) -> int:
+    """Clouds per forward pass in `embed_clouds`: as many as keep one stream
+    array within EMBED_BLOCK_BYTES, and at least one."""
+    per_cloud = 2 * config.s_tokens * config.c_inner * 8
+    return max(1, EMBED_BLOCK_BYTES // per_cloud)
 
 
 def embed_clouds(tokens: Tokens, model: ModelState) -> np.ndarray:
-    """Unit-norm point embeddings (M, D) of tokenized clouds, without gradients."""
+    """Unit-norm point embeddings (M, D) of tokenized clouds, without gradients.
+
+    The clouds run in passes of `embed_batch_size` clouds (8 for the toy
+    preset, 1 for the desk preset), so that each pass's working set stays
+    small: more clouds per pass cost more per cloud, not less. The pass size
+    changes only the GEMMs' row counts, and the embeddings are bitwise the
+    same for any pass size (tests/test_train.py).
+    """
     out = []
+    step = embed_batch_size(model.encoder_config)
     with ad.no_grad():
-        for start in range(0, len(tokens), EMBED_BATCH):
-            chunk = tokens[start : start + EMBED_BATCH]
+        for start in range(0, len(tokens), step):
+            chunk = tokens[start : start + step]
             z = encode_batch(chunk.rel_points, chunk.patch_colors, chunk.orders, model)
             out.append(z.data / np.linalg.norm(z.data, axis=1, keepdims=True))
     return np.vstack(out)

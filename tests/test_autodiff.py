@@ -1,5 +1,7 @@
 """Op-level gradient checks for the reverse-mode tape."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,33 @@ def test_depthwise_conv1d_standard_and_causal():
         return tensor_sum(square(depthwise_conv1d(x, causal_kernel, bias, 3, 0)))
 
     assert finite_diff(fn_causal, causal_kernel) < 1e-6
+
+
+def test_stacked_conv1d_matches_the_per_element_loop():
+    """conv1d_forward and its input gradient, over two stacked streams, are
+    bitwise the literal sums over the taps in order j = 0..w-1; the kernel and
+    bias gradients match their sums to rounding."""
+    rng = np.random.default_rng(9)
+    nz, nb, s, c, w, pad = 2, 3, 7, 5, 4, 2
+    x, g = rng.normal(size=(2, nz, nb, s, c))
+    kernel, bias = rng.normal(size=(nz, c, w)), rng.normal(size=(nz, c))
+    xp = np.zeros((nz, nb, s + w - 1, c))
+    xp[:, :, pad : pad + s] = x
+    want, gx, gk = np.empty_like(x), np.zeros_like(xp), np.zeros_like(kernel)
+    for z, b, t, ch in np.ndindex(x.shape):
+        acc = 0.0
+        for j in range(w):
+            acc += xp[z, b, t + j, ch] * kernel[z, ch, j]
+            gk[z, ch, j] += g[z, b, t, ch] * xp[z, b, t + j, ch]
+        want[z, b, t, ch] = acc + bias[z, ch]
+    for j, (z, b, t, ch) in itertools.product(range(w), np.ndindex(x.shape)):
+        gx[z, b, t + j, ch] += g[z, b, t, ch] * kernel[z, ch, j]
+    out, padded = ad.conv1d_forward(x, kernel, bias, pad)
+    assert np.array_equal(out, want) and np.array_equal(padded, xp)
+    got_gx, got_gk, got_gb = ad.conv1d_backward(g, padded, kernel, pad)
+    assert np.array_equal(got_gx, gx[:, :, pad : pad + s])
+    np.testing.assert_allclose(got_gk, gk, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(got_gb, g.sum(axis=(1, 2)), rtol=1e-13, atol=1e-13)
 
 
 def test_causal_conv_does_not_see_future():

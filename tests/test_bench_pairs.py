@@ -69,8 +69,8 @@ def test_out_writes_each_metric_summary_beside_the_runs(tmp_path, monkeypatch, c
     parent, change = tmp_path / "parent", tmp_path / "change"
     for root in (parent, change):
         root.mkdir()
-    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]}))
+        (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]}))
     values = {parent: [10.0, 11.0, 9.0, 10.0], change: [12.0, 13.2, 10.8, 12.0]}
     calls = []
 
@@ -95,3 +95,42 @@ def test_out_writes_each_metric_summary_beside_the_runs(tmp_path, monkeypatch, c
     assert row["wins"] == 0 and row["pairs"] == 4
     assert row["gain"].startswith("no gain: 0/4 wins")
     assert row["regression"].startswith("within bound: median worse by 2, bound 2.5,")
+
+
+def benchmark_checkout(root):
+    (root / "perfbench" / "sub").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    (root / "perfbench" / "run.py").write_text("print(1)\n")
+    (root / "perfbench" / "sub" / "w.py").write_text("W = 1\n")
+    return root
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda root: None, None),
+    # Compiled caches differ between any two checkouts that have run.
+    (lambda root: (root / "perfbench" / "__pycache__").mkdir()
+     or (root / "perfbench" / "__pycache__" / "run.pyc").write_bytes(b"x"), None),
+    # Edits outside the benchmark do not count.
+    (lambda root: (root / "src.py").write_text("x = 2\n"), None),
+    (lambda root: (root / "perfbench" / "sub" / "w.py").write_text("W = 2\n"),
+     "perfbench/sub/w.py"),
+    (lambda root: (root / "perfbench" / "new.py").write_text(""), "perfbench/new.py"),
+    (lambda root: (root / "perfbench" / "run.py").unlink(), "perfbench/run.py"),
+    # BENCHMARK.json sorts first and is named before any perfbench/ file.
+    (lambda root: (root / "BENCHMARK.json").write_text("{}")
+     or (root / "perfbench" / "run.py").write_text(""), "BENCHMARK.json"),
+], ids=["same", "pycache", "outside", "edited", "added", "removed", "spec-first"])
+def test_first_difference_names_the_first_differing_benchmark_file(tmp_path, edit, named):
+    parent = benchmark_checkout(tmp_path / "parent")
+    change = benchmark_checkout(tmp_path / "change")
+    edit(change)
+    assert bench_pairs.first_difference(parent, change) == named
+
+
+def test_main_refuses_checkouts_with_other_benchmark_code(tmp_path, monkeypatch):
+    parent = benchmark_checkout(tmp_path / "parent")
+    change = benchmark_checkout(tmp_path / "change")
+    (change / "perfbench" / "run.py").write_text("print(2)\n")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a workload"))
+    with pytest.raises(SystemExit, match="perfbench/run.py differs between"):
+        bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1"])

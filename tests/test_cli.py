@@ -290,6 +290,7 @@ def test_pretrain_without_training_records_is_user_error(small_dataset, tmp_path
                "--c-dim", "16", "--epochs", "1", "--warmup-epochs", "0"])
     assert rc == 1
     assert capsys.readouterr().err == "error: no training records after the view split\n"
+    assert_nothing_written(tmp_path / "m.occt")
 
 
 def test_pretrain_refuses_objects_with_unequal_view_counts(small_dataset, tmp_path, capsys):
@@ -306,6 +307,13 @@ def test_pretrain_refuses_objects_with_unequal_view_counts(small_dataset, tmp_pa
                "--c-dim", "16", "--epochs", "1", "--warmup-epochs", "0"])
     assert rc == 1
     assert "has 9 views" in capsys.readouterr().err
+    assert_nothing_written(tmp_path / "m.occt")
+
+
+def assert_nothing_written(ckpt):
+    """A refused training split leaves no checkpoint, manifest or metrics file."""
+    for path in (ckpt, ckpt.with_suffix(".manifest.json"), ckpt.with_suffix(".metrics.jsonl")):
+        assert not path.exists(), path
 
 
 def test_pretrain_refuses_a_single_object(small_mesh_dir, tmp_path, capsys):
@@ -323,8 +331,7 @@ def test_pretrain_refuses_a_single_object(small_mesh_dir, tmp_path, capsys):
                "--batch-size", "2", "--epochs", "1", "--warmup-epochs", "0"])
     assert rc == 1
     assert "at least two" in capsys.readouterr().err
-    assert not ckpt.exists()
-    assert not ckpt.with_suffix(".metrics.jsonl").read_text()
+    assert_nothing_written(ckpt)
 
 
 def test_records_with_other_text_variant_counts_are_config_error(small_dataset, tmp_path,

@@ -314,6 +314,28 @@ def test_recompute_path_matches_kept_states_bitwise(monkeypatch):
     assert_scans_equal(recomputed, kept)
 
 
+@pytest.mark.parametrize("nb,length,channels,n_state,kept", [
+    (8, 32, 128, 8, True),     # the toy train step: B*L*C*N = 2^18
+    (2, 128, 512, 16, True),   # desk width at B=2: 2^21
+    (4, 128, 512, 16, False),  # desk B=4: 2^22
+    (8, 128, 512, 16, False),  # desk B=8: 2^23
+], ids=["toy", "desk-B2", "desk-B4", "desk-B8"])
+def test_keep_path_is_taken_up_to_desk_batch_two(monkeypatch, nb, length, channels, n_state,
+                                                 kept):
+    rng = np.random.default_rng(44)
+    streams = [random_s6(rng, channels, n_state) for _ in range(2)]
+    calls = []
+    forward = ssm._scan_forward
+
+    def spy(*args, keep_states=False, **kwargs):
+        calls.append(keep_states)
+        return forward(*args, keep_states=keep_states, **kwargs)
+
+    monkeypatch.setattr(ssm, "_scan_forward", spy)
+    selective_scan(rng.normal(size=(2, nb, length, channels)), streams)
+    assert calls == [kept]
+
+
 @pytest.mark.parametrize("nz,nb,length,channels,n_state", [(2, 8, 32, 128, 8),
                                                            (2, 1, 128, 512, 16)])
 def test_bitwise_contracts_at_workload_widths(nz, nb, length, channels, n_state):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from occpoint import autodiff as ad
-from occpoint import training
+from occpoint import tokenizer, training
 from occpoint.autodiff import Tensor
 from occpoint.dataset import TripletDataset, generate_triplets
 from occpoint.encoder import toy_config
@@ -215,8 +215,9 @@ def test_knn_missing_colors_use_constant():
 # --- mini pointnet ---------------------------------------------------------------
 
 
-def test_fused_pointnet_matches_composed_oracle():
+def test_fused_pointnet_matches_composed_oracle(monkeypatch):
     rng = np.random.default_rng(30)
+    default_limit = tokenizer._POOL_BLOCK_LIMIT
     for shape, hidden, width in (((3, 7, 6), 16, 16), ((2, 4, 5, 6), 6, 8),
                                  ((2, 8, 16, 6), 64, 32)):
         params = init_mini_pointnet(width, rng, hidden=hidden)
@@ -230,10 +231,15 @@ def test_fused_pointnet_matches_composed_oracle():
         )
         assert np.array_equal(got, want)
         assert_grads_match(got_grads, want_grads)
-        with ad.no_grad():
-            bare = mini_pointnet_embed(Tensor(feats), params)
-        assert bare._backward is None
-        assert np.array_equal(bare.data, got)
+        # The no-grad path's slices: the default, one patch, and three patches
+        # (with a shorter last slice where the patch count is not a multiple).
+        k = shape[-2]
+        for limit in (default_limit, 1, 3 * k * width):
+            monkeypatch.setattr(tokenizer, "_POOL_BLOCK_LIMIT", limit)
+            with ad.no_grad():
+                bare = mini_pointnet_embed(Tensor(feats), params)
+            assert bare._backward is None
+            assert np.array_equal(bare.data, got)
 
 
 def test_identical_patches_identical_tokens():

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from occpoint.autodiff import Tensor
 from occpoint.curves import CurveKind
 from occpoint.container import read_container_file, write_container_file
 from occpoint.dataset import generate_triplets, load_dataset, save_dataset
-from occpoint.encoder import toy_config
+from occpoint.encoder import desk_config, toy_config
 from occpoint.errors import ConfigError, InvalidInput
 from occpoint import training
 from occpoint.contrastive import TAU_MAX, TAU_MIN, init_alignment_heads
@@ -436,6 +437,66 @@ def test_color_dropout_changes_inputs_not_geometry(monkeypatch):
 
 
 # --- evaluation helpers ------------------------------------------------------------
+
+
+NARROW_DESK = desk_config(c_dim=32, l_blocks=2)  # desk S, k and N at a quarter of C
+
+
+def random_tokens(config, clouds, seed):
+    """Tokens of random patches and random curve orders, as embed_clouds reads them."""
+    rng = np.random.default_rng(seed)
+    s, k, d = config.s_tokens, config.k_neighbors, config.embed_dim
+    fwd = rng.permuted(np.tile(np.arange(s), (clouds, 2, 1)), axis=-1)
+    return training.Tokens(
+        centers=rng.normal(size=(clouds, s, 3)),
+        rel_points=rng.normal(scale=0.1, size=(clouds, s, k, 3)),
+        patch_colors=rng.uniform(size=(clouds, s, k, 3)),
+        orders=np.stack([fwd, np.argsort(fwd, axis=-1)], axis=1),
+        labels=np.zeros(clouds, dtype=np.int64),
+        object_ids=np.array([f"o{i}" for i in range(clouds)], dtype=object),
+        image_features=np.zeros((clouds, d)), text_features=np.zeros((clouds, 1, d)))
+
+
+def embed_model(config):
+    """A fresh model whose blocks are not identity maps."""
+    model = init_model(config, TrainConfig(seed=3))
+    rng = np.random.default_rng(4)
+    for block in model.encoder.blocks:
+        block.out_w.data[...] = rng.normal(size=block.out_w.shape) * block.out_w.shape[0] ** -0.5
+    return model
+
+
+def test_embed_pass_size_follows_the_byte_budget():
+    assert training.embed_batch_size(toy_config()) == 8
+    assert training.embed_batch_size(desk_config()) == 1
+    assert training.embed_batch_size(NARROW_DESK) == 4
+
+
+@pytest.mark.parametrize("config, clouds", [(toy_config(), 20), (NARROW_DESK, 10)],
+                         ids=["toy", "narrow-desk"])
+def test_embeddings_do_not_depend_on_the_pass_size(monkeypatch, config, clouds):
+    model, tokens = embed_model(config), random_tokens(config, clouds, 5)
+    default = training.embed_clouds(tokens, model)
+    assert default.shape == (clouds, config.embed_dim)
+    for budget in (1, 1 << 40):  # one cloud per pass, then every cloud in one
+        monkeypatch.setattr(training, "EMBED_BLOCK_BYTES", budget)
+        assert np.array_equal(training.embed_clouds(tokens, model), default)
+
+
+@pytest.mark.parametrize("config, clouds, limit_mb", [(toy_config(), 32, 8),
+                                                      (desk_config(), 8, 16)],
+                         ids=["toy", "desk"])
+def test_embed_clouds_peak_stays_cache_sized(config, clouds, limit_mb):
+    """Every cloud in one pass peaks at 21.5 MB for 32 toy clouds and at
+    129.5 MB for 8 desk clouds."""
+    model, tokens = embed_model(config), random_tokens(config, clouds, 6)
+    tracemalloc.start()
+    try:
+        training.embed_clouds(tokens, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 2 ** 20
 
 
 def test_zero_shot_single_class_trivial():

@@ -8,7 +8,10 @@ Usage, from anywhere:
 For each seed it runs `python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0` once in each checkout, alternating which side runs
 first (the parent first on the first seed). Each run uses the checkout's own
-perfbench and sources. It then prints, per workload and end-to-end metric,
+perfbench and sources, so both checkouts must hold the same benchmark code:
+it refuses to start when `BENCHMARK.json` or a file under `perfbench/`
+(compiled caches aside) differs between them, or is in one only, and names
+the first such file. It then prints, per workload and end-to-end metric,
 each side's median and quartiles, the change's median over the parent's,
 and the pairs the change won (a tie counts for neither side), read in the
 direction `BENCHMARK.json` gives for the metric. Under each metric it says
@@ -42,6 +45,22 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def benchmark_files(checkout: Path) -> dict[str, bytes]:
+    """`BENCHMARK.json` and every file under `perfbench/` of a checkout, by
+    relative path; `__pycache__` is skipped, since running writes it."""
+    paths = [checkout / "BENCHMARK.json", *(checkout / "perfbench").rglob("*")]
+    return {p.relative_to(checkout).as_posix(): p.read_bytes() for p in paths
+            if p.is_file() and "__pycache__" not in p.parts}
+
+
+def first_difference(parent: Path, change: Path) -> str | None:
+    """The first benchmark file, by path, that differs between two checkouts
+    or is in one only; None when they hold the same benchmark code."""
+    old, new = benchmark_files(parent), benchmark_files(change)
+    return next((name for name in sorted(old.keys() | new.keys())
+                 if old.get(name) != new.get(name)), None)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -160,6 +179,10 @@ def main(argv=None) -> int:
                         "metric's summary here as JSON")
     args = parser.parse_args(argv)
 
+    differs = first_difference(args.parent, args.change)
+    if differs is not None:
+        raise SystemExit(f"error: {differs} differs between {args.parent} and "
+                         f"{args.change}; both must run the same benchmark code")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     seeds = parse_seeds(args.seeds)
