@@ -105,8 +105,6 @@ def normalize_rows(feats: Tensor) -> Tensor:
     if np.any(norms < 1e-12):
         raise NumericalError("zero-norm row; cannot normalize")
     out = x / norms
-    if not ad.needs_grad(feats):
-        return Tensor(out)
 
     def backward(g):
         feats.accumulate((g - out * (g * out).sum(axis=-1, keepdims=True)) / norms)

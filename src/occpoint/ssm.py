@@ -19,9 +19,9 @@ recurrence and the projections.
 
 Layout: the recurrence runs state-major and time-major. The step inputs are
 copied once per call to (L, Z, B, .) order, and the adjoint reuses those
-copies. The state is (Z, B, N, C), and the kept trajectory and transitions
-are (L, Z, B, N, C). So each step reads
-contiguous slices, every per-step broadcast runs along the C channels (not
+copies. The state is (Z, B, N, C), and the kept states and transitions are
+(K, Z, B, N, C). So each step reads contiguous slices, every per-step
+broadcast runs along the C channels (not
 along the N states, which are only 8 or 16), and the sums over N (the
 readout and the adjoint's B_t . gh) are batched matmuls of a (1, N) row by
 the (N, C) state. y and every gradient come back C-contiguous in the
@@ -90,12 +90,9 @@ def init_s6(channels: int, n_state: int, rng: np.random.Generator) -> S6Params:
     )
 
 
-# Memory guard for the training path: above this many B*L*C*N elements per
-# stream the state trajectory is not cached and the backward pass recomputes it.
-# Keeping is faster at every size measured (5-15 % of a whole desk train step,
-# one BLAS thread), but what it adds grows with the batch: 0.33 GB at desk B=2
-# (2^21), 0.65 GB at B=4 and 1.3 GB at B=8, where it doubles the step's peak.
-# The toy scan is 2^18.
+# Budget of kept B*K*C*N elements per stream: the training scan runs in
+# segments of K steps. The toy scan (2^18) and desk B <= 2 keep all L steps;
+# desk B=4, 8 and 16 run segments of 64, 32 and 16 of the 128 steps.
 _KEEP_STATES_LIMIT = 1 << 21
 
 
@@ -109,87 +106,96 @@ def _batch_major(v):
     return np.ascontiguousarray(np.moveaxis(v, 0, 2))
 
 
-def _scan_forward(xt, dt, bt, ct, a, d, keep_states: bool = False):
+def _scan(x, xt, dt, bt, ct, a, d):
     """Core recurrence on plain arrays, every stream in one loop over L.
-    The step inputs come time-major (see `_time_major`): xt/dt (L, Z, B, C)
-    for x and delta, bt/ct (L, Z, B, N) for bmat and cmat; a: (Z, C, N);
-    d: (Z, C). Returns y (Z, B, L, C), plus the state trajectory h_all and
-    the transitions abar_all, both (L, Z, B, N, C), when keep_states is set
-    (both None otherwise).
+    x is (Z, B, L, C); the step inputs come time-major (see `_time_major`):
+    xt/dt (L, Z, B, C) for x and delta, bt/ct (L, Z, B, N) for bmat and cmat;
+    a: (Z, C, N); d: (Z, C). Returns y (Z, B, L, C) and the adjoint (None
+    under `no_grad`), which maps dL/dy to the gradients of (x, delta, bmat,
+    cmat, a, d), C-contiguous in the callers' batch-major layouts.
 
-    The state is (Z, B, N, C), so every step's operands are contiguous and
-    each broadcast runs along C. Without keep_states, exp(delta*A) is
-    evaluated one step at a time into preallocated buffers: memory stays
-    flat in L and the working set stays cache-resident. Both paths run the same operations per step, so their
-    outputs are bitwise equal.
+    The steps run in segments of K (see _KEEP_STATES_LIMIT). When K = L the
+    forward keeps every state h_t and transition exp(delta_t*A); otherwise it
+    keeps each segment's start state, and the adjoint recomputes one segment
+    at a time into a K-step buffer with the forward's own step ops (the same
+    bits). A forward that keeps no steps runs them in place in one-step buffers.
     """
     length, nz, nb, channels = xt.shape
-    dxt = dt * xt
-    at = np.ascontiguousarray(np.swapaxes(a, 1, 2))[:, None]  # (Z, 1, N, C)
-    yt = np.empty_like(xt)
-    shape = (nz, nb, a.shape[-1], channels)
-    h = np.zeros(shape)  # the state before step 0
-    bx = np.empty(shape)
-    if keep_states:
-        abar_all = np.empty((length, *shape))
-        h_all = np.empty_like(abar_all)
-    else:
-        abar_all = h_all = None
-        abar = np.empty(shape)
-    for t in range(length):
-        if keep_states:
-            abar = abar_all[t]
-        np.multiply(dt[t, :, :, None], at, out=abar)
-        np.exp(abar, out=abar)
-        h = np.multiply(h, abar, out=h if h_all is None else h_all[t])
-        h += np.einsum("zbn,zbc->zbnc", bt[t], dxt[t], out=bx)
-        np.matmul(ct[t, :, :, None], h, out=yt[t, :, :, None])
-        if t % FINITE_CHECK_STRIDE == 0 or t == length - 1:
-            if not np.all(np.isfinite(h)):
-                raise NumericalError(f"non-finite state at step {t}")
-    yt += d[:, None] * xt
-    return _batch_major(yt), h_all, abar_all
-
-
-def _scan_backward(g, x, xt, dt, bt, ct, a, d, h_all=None, abar_all=None):
-    """Adjoint of _scan_forward: reverse recurrence over the saved (or
-    recomputed) state trajectory. g and x are (Z, B, L, C); xt, dt, bt and
-    ct are the forward's time-major inputs, reused as they are. Returns
-    gradients for (x, delta, bmat, cmat, a, d), each C-contiguous in the
-    batch-major layout of the forward's callers."""
-    if h_all is None:
-        _, h_all, abar_all = _scan_forward(xt, dt, bt, ct, a, d, keep_states=True)
-    length = xt.shape[0]
-    (gt,) = _time_major(g)
-    dxt = dt * xt
+    shape = (nz, nb, a.shape[-1], channels)  # the state: each broadcast runs along C
+    seg = min(length, max(1, _KEEP_STATES_LIMIT // (nb * channels * shape[2])))
     at = np.ascontiguousarray(np.swapaxes(a, 1, 2))  # (Z, N, C)
-    gcmat = np.matmul(h_all, gt[..., None])[..., 0]
-    gd = np.einsum("zblc,zblc->zc", g, x)
 
-    gh_b = np.empty_like(gt[..., None, :])  # B_t . gh_t, summed over N
-    gbmat = np.empty_like(bt)
-    gdelta = np.zeros_like(dt)
-    gh = np.zeros_like(h_all[0])
-    ga = np.zeros_like(gh)  # summed over the batch axis at the end
-    scaled = np.empty_like(gh)
-    for t in range(length - 1, -1, -1):
-        gh += np.einsum("zbn,zbc->zbnc", ct[t], gt[t], out=scaled)
-        np.matmul(bt[t, :, :, None], gh, out=gh_b[t])
-        np.matmul(gh, dxt[t, :, :, :, None], out=gbmat[t, :, :, :, None])
-        gh *= abar_all[t]  # now the state gradient of step t - 1
-        if t:
-            # h_t = exp(delta*a) h_prev + delta*B*x: the exp factor's share.
-            np.multiply(gh, h_all[t - 1], out=scaled)
-            np.einsum("zbnc,znc->zbc", scaled, at, out=gdelta[t])
-            scaled *= dt[t, :, :, None]
-            ga += scaled
-    gh_b = gh_b[..., 0, :]
-    gxt = gt * d[:, None]  # d_skip feedthrough term
-    gxt += gh_b * dt
-    gdelta += gh_b * xt
-    ga = np.ascontiguousarray(np.swapaxes(ga.sum(axis=1), 1, 2))
-    return (_batch_major(gxt), _batch_major(gdelta), _batch_major(gbmat),
-            _batch_major(gcmat), ga, gd)
+    def steps(h, start, stop, dxt, hs, abars, yt=None):
+        """Steps start..stop-1 from the state h before `start`, into hs[i] and
+        abars[i], i = (t - start) % len(hs); with yt, also y_t and finite checks."""
+        bx = np.empty(shape)
+        for t in range(start, stop):
+            i = (t - start) % len(hs)
+            abar = np.multiply(dt[t, :, :, None], at[:, None], out=abars[i])
+            np.exp(abar, out=abar)
+            h = np.multiply(h, abar, out=hs[i])
+            h += np.einsum("zbn,zbc->zbnc", bt[t], dxt[t], out=bx)
+            if yt is not None:
+                np.matmul(ct[t, :, :, None], h, out=yt[t, :, :, None])
+                if t % FINITE_CHECK_STRIDE == 0 or t == length - 1:
+                    if not np.all(np.isfinite(h)):
+                        raise NumericalError(f"non-finite state at step {t}")
+        return h
+
+    keep = ad.grad_enabled()
+    kept = keep and seg == length
+    dxt = dt * xt
+    yt = np.empty_like(xt)
+    hs, abars = np.empty((2, length if kept else 1, *shape))
+    h = np.zeros(shape)  # the state before step 0
+    starts = []  # the state before each segment, when the adjoint recomputes
+    for start in range(0, length, seg):
+        if keep and not kept:
+            starts.append(h.copy())
+        h = steps(h, start, min(start + seg, length), dxt, hs, abars, yt)
+    yt += d[:, None] * xt
+    if not keep:
+        return _batch_major(yt), None
+    kept_steps = (hs, abars) if kept else None
+
+    def adjoint(g):
+        (gt,) = _time_major(g)
+        dxt = dt * xt
+        gd = np.einsum("zblc,zblc->zc", g, x)
+        gh_b = np.empty_like(gt[..., None, :])  # B_t . gh_t, summed over N
+        gbmat = np.empty_like(bt)
+        gcmat = np.empty_like(bt)
+        gdelta = np.zeros_like(dt)
+        gh = np.zeros(shape)
+        ga = np.zeros(shape)  # summed over the batch axis at the end
+        scaled = np.empty(shape)
+        seg_h, seg_abar = kept_steps or np.empty((2, seg, *shape))
+        for start in reversed(range(0, length, seg)):
+            stop = min(start + seg, length)
+            if not kept:
+                steps(starts[start // seg], start, stop, dxt, seg_h, seg_abar)
+            gcmat[start:stop] = np.matmul(seg_h[:stop - start], gt[start:stop, ..., None])[..., 0]
+            for t in range(stop - 1, start - 1, -1):
+                i = t - start
+                gh += np.einsum("zbn,zbc->zbnc", ct[t], gt[t], out=scaled)
+                np.matmul(bt[t, :, :, None], gh, out=gh_b[t])
+                np.matmul(gh, dxt[t, :, :, :, None], out=gbmat[t, :, :, :, None])
+                gh *= seg_abar[i]  # now the state gradient of step t - 1
+                if t:
+                    # h_t = exp(delta*a) h_prev + delta*B*x: the exp factor's share.
+                    np.multiply(gh, seg_h[i - 1] if i else starts[start // seg], out=scaled)
+                    np.einsum("zbnc,znc->zbc", scaled, at, out=gdelta[t])
+                    scaled *= dt[t, :, :, None]
+                    ga += scaled
+        gh_b = gh_b[..., 0, :]
+        gxt = gt * d[:, None]  # d_skip feedthrough term
+        gxt += gh_b * dt
+        gdelta += gh_b * xt
+        ga = np.ascontiguousarray(np.swapaxes(ga.sum(axis=1), 1, 2))
+        return (_batch_major(gxt), _batch_major(gdelta), _batch_major(gbmat),
+                _batch_major(gcmat), ga, gd)
+
+    return _batch_major(yt), adjoint
 
 
 def selective_scan(x: np.ndarray, streams):
@@ -199,16 +205,12 @@ def selective_scan(x: np.ndarray, streams):
 
     Returns y (Z, B, L, C) and the adjoint, which maps dL/dy to (dL/dx, one
     {parameter name: gradient} per stream); the adjoint is None under
-    `no_grad`, and the state trajectory is then not kept. Above
-    _KEEP_STATES_LIMIT it is not kept either, and the adjoint recomputes it.
+    `no_grad`, and no state is then kept.
     """
     if x.ndim != 4 or len(streams) != x.shape[0] or any(
             p.channels != x.shape[-1] for p in streams):
         raise InvalidInput(f"selective_scan expects ({len(streams)}, B, L, C) with C = "
                            f"{[p.channels for p in streams]}, got {x.shape}")
-    keep = ad.grad_enabled()
-    _, nb, length, channels = x.shape
-    keep_states = keep and nb * length * channels * streams[0].n_state <= _KEEP_STATES_LIMIT
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite input to selective_scan")
     low = np.stack([x[z] @ p.dt_low.data for z, p in enumerate(streams)])
@@ -222,14 +224,12 @@ def selective_scan(x: np.ndarray, streams):
     # keeps those copies alone; x it needs in both layouts.
     xt, dt, bt, ct = _time_major(x, delta, bmat, cmat)
     del delta, bmat, cmat
-    y, h_all, abar_all = _scan_forward(xt, dt, bt, ct, a, d, keep_states=keep_states)
-    if not keep:
+    y, scan_adjoint = _scan(x, xt, dt, bt, ct, a, d)
+    if scan_adjoint is None:
         return y, None
 
     def adjoint(gy):
-        gx, gdelta, gbmat, gcmat, ga, gd = _scan_backward(
-            gy, x, xt, dt, bt, ct, a, d, h_all=h_all, abar_all=abar_all,
-        )
+        gx, gdelta, gbmat, gcmat, ga, gd = scan_adjoint(gy)
         gpre = gdelta * ad.sigmoid_array(pre)  # d/dx log(1 + exp(x)) = sigmoid(x)
         grads = []
         for z, p in enumerate(streams):

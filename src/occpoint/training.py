@@ -100,6 +100,16 @@ class TrainConfig:
             )
         if not 0.0 <= self.color_drop_prob <= 1.0:
             raise ConfigError(f"color_drop_prob out of [0, 1]: {self.color_drop_prob}")
+        # A negative count or rate, a decay of 1 or more, or a zero eps would
+        # run (gradient ascent, frozen moments, a division by zero) and exit 0.
+        for name in ("epochs", "warmup_epochs", "base_lr", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("adam_beta1", "adam_beta2", "ema_decay"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} out of [0, 1): {getattr(self, name)}")
+        if self.adam_eps <= 0:
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
         if self.warmup_epochs > self.epochs:
             raise ConfigError(
                 f"warmup_epochs {self.warmup_epochs} exceeds epochs {self.epochs}"
@@ -691,14 +701,14 @@ def embed_clouds(tokens: Tokens, model: ModelState) -> np.ndarray:
     changes only the GEMMs' row counts, and the embeddings are bitwise the
     same for any pass size (tests/test_train.py).
     """
-    out = []
+    out = np.empty((len(tokens), model.encoder_config.embed_dim))
     step = embed_batch_size(model.encoder_config)
     with ad.no_grad():
         for start in range(0, len(tokens), step):
             chunk = tokens[start : start + step]
-            z = encode_batch(chunk.rel_points, chunk.patch_colors, chunk.orders, model)
-            out.append(z.data / np.linalg.norm(z.data, axis=1, keepdims=True))
-    return np.vstack(out)
+            z = encode_batch(chunk.rel_points, chunk.patch_colors, chunk.orders, model).data
+            np.divide(z, np.linalg.norm(z, axis=1, keepdims=True), out=out[start : start + step])
+    return out
 
 
 def zero_shot_classify(point_embeddings: np.ndarray, class_text_features: np.ndarray,

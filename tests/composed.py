@@ -217,14 +217,10 @@ def _recurrence(x, delta, bmat, cmat, a, d) -> Tensor:
     """The scan recurrence alone as one op, over a single stream."""
     inputs = (x, delta, bmat, cmat, a, d)
     xz, deltaz, bz, cz, az, dz = (t.data[None] for t in inputs)
-    steps = ssm._time_major(xz, deltaz, bz, cz)
-    y, h_all, abar_all = ssm._scan_forward(*steps, az, dz,
-                                           keep_states=ad.needs_grad(*inputs))
+    y, adjoint = ssm._scan(xz, *ssm._time_major(xz, deltaz, bz, cz), az, dz)
 
     def backward(g):
-        grads = ssm._scan_backward(g[None], xz, *steps, az, dz,
-                                   h_all=h_all, abar_all=abar_all)
-        for t, gt in zip(inputs, grads):
+        for t, gt in zip(inputs, adjoint(g[None])):
             t.accumulate(gt[0])
 
     return Tensor(y[0], parents=inputs, backward=backward)

@@ -97,6 +97,46 @@ def test_out_writes_each_metric_summary_beside_the_runs(tmp_path, monkeypatch, c
     assert row["regression"].startswith("within bound: median worse by 2, bound 2.5,")
 
 
+def test_out_keeps_the_pairs_run_before_a_failing_run(tmp_path, monkeypatch, capsys):
+    """The change's run of the third seed fails: the two finished pairs and
+    the failing command with its stderr tail are written, and main exits 1."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        root.mkdir()
+        (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]}))
+
+    def run_once(checkout, workload, seed, seconds):
+        if checkout == change and seed == 3:
+            raise bench_pairs.RunFailed(["python3", "perfbench/run.py"], checkout, 2,
+                                        "x" * 5000 + "Traceback: boom")
+        return fake_run(10.0 + seed)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1-4",
+                             "--out", str(out)]) == 1
+    assert "error: python3 perfbench/run.py in" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert [p[0]["metrics"]["latency_ms_p50"]["value"] for p in doc["w"]["pairs"]] == [11, 12]
+    assert "summary" not in doc["w"]
+    failure = doc["failure"]
+    assert failure["command"] == ["python3", "perfbench/run.py"]
+    assert failure["checkout"] == str(change) and failure["returncode"] == 2
+    assert len(failure["stderr_tail"]) == 2000 and failure["stderr_tail"].endswith("boom")
+
+
+def test_run_once_raises_with_the_stderr_tail(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nsys.stderr.write('y' * 3000 + 'boom')\nsys.exit(3)\n")
+    with pytest.raises(bench_pairs.RunFailed, match="exited 3") as failed:
+        bench_pairs.run_once(tmp_path, "w", 1, 1.0)
+    record = failed.value.record
+    assert record["returncode"] == 3 and record["stderr_tail"] == "y" * 1996 + "boom"
+    assert record["command"][1:3] == ["perfbench/run.py", "--workload"]
+
+
 def benchmark_checkout(root):
     (root / "perfbench" / "sub").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text('{"end_to_end": []}')

@@ -236,13 +236,17 @@ def test_eval_dimension_mismatch_is_config_error(small_dataset, tmp_path, capsys
 
 @pytest.mark.parametrize("flag,value", [("--batch-size", "1"), ("--holdout-views", "0"),
                                         ("--holdout-views", "12"),
-                                        ("--k-neighbors", "1000000")])
+                                        ("--k-neighbors", "1000000"), ("--epochs", "-1"),
+                                        ("--lr", "-0.01")])
 def test_pretrain_rejects_degenerate_config(small_dataset, tmp_path, capsys, flag, value):
-    rc = main(["pretrain", "--data", str(small_dataset), "--out", str(tmp_path / "m.occt"),
+    out = tmp_path / "m.occt"
+    rc = main(["pretrain", "--data", str(small_dataset), "--out", str(out),
                "--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6",
                "--c-dim", "16", "--epochs", "1", "--warmup-epochs", "0", flag, value])
     assert rc == 1
-    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    field = {"--lr": "base_lr"}.get(flag, flag[2:].replace("-", "_"))
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_without_heldout_views_is_config_error(small_dataset, tmp_path, capsys):
@@ -537,6 +541,7 @@ def first_param(entries):
     pytest.param(lambda e, m: m.__setitem__("opt_step", -3), id="negative-opt-step"),
     pytest.param(lambda e, m: m.__setitem__("ema_updates", -3), id="negative-ema-updates"),
     pytest.param(lambda e, m: m["train_config"].__setitem__("ema_decay", "x"), id="str-ema-decay"),
+    pytest.param(lambda e, m: m["train_config"].__setitem__("ema_decay", 1.0), id="one-ema-decay"),
     pytest.param(lambda e, m: m["train_config"].__setitem__("weight_decay", None),
                  id="null-weight-decay"),
     pytest.param(lambda e, m: m["train_config"].__setitem__("base_lr", float("nan")),

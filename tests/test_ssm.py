@@ -1,4 +1,6 @@
+import inspect
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,48 +294,69 @@ def assert_scans_equal(got, want):
         assert_grads_match(g, w)
 
 
-def test_recompute_path_matches_kept_states_bitwise(monkeypatch):
-    """Above _KEEP_STATES_LIMIT the forward keeps no states and the adjoint
-    recomputes them; forward and gradients stay bitwise those of the kept path."""
+def held_by_scan(adjoint):
+    """What `_scan`'s adjoint, inside a `selective_scan` adjoint, keeps: the
+    segment length, the segments' start states and the kept steps."""
+    scan_adjoint = inspect.getclosurevars(adjoint).nonlocals["scan_adjoint"]
+    held = inspect.getclosurevars(scan_adjoint).nonlocals
+    return held["seg"], held["starts"], held["kept_steps"]
+
+
+@pytest.mark.parametrize("nb,length,channels,n_state,seg", [
+    (8, 32, 128, 8, 32),      # the toy train step: B*L*C*N = 2^18
+    (2, 128, 512, 16, 128),   # desk width at B=2: 2^21
+    (4, 128, 512, 16, 64),
+    (8, 128, 512, 16, 32),
+    (16, 128, 512, 16, 16),
+], ids=["toy", "desk-B2", "desk-B4", "desk-B8", "desk-B16"])
+def test_segment_length_keeps_every_step_up_to_desk_batch_two(nb, length, channels, n_state,
+                                                              seg):
+    """K = min(L, _KEEP_STATES_LIMIT // (B*C*N)): all L steps are kept when
+    K = L, and only the start state of each of the L / K segments otherwise."""
+    rng = np.random.default_rng(44)
+    streams = [random_s6(rng, channels, n_state) for _ in range(2)]
+    _, adjoint = selective_scan(rng.normal(size=(2, nb, length, channels)), streams)
+    got, starts, kept_steps = held_by_scan(adjoint)
+    assert got == seg
+    if seg == length:
+        assert starts == [] and [v.shape[0] for v in kept_steps] == [length, length]
+    else:
+        assert kept_steps is None and len(starts) == length // seg
+        assert not np.any(starts[0]) and np.any(starts[1])
+
+
+@pytest.mark.parametrize("seg", [1, 3, 7, 19])
+def test_segmented_scan_matches_kept_steps_bitwise(monkeypatch, seg):
+    """Segments of K < L steps, the last one short, recompute the states in
+    the adjoint; forward and gradients stay bitwise those of keeping all L."""
     rng = np.random.default_rng(42)
     streams = (random_s6(rng, 12, 4), random_s6(rng, 12, 4))
     x = rng.normal(size=(2, 3, 20, 12))
     gy = rng.normal(size=x.shape)
     kept = scan_with_grads(x, streams, gy)
-    calls = []
-    forward = ssm._scan_forward
-
-    def spy(*args, keep_states=False, **kwargs):
-        calls.append(keep_states)
-        return forward(*args, keep_states=keep_states, **kwargs)
-
-    monkeypatch.setattr(ssm, "_scan_forward", spy)
-    monkeypatch.setattr(ssm, "_KEEP_STATES_LIMIT", 0)
-    recomputed = scan_with_grads(x, streams, gy)
-    assert calls == [False, True]  # a state-free forward, then the recompute
-    assert_scans_equal(recomputed, kept)
+    monkeypatch.setattr(ssm, "_KEEP_STATES_LIMIT", seg * 3 * 12 * 4)
+    _, adjoint = selective_scan(x, streams)
+    got, starts, kept_steps = held_by_scan(adjoint)
+    assert got == seg and len(starts) == -(-20 // seg) and kept_steps is None
+    assert_scans_equal(scan_with_grads(x, streams, gy), kept)
 
 
-@pytest.mark.parametrize("nb,length,channels,n_state,kept", [
-    (8, 32, 128, 8, True),     # the toy train step: B*L*C*N = 2^18
-    (2, 128, 512, 16, True),   # desk width at B=2: 2^21
-    (4, 128, 512, 16, False),  # desk B=4: 2^22
-    (8, 128, 512, 16, False),  # desk B=8: 2^23
-], ids=["toy", "desk-B2", "desk-B4", "desk-B8"])
-def test_keep_path_is_taken_up_to_desk_batch_two(monkeypatch, nb, length, channels, n_state,
-                                                 kept):
-    rng = np.random.default_rng(44)
-    streams = [random_s6(rng, channels, n_state) for _ in range(2)]
-    calls = []
-    forward = ssm._scan_forward
-
-    def spy(*args, keep_states=False, **kwargs):
-        calls.append(keep_states)
-        return forward(*args, keep_states=keep_states, **kwargs)
-
-    monkeypatch.setattr(ssm, "_scan_forward", spy)
-    selective_scan(rng.normal(size=(2, nb, length, channels)), streams)
-    assert calls == [kept]
+def test_scan_adjoint_peak_stays_segment_sized():
+    """At desk B=8 the adjoint holds one 32-step segment of states and
+    transitions at a time, never the whole (L, Z, B, N, C) trajectory."""
+    rng = np.random.default_rng(45)
+    streams = [random_s6(rng, 512, 16) for _ in range(2)]
+    x = rng.normal(size=(2, 8, 128, 512))
+    y, adjoint = selective_scan(x, streams)
+    gy = rng.normal(size=y.shape)
+    del y
+    tracemalloc.start()
+    try:
+        adjoint(gy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20, f"{peak / 2**20:.0f} MB"
 
 
 @pytest.mark.parametrize("nz,nb,length,channels,n_state", [(2, 8, 32, 128, 8),

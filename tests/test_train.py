@@ -106,6 +106,19 @@ def test_config_rejects_degenerate_batches_and_splits(bad):
     TrainConfig(holdout_views=11)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(epochs=-1), dict(warmup_epochs=-1), dict(base_lr=-0.01), dict(weight_decay=-1.0),
+    dict(adam_beta1=1.0), dict(adam_beta1=-0.1), dict(adam_beta2=-0.5), dict(adam_beta2=1.0),
+    dict(ema_decay=1.0), dict(ema_decay=1.5), dict(adam_eps=0.0), dict(adam_eps=-1e-8),
+], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+def test_config_rejects_settings_that_degrade_a_run(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        TrainConfig(**bad)
+    # The edges of the accepted ranges.
+    TrainConfig(epochs=0, warmup_epochs=0, base_lr=0.0, weight_decay=0.0, adam_beta1=0.0,
+                adam_beta2=0.0, ema_decay=0.0)
+
+
 # --- optimizer ------------------------------------------------------------------
 
 
@@ -481,6 +494,12 @@ def test_embeddings_do_not_depend_on_the_pass_size(monkeypatch, config, clouds):
     for budget in (1, 1 << 40):  # one cloud per pass, then every cloud in one
         monkeypatch.setattr(training, "EMBED_BLOCK_BYTES", budget)
         assert np.array_equal(training.embed_clouds(tokens, model), default)
+
+
+def test_embed_clouds_of_no_clouds_is_empty():
+    config = toy_config()
+    model, tokens = embed_model(config), random_tokens(config, 3, 5)
+    assert training.embed_clouds(tokens[:0], model).shape == (0, config.embed_dim)
 
 
 @pytest.mark.parametrize("config, clouds, limit_mb", [(toy_config(), 32, 8),

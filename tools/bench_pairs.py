@@ -24,7 +24,10 @@ parent's interquartile range is wider than the bound, unless every change
 run beats every parent run, and "within bound" otherwise. Runs that are not
 `correct`, or that fail operations, are reported too, with each side's share
 of failed operations over all its runs. `--out` writes the raw runs and,
-per metric, the medians, quartiles, wins and both verdicts.
+per metric, the medians, quartiles, wins and both verdicts. When a run
+exits non-zero or prints no result, `--out` still gets the pairs run so
+far, with the failing command and its stderr tail under "failure", and the
+tool exits 1.
 Standard library only.
 """
 
@@ -63,14 +66,24 @@ def first_difference(parent: Path, change: Path) -> str | None:
                  if old.get(name) != new.get(name)), None)
 
 
+class RunFailed(Exception):
+    """A benchmark run that exited non-zero or printed no result; `record`
+    holds the command, the checkout, the exit code and the stderr tail."""
+
+    def __init__(self, cmd: list[str], checkout: Path, returncode: int, stderr: str):
+        self.record = {"command": cmd, "checkout": str(checkout),
+                       "returncode": returncode, "stderr_tail": stderr[-2000:]}
+        super().__init__(f"{' '.join(cmd)} in {checkout} exited {returncode}:\n"
+                         f"{self.record['stderr_tail']}")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited "
-                         f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+        raise RunFailed(cmd, checkout, proc.returncode, proc.stderr)
     return json.loads(lines[-1])
 
 
@@ -187,23 +200,27 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     seeds = parse_seeds(args.seeds)
     results = {}
-    for workload in args.workload:
-        pairs = []
-        for i, seed in enumerate(seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            runs = {}
-            for side in order:
-                runs[side] = run_once(getattr(args, side), workload, seed, args.seconds)
-                print(f"{workload} seed {seed} {side}: "
-                      + json.dumps({k: round(v["value"], 4)
-                                    for k, v in runs[side]["metrics"].items()}),
-                      flush=True)
-            pairs.append((runs["parent"], runs["change"]))
-        summary = report(workload, pairs, metrics)
-        results[workload] = {"seeds": seeds, "pairs": pairs, "summary": summary}
+    try:
+        for workload in args.workload:
+            pairs = []
+            results[workload] = {"seeds": seeds, "pairs": pairs}
+            for i, seed in enumerate(seeds):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                runs = {}
+                for side in order:
+                    runs[side] = run_once(getattr(args, side), workload, seed, args.seconds)
+                    print(f"{workload} seed {seed} {side}: "
+                          + json.dumps({k: round(v["value"], 4)
+                                        for k, v in runs[side]["metrics"].items()}),
+                          flush=True)
+                pairs.append((runs["parent"], runs["change"]))
+            results[workload]["summary"] = report(workload, pairs, metrics)
+    except RunFailed as failure:
+        results["failure"] = failure.record
+        print(f"error: {failure}", file=sys.stderr)
     if args.out:
         args.out.write_text(json.dumps(results, indent=1) + "\n")
-    return 0
+    return 1 if "failure" in results else 0
 
 
 if __name__ == "__main__":
