@@ -72,12 +72,12 @@ def measure_latencies(config: EncoderConfig, sizes, runs: int, seed: int) -> dic
     with ad.no_grad():
         for s in sizes:
             cfg, params, tokens, centers = setups[s]
-            encoder_forward(tokens, *curve_orders(centers, cfg), params, cfg)
+            encoder_forward(tokens, curve_orders(centers, cfg), params, cfg)
         for _ in range(runs):
             for s in sizes:
                 cfg, params, tokens, centers = setups[s]
                 t0 = time.perf_counter()
-                encoder_forward(tokens, *curve_orders(centers, cfg), params, cfg)
+                encoder_forward(tokens, curve_orders(centers, cfg), params, cfg)
                 samples[s].append(time.perf_counter() - t0)
     return {s: float(np.median(ts) * 1e3) for s, ts in samples.items()}
 

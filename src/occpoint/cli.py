@@ -269,15 +269,21 @@ def cmd_inspect(args) -> int:
 def cmd_bench(args) -> int:
     started = _now()
     config = _encoder_config(args)
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    rows = run_benchmark(config, sizes=sizes, runs=args.runs, seed=args.seed)
+    rows = run_benchmark(config, sizes=args.sizes, runs=args.runs, seed=args.seed)
     print(format_table(rows))
     if args.out:
         write_atomic(args.out, format_csv(rows))
         write_manifest(Path(args.out).with_suffix(".manifest.json"),
-                       {"config": config.to_dict(), "sizes": sizes, "runs": args.runs},
+                       {"config": config.to_dict(), "sizes": args.sizes, "runs": args.runs},
                        args.seed, started, _now(), command_line=args._argv)
     return 0
+
+
+def _count(text: str) -> int:
+    """An int of at least 1, for argparse: anything else is a usage error."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
                "GFLOPs at the same L, C), latency_ms (median forward wall time).",
     )
     p.add_argument("--preset", choices=sorted(PRESETS), default="desk")
-    p.add_argument("--sizes", default="128,256,512,1024,2048")
-    p.add_argument("--runs", type=int, default=20)
+    p.add_argument("--sizes", type=lambda text: tuple(map(_count, text.split(","))),
+                   default=(128, 256, 512, 1024, 2048),
+                   help="comma-separated token counts")
+    p.add_argument("--runs", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_bench)

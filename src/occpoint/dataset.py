@@ -285,6 +285,10 @@ def load_dataset(path) -> TripletDataset:
     if len(shapes) > 1:
         raise ConfigError(f"dataset {path}: records have text features of shapes {shapes}; "
                           f"every record needs the same variant count and dim")
+    want = (len(class_names), *(shapes[0] if shapes else class_features.shape)[1:])
+    if class_features.ndim != 2 or class_features.shape != want:
+        raise ConfigError(f"dataset {path}: class features have shape {class_features.shape}, "
+                          f"not {want} (the class count by the records' feature dim)")
     return TripletDataset(
         records=records,
         class_names=class_names,

@@ -13,9 +13,9 @@ back to the token width, and added to the residual stream:
     out  = z_prev + Linear(h + t)
 
 The sort orders depend only on token centers, so they are computed once per
-cloud (`training.curve_orders`) and shared by all blocks: (2, B, S) index
-arrays, curve a then curve b, with their inverses. A linear head plus
-average pooling turns the final tokens into a single embedding vector.
+cloud (`training.curve_orders`): one (2, B, S) index array, curve a then
+curve b, whose unsort `encoder_forward` derives once for all blocks. A linear
+head plus average pooling turns the final tokens into one embedding vector.
 
 The two branches run as one autodiff op (`stream_branches`) with a hand
 adjoint. Its intermediates are arrays with a leading stream axis of size 2
@@ -266,36 +266,36 @@ def stream_branches(z_in: Tensor, gate: Tensor, fwd: np.ndarray, inv: np.ndarray
 
 def block_forward(z_prev: Tensor, fwd: np.ndarray, inv: np.ndarray,
                   params: BlockParams, config: EncoderConfig) -> Tensor:
-    """One two-stream block over (B, S, C) tokens. fwd/inv are the (2, B, S)
-    sort and unsort orders of curve a and curve b (`training.curve_orders`).
+    """One two-stream block over (B, S, C) tokens. fwd is the (2, B, S) sort
+    order of curve a and curve b (`training.curve_orders`), inv its unsort.
     The shapes are not checked here: `encoder_forward`, the caller, checks
-    them once for all of its blocks."""
+    them and derives inv once for all of its blocks."""
     z_in = ad.layer_norm(z_prev, params.norm_gain, params.norm_bias)
     gate = ad.silu(ad.affine(z_in, params.gate_w, params.gate_b))
     branches = stream_branches(z_in, gate, fwd, inv, params, config)
     return ad.add(z_prev, ad.affine(branches, params.out_w, params.out_b))
 
 
-def encoder_forward(tokens: Tensor, fwd: np.ndarray, inv: np.ndarray,
+def encoder_forward(tokens: Tensor, orders: np.ndarray,
                     params: EncoderParams, config: EncoderConfig) -> Tensor:
     """(B, S, C) tokens -> (B, D) embeddings.
 
-    Every block reuses the same (2, B, S) curve orders; after the last block
-    a per-token affine maps C -> embed_dim and the tokens are mean-pooled.
+    Every block reuses the (2, B, S) curve orders and their unsort; after the
+    last block a per-token affine maps C -> embed_dim and tokens are mean-pooled.
     """
     if tokens.ndim != 3 or tokens.shape[-1] != config.c_dim:
         raise ShapeError(f"expected (B, S, {config.c_dim}) tokens, got {tokens.shape}")
     if tokens.shape[1] != config.s_tokens:
         raise ShapeError(f"got {tokens.shape[1]} tokens, config says {config.s_tokens}")
-    orders = (2,) + tokens.shape[:2]
-    if fwd.shape != orders or inv.shape != orders:
-        raise ShapeError(f"curve orders have shapes {fwd.shape} and {inv.shape}, "
-                         f"tokens need {orders}")
+    if orders.shape != (2,) + tokens.shape[:2]:
+        raise ShapeError(f"curve orders have shape {orders.shape}, "
+                         f"tokens need {(2,) + tokens.shape[:2]}")
     if len(params.blocks) != config.l_blocks:
         raise ShapeError(f"{len(params.blocks)} block params for l_blocks={config.l_blocks}")
+    inv = np.argsort(orders, axis=-1)
     z = tokens
     for block in params.blocks:
-        z = block_forward(z, fwd, inv, block, config)
+        z = block_forward(z, orders, inv, block, config)
     return ad.mean(ad.affine(z, params.head_w, params.head_b), axis=1)
 
 

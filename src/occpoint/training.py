@@ -51,6 +51,7 @@ from .contrastive import (
     AlignmentHeads,
     build_embedding_batch,
     init_alignment_heads,
+    normalize_rows,
     project,
     total_loss,
 )
@@ -299,16 +300,11 @@ def init_model(encoder_config: EncoderConfig, train_config: TrainConfig) -> Mode
 # during training.
 
 
-def curve_orders(centers: np.ndarray, config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Sort orders of (B, S, 3) token centers along curve a, then curve b,
-    and their inverses: (fwd, inv), each (2, B, S). ``x[fwd]`` sorts a row
-    and ``sorted_x[inv]`` restores it, so ``fwd[inv] == arange(S)``."""
-    fwd = np.stack([sort_by_curve(centers, kind, config.curve_bits)
-                    for kind in (config.curve_a, config.curve_b)])
-    inv = np.empty_like(fwd)
-    slots = np.broadcast_to(np.arange(fwd.shape[-1], dtype=fwd.dtype), fwd.shape)
-    np.put_along_axis(inv, fwd, slots, axis=-1)
-    return fwd, inv
+def curve_orders(centers: np.ndarray, config: EncoderConfig) -> np.ndarray:
+    """Sort orders of (B, S, 3) token centers along curve a, then curve b:
+    (2, B, S). ``x[order]`` sorts a row; ``np.argsort(order)`` is its unsort."""
+    return np.stack([sort_by_curve(centers, kind, config.curve_bits)
+                     for kind in (config.curve_a, config.curve_b)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +320,7 @@ class Tokens:
     centers: np.ndarray         # (R, S, 3)
     rel_points: np.ndarray      # (R, S, k, 3)
     patch_colors: np.ndarray    # (R, S, k, 3)
-    orders: np.ndarray          # (R, 2, 2, S): fwd, then inv (see curve_orders)
+    orders: np.ndarray          # (R, 2, S): curve a, then curve b (see curve_orders)
     labels: np.ndarray          # (R,)
     object_ids: np.ndarray      # (R,) object id strings
     image_features: np.ndarray  # (R, D)
@@ -362,7 +358,7 @@ def _tokenize(records: list[TripletRecord], config: EncoderConfig) -> dict[str, 
         raise ConfigError(f"k_neighbors={k} exceeds the smallest cloud's {min(by_size)} points")
     r = len(records)
     centers, rel_points = np.empty((r, s, 3)), np.empty((r, s, k, 3))
-    patch_colors, orders = np.empty((r, s, k, 3)), np.empty((r, 2, 2, s), dtype=np.int64)
+    patch_colors, orders = np.empty((r, s, k, 3)), np.empty((r, 2, s), dtype=np.int64)
     for n, members in by_size.items():
         chunk = max(1, _TOKENIZE_BLOCK_LIMIT // (s * n))
         for start in range(0, len(members), chunk):
@@ -371,11 +367,10 @@ def _tokenize(records: list[TripletRecord], config: EncoderConfig) -> dict[str, 
             colors = np.stack([records[i].colors for i in group])
             centers_idx = farthest_point_sampling(points, s)
             patches = knn_group(points, colors, centers_idx, k)
-            fwd, inv = curve_orders(patches.centers, config)
             centers[group] = patches.centers
             rel_points[group] = patches.relative_points
             patch_colors[group] = patches.patch_colors
-            orders[group] = np.moveaxis(np.stack([fwd, inv]), 2, 0)
+            orders[group] = np.swapaxes(curve_orders(patches.centers, config), 0, 1)
     return dict(centers=centers, rel_points=rel_points, patch_colors=patch_colors,
                 orders=orders)
 
@@ -409,7 +404,7 @@ def split_tokens(dataset: TripletDataset, tokens: Tokens,
 # fields; the metadata holds them, the dataset file's sha256 and the record
 # count, and the file is used only when all of them match.
 
-_TOKENS_FORMAT = "occpoint-tokens/1"
+_TOKENS_FORMAT = "occpoint-tokens/2"
 _TOKENIZER_FIELDS = ("s_tokens", "k_neighbors", "curve_a", "curve_b", "curve_bits")
 
 
@@ -454,7 +449,7 @@ def _read_tokens(path: Path, meta: dict, config: EncoderConfig) -> dict[str, np.
         return None  # the dataset file changed: a stale cache, rebuilt quietly
     r, s, k = meta["records"], config.s_tokens, config.k_neighbors
     want = {"centers": ((r, s, 3), np.float64), "rel_points": ((r, s, k, 3), np.float64),
-            "patch_colors": ((r, s, k, 3), np.float64), "orders": ((r, 2, 2, s), np.uint64)}
+            "patch_colors": ((r, s, k, 3), np.float64), "orders": ((r, 2, s), np.uint64)}
     problem = None
     if stored != meta:
         problem = f"metadata {stored} does not match {meta}"
@@ -463,7 +458,7 @@ def _read_tokens(path: Path, meta: dict, config: EncoderConfig) -> dict[str, np.
             for n, (shape, dtype) in want.items()):
         problem = "tensors do not match the metadata"
     elif not np.array_equal(np.sort(entries["orders"], axis=-1),
-                            np.broadcast_to(np.arange(s, dtype=np.uint64), (r, 2, 2, s))):
+                            np.broadcast_to(np.arange(s, dtype=np.uint64), (r, 2, s))):
         problem = "curve orders are not permutations"
     if problem is not None:
         _warn(f"rebuilding token cache {path}: {problem}")
@@ -501,12 +496,12 @@ def load_or_build_cache(path, dataset: TripletDataset,
 def encode_batch(rel_points: np.ndarray, colors: np.ndarray, orders: np.ndarray,
                  model: ModelState) -> Tensor:
     """(B, D) point embeddings of a batch as `Tokens` stores it: (B, S, k, 3)
-    relative points and colors, and (B, 2, 2, S) curve orders (fwd, then inv).
+    relative points and colors, and (B, 2, S) curve orders.
     The patch features are the points and colors side by side."""
     feats = np.concatenate([rel_points, colors], axis=-1)
-    fwd, inv = np.moveaxis(orders, 0, 2)
     tokens = mini_pointnet_embed(Tensor(feats), model.encoder.pointnet)
-    return encoder_forward(tokens, fwd, inv, model.encoder, model.encoder_config)
+    return encoder_forward(tokens, np.swapaxes(orders, 0, 1), model.encoder,
+                           model.encoder_config)
 
 
 def train_step(batch: Tokens, model: ModelState, step: int,
@@ -706,8 +701,8 @@ def embed_clouds(tokens: Tokens, model: ModelState) -> np.ndarray:
     with ad.no_grad():
         for start in range(0, len(tokens), step):
             chunk = tokens[start : start + step]
-            z = encode_batch(chunk.rel_points, chunk.patch_colors, chunk.orders, model).data
-            np.divide(z, np.linalg.norm(z, axis=1, keepdims=True), out=out[start : start + step])
+            z = encode_batch(chunk.rel_points, chunk.patch_colors, chunk.orders, model)
+            out[start : start + step] = normalize_rows(z).data
     return out
 
 

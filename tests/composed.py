@@ -8,7 +8,8 @@ and the contrastive loss keep their composed forwards bit for bit, but their
 adjoints are closed forms that round differently, within 1e-12 relative.
 The finer ops that only these composed forms use (arithmetic, log, sqrt,
 square, sums, log-sum-exp, transpose, sigmoid, softplus, the token reorder,
-the max pool and the depthwise convolution) are defined here.
+the max pool and the depthwise convolution) are defined here, and so is
+the unsort of a curve order, built by scatter rather than the encoder's argsort.
 """
 
 from __future__ import annotations
@@ -161,6 +162,14 @@ def take_rows(a: Tensor, forward: np.ndarray, inverse: np.ndarray) -> Tensor:
     inverse, since each row's index is a bijection."""
     return Tensor(ad.gather_rows(a.data, forward), parents=(a,),
                   backward=lambda g: a.accumulate(ad.gather_rows(g, inverse)))
+
+
+def unsort(orders: np.ndarray) -> np.ndarray:
+    """The inverse of each (..., S) permutation row: ``inv[orders[i]] = i``."""
+    inv = np.empty_like(orders)
+    slots = np.broadcast_to(np.arange(orders.shape[-1], dtype=orders.dtype), orders.shape)
+    np.put_along_axis(inv, orders, slots, axis=-1)
+    return inv
 
 
 def amax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:

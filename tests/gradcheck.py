@@ -23,7 +23,7 @@ from occpoint.ssm import init_s6
 from occpoint.tokenizer import init_mini_pointnet, mini_pointnet_embed, pointnet_pool
 from occpoint.training import TrainConfig, curve_orders, encode_batch, init_model
 
-from composed import depthwise_conv1d, square, sub, tensor_sum
+from composed import depthwise_conv1d, square, sub, tensor_sum, unsort
 from reference import scan_tensor
 
 
@@ -137,7 +137,8 @@ def _gc_stream_branches(seed):
     block = init_block(cfg, rng)
     z_in = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
     gate = Tensor(rng.normal(size=(2, 5, cfg.c_inner)), requires_grad=True)
-    fwd, inv = curve_orders(rng.uniform(-1, 1, size=(2, 5, 3)), cfg)
+    fwd = curve_orders(rng.uniform(-1, 1, size=(2, 5, 3)), cfg)
+    inv = unsort(fwd)
 
     def fn():
         return tensor_sum(square(stream_branches(z_in, gate, fwd, inv, block, cfg)))
@@ -155,7 +156,8 @@ def _gc_block(seed):
     # needs a nontrivial output path.
     block.out_w.data = rng.normal(size=block.out_w.shape) * block.out_w.shape[0] ** -0.5
     x = rng.normal(size=(1, 5, 6))
-    fwd, inv = curve_orders(rng.uniform(-1, 1, size=(1, 5, 3)), cfg)
+    fwd = curve_orders(rng.uniform(-1, 1, size=(1, 5, 3)), cfg)
+    inv = unsort(fwd)
 
     def fn():
         return tensor_sum(square(block_forward(Tensor(x), fwd, inv, block, cfg)))
@@ -201,8 +203,8 @@ def _gc_total_loss(seed):
     for block in model.encoder.blocks:
         block.out_w.data[...] = rng.normal(size=block.out_w.shape) * 0.5
     feats = rng.normal(size=(3, cfg.s_tokens, cfg.k_neighbors, 6))
-    fwd_inv = np.stack(curve_orders(rng.uniform(-1, 1, size=(3, cfg.s_tokens, 3)), cfg))
-    orders = np.moveaxis(fwd_inv, 2, 0)  # (B, 2, 2, S), as Tokens stores them
+    centers = rng.uniform(-1, 1, size=(3, cfg.s_tokens, 3))
+    orders = np.swapaxes(curve_orders(centers, cfg), 0, 1)  # (B, 2, S), as Tokens stores them
     image = rng.normal(size=(3, cfg.embed_dim))
     text = rng.normal(size=(3, cfg.embed_dim))
 

@@ -137,6 +137,34 @@ def test_run_once_raises_with_the_stderr_tail(tmp_path):
     assert record["command"][1:3] == ["perfbench/run.py", "--workload"]
 
 
+@pytest.mark.parametrize("stdout", ["warming up\nTraceback: cut short\n", "", "[1, 2]\n",
+                                    '{"metrics": {}}\n{"metr'],
+                         ids=["log-line", "no-output", "json-list", "cut-json"])
+def test_run_once_raises_when_the_last_line_is_no_result(tmp_path, monkeypatch, stdout):
+    """A run that exits 0 but whose last line is no result raises RunFailed
+    with that line, so `main` keeps the pairs run before it."""
+    def run(cmd, cwd, capture_output, text):
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, stdout, "last words")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    with pytest.raises(bench_pairs.RunFailed, match="exited 0 but printed no result") as failed:
+        bench_pairs.run_once(tmp_path, "w", 1, 1.0)
+    lines = stdout.strip().splitlines()
+    record = failed.value.record
+    assert record["last_line"] == (lines[-1] if lines else "")
+    assert record["returncode"] == 0 and record["stderr_tail"] == "last words"
+
+
+def test_run_once_returns_the_last_line_as_the_result(tmp_path, monkeypatch):
+    result = fake_run(12.0)
+
+    def run(cmd, cwd, capture_output, text):
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, "log\n" + json.dumps(result), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.run_once(tmp_path, "w", 1, 1.0) == result
+
+
 def benchmark_checkout(root):
     (root / "perfbench" / "sub").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text('{"end_to_end": []}')

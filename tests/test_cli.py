@@ -338,6 +338,27 @@ def test_pretrain_refuses_a_single_object(small_mesh_dir, tmp_path, capsys):
     assert_nothing_written(ckpt)
 
 
+@pytest.mark.parametrize("cut", [lambda f: f[:, :8], lambda f: f[:3], lambda f: f[0]],
+                         ids=["half-the-columns", "a-class-short", "one-dim"])
+def test_class_features_of_another_shape_are_config_error(small_dataset, small_checkpoint,
+                                                          tmp_path, capsys, cut):
+    """Class features must be (classes, D) for the records' feature dim D:
+    pretrain refuses others before it writes anything, and so does eval."""
+    from occpoint.errors import ConfigError
+
+    data = rewrite(small_dataset, tmp_path / "cut.occt",
+                   lambda e, m: e.__setitem__("class_features", cut(e["class_features"])))
+    with pytest.raises(ConfigError, match="class features have shape"):
+        load_dataset(data)
+    for argv in (["pretrain", "--data", str(data), "--out", str(tmp_path / "m.occt"),
+                  *TOY_SMALL, "--epochs", "1", "--warmup-epochs", "0"],
+                 ["eval", "--data", str(data), "--checkpoint", str(small_checkpoint)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "class features have shape" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data]
+
+
 def test_records_with_other_text_variant_counts_are_config_error(small_dataset, tmp_path,
                                                                  capsys):
     from occpoint.errors import ConfigError
@@ -386,7 +407,9 @@ def test_encoder_flags_belong_to_pretrain_and_bench_only(small_checkpoint, small
 
 @pytest.mark.parametrize("argv", [[], ["train"], ["eval", "--data", "x.occt"],
                                   ["pretrain", "--data", "x.occt", "--out", "y", "--epochs", "two"],
-                                  ["bench", "--conv-mode", "sideways"]])
+                                  ["bench", "--conv-mode", "sideways"],
+                                  ["bench", "--sizes", "16,abc"], ["bench", "--sizes", "16,-4"],
+                                  ["bench", "--runs", "0"], ["bench", "--runs", "-2"]])
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -562,6 +585,22 @@ def test_load_checkpoint_incomplete_is_config_error(small_checkpoint, small_data
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_of_a_zeroed_head_is_refused(small_dataset, small_checkpoint, tmp_path, capsys):
+    """A zeroed encoder head embeds every cloud as the zero vector, which has
+    no direction: eval exits 1 rather than ranking classes by NaN."""
+    def zero_head(entries, meta):
+        for name in ("head_w", "head_b"):
+            for store in ("param", "ema"):
+                entries[f"{store}/encoder.{name}"][...] = 0.0
+
+    broken = rewrite(small_checkpoint, tmp_path / "zero-head.occt", zero_head)
+    capsys.readouterr()
+    assert main(["eval", "--data", str(small_dataset), "--checkpoint", str(broken),
+                 "--mode", "both"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: zero-norm row; cannot normalize\n"
+
+
 # --- token cache file, manifests and inspect ----------------------------------
 
 TOY_SMALL = ["--preset", "toy", "--s-tokens", "8", "--k-neighbors", "6", "--c-dim", "16"]
@@ -702,7 +741,7 @@ def test_inspect_prints_version_metadata_and_tensors(data_copy, small_checkpoint
     lines = out.splitlines()
     r = len(load_dataset(data_copy).records)
     assert f"  centers  f64  [{r}, 8, 3]  {r * 8 * 3 * 8} bytes" in lines
-    assert f"  orders  u64  [{r}, 2, 2, 8]  {r * 32 * 8} bytes" in lines
+    assert f"  orders  u64  [{r}, 2, 8]  {r * 16 * 8} bytes" in lines
 
 
 def test_inspect_truncated_file_is_format_error(small_checkpoint, tmp_path, capsys):

@@ -170,14 +170,14 @@ def test_curve_kind_parsing():
         CurveKind.from_string("peano")
 
 
-def test_permutation_from_forward_inverse():
+def test_curve_orders_of_three_centers_and_their_unsort():
     # Three centers on the x axis, listed out of order: the Morton sort order
-    # is [2, 0, 1], and its inverse [1, 2, 0].
+    # is [2, 0, 1], and its unsort, the argsort the encoder takes, [1, 2, 0].
     centers = np.array([[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]])
     cfg = toy_config(curve_a=CurveKind.MORTON, curve_b=CurveKind.FPS_ORDER)
-    fwd, inv = curve_orders(centers, cfg)
-    assert np.array_equal(fwd, [[[2, 0, 1]], [[0, 1, 2]]])
-    assert np.array_equal(inv, [[[1, 2, 0]], [[0, 1, 2]]])
+    orders = curve_orders(centers, cfg)
+    assert np.array_equal(orders, [[[2, 0, 1]], [[0, 1, 2]]])
+    assert np.array_equal(np.argsort(orders, axis=-1), [[[1, 2, 0]], [[0, 1, 2]]])
 
 
 def test_batched_sort_matches_per_row_sort():
@@ -193,15 +193,15 @@ def test_batched_sort_matches_per_row_sort():
 
 @pytest.mark.parametrize("curve_a,curve_b", [(CurveKind.HILBERT, CurveKind.TRANS_HILBERT),
                                              (CurveKind.MORTON, CurveKind.FPS_ORDER)])
-def test_curve_orders_invert_and_match_each_cloud_sorted_alone(curve_a, curve_b):
+def test_curve_orders_match_each_cloud_sorted_alone(curve_a, curve_b):
     rng = np.random.default_rng(6)
     centers = rng.uniform(-1, 1, size=(5, 21, 3))
     centers[2, 7] = centers[2, 3]              # a code tie inside one cloud
     cfg = toy_config(curve_a=curve_a, curve_b=curve_b, curve_bits=6)
-    fwd, inv = curve_orders(centers, cfg)
-    assert fwd.shape == inv.shape == (2, 5, 21)
-    assert fwd.dtype == inv.dtype == np.int64
+    orders = curve_orders(centers, cfg)
+    assert orders.shape == (2, 5, 21) and orders.dtype == np.int64
     for z, kind in enumerate((curve_a, curve_b)):
         for b, cloud in enumerate(centers):
-            assert np.array_equal(fwd[z, b][inv[z, b]], np.arange(21))
-            assert np.array_equal(fwd[z, b], sort_one(cloud, kind, 6))
+            order = orders[z, b]
+            assert np.array_equal(order[np.argsort(order)], np.arange(21))
+            assert np.array_equal(order, sort_one(cloud, kind, 6))

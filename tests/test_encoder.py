@@ -22,7 +22,7 @@ from occpoint.errors import ConfigError, ShapeError
 from occpoint.training import curve_orders
 
 from composed import (
-    assert_grads_match, composed_block_forward, forward_and_grads, square, tensor_sum,
+    assert_grads_match, composed_block_forward, forward_and_grads, square, tensor_sum, unsort,
 )
 from reference import count_params_enumerated, selective_scan_reference, tokenize
 
@@ -90,8 +90,8 @@ def random_instance(rng, conv_mode="standard"):
     params.out_w.data = rng.normal(size=params.out_w.shape) * cfg.c_inner ** -0.5
     params.out_b.data = rng.normal(size=params.out_b.shape) * 0.1
     z = rng.normal(size=(1, cfg.s_tokens, cfg.c_dim))
-    fwd, inv = curve_orders(rng.uniform(-1, 1, size=(1, cfg.s_tokens, 3)), cfg)
-    return cfg, params, z, fwd, inv
+    fwd = curve_orders(rng.uniform(-1, 1, size=(1, cfg.s_tokens, 3)), cfg)
+    return cfg, params, z, fwd, unsort(fwd)
 
 
 def test_block_matches_transcription_oracle_100_instances():
@@ -109,8 +109,8 @@ def test_block_matches_transcription_oracle_100_instances():
 def batched_instance(rng, conv_mode="standard", nb=3):
     cfg, params, _, _, _ = random_instance(rng, conv_mode)
     z = rng.normal(size=(nb, cfg.s_tokens, cfg.c_dim))
-    fwd, inv = curve_orders(rng.uniform(-1, 1, size=(nb, cfg.s_tokens, 3)), cfg)
-    return cfg, params, z, fwd, inv
+    fwd = curve_orders(rng.uniform(-1, 1, size=(nb, cfg.s_tokens, 3)), cfg)
+    return cfg, params, z, fwd, unsort(fwd)
 
 
 def test_fused_block_matches_composed_oracle():
@@ -140,6 +140,35 @@ def test_block_forward_without_gradients_equals_recorded_forward():
         assert np.array_equal(bare.data, recorded.data)
 
 
+def test_encoder_forward_matches_composed_blocks_given_scattered_unsort():
+    """encoder_forward derives each curve's unsort once, by argsort; the
+    composed blocks are given it built by scatter. Outputs and gradients agree
+    bitwise."""
+    rng = np.random.default_rng(22)
+    for i, mode in enumerate(("standard", "causal", "none")):
+        cfg = toy_config(c_dim=6, s_tokens=9, n_state=3, l_blocks=2, embed_dim=4,
+                         conv_mode=mode)
+        params = init_encoder(cfg, rng)
+        for block in params.blocks:  # not the identity blocks of the training init
+            block.out_w.data[...] = rng.normal(size=block.out_w.shape) * cfg.c_inner ** -0.5
+        x = Tensor(rng.normal(size=(3, cfg.s_tokens, cfg.c_dim)), requires_grad=True)
+        orders = curve_orders(rng.uniform(-1, 1, size=(3, cfg.s_tokens, 3)), cfg)
+
+        def composed():
+            z = x
+            for block in params.blocks:
+                z = composed_block_forward(z, orders, unsort(orders), block, cfg)
+            return ad.mean(ad.affine(z, params.head_w, params.head_b), axis=1)
+
+        tensors = {"input": x, **{name: t for name, t in named_parameters(params)
+                                  if not name.startswith("pointnet")}}
+        (got, got_grads), (want, want_grads) = (
+            forward_and_grads(fn, tensors, i)
+            for fn in (lambda: encoder_forward(x, orders, params, cfg), composed))
+        assert np.array_equal(got, want)
+        assert_grads_match(got_grads, want_grads)
+
+
 def test_zero_out_proj_gives_identity_block():
     rng = np.random.default_rng(1)
     cfg, params, z, fwd, inv = random_instance(rng)
@@ -161,25 +190,24 @@ def test_zero_gate_annihilates_both_streams():
 
 def test_permutation_size_mismatch_rejected():
     rng = np.random.default_rng(3)
-    cfg, _, z, fwd, inv = batched_instance(rng)
+    cfg, _, z, fwd, _ = batched_instance(rng)
     enc = init_encoder(cfg, rng)
     nb, s = z.shape[:2]
     longer = np.broadcast_to(np.arange(s + 1), (2, nb, s + 1))
-    for bad_fwd, bad_inv in ((longer, inv), (fwd, longer), (fwd[:1], inv[:1]),
-                             (fwd[:, :1], inv[:, :1]), (fwd[0], inv[0])):
+    for bad in (longer, fwd[:1], fwd[:, :1], fwd[0], np.stack([fwd, fwd])):
         with pytest.raises(ShapeError):
-            encoder_forward(Tensor(z), bad_fwd, bad_inv, enc, cfg)
+            encoder_forward(Tensor(z), bad, enc, cfg)
 
 
 def test_two_dimensional_tokens_rejected():
     rng = np.random.default_rng(33)
     ecfg = toy_config(s_tokens=6, c_dim=5, l_blocks=1)
     enc = init_encoder(ecfg, rng)
-    efwd, einv = curve_orders(rng.uniform(-1, 1, size=(1, 6, 3)), ecfg)
+    orders = curve_orders(rng.uniform(-1, 1, size=(1, 6, 3)), ecfg)
     tokens = rng.normal(size=(1, 6, 5))
-    assert encoder_forward(Tensor(tokens), efwd, einv, enc, ecfg).shape == (1, ecfg.embed_dim)
+    assert encoder_forward(Tensor(tokens), orders, enc, ecfg).shape == (1, ecfg.embed_dim)
     with pytest.raises(ShapeError):
-        encoder_forward(Tensor(tokens[0]), efwd, einv, enc, ecfg)
+        encoder_forward(Tensor(tokens[0]), orders, enc, ecfg)
 
 
 # --- encoder ----------------------------------------------------------------
@@ -190,8 +218,8 @@ def test_encoder_l0_is_pooled_head_affine():
     cfg = toy_config(l_blocks=0, s_tokens=6, c_dim=5, embed_dim=4)
     params = init_encoder(cfg, rng)
     tokens = rng.normal(size=(1, 6, 5))
-    fwd, inv = curve_orders(rng.uniform(-1, 1, size=(1, 6, 3)), cfg)
-    z = encoder_forward(Tensor(tokens), fwd, inv, params, cfg)
+    orders = curve_orders(rng.uniform(-1, 1, size=(1, 6, 3)), cfg)
+    z = encoder_forward(Tensor(tokens), orders, params, cfg)
     want = (tokens @ params.head_w.data + params.head_b.data).mean(axis=1)
     assert np.allclose(z.data, want, atol=1e-14)
 
@@ -206,7 +234,7 @@ def test_encoder_bitwise_invariant_to_point_order():
 
     def embed(points, colors):
         tokens, centers = tokenize(points, colors, cfg.s_tokens, cfg.k_neighbors, enc.pointnet)
-        return encoder_forward(tokens, *curve_orders(centers, cfg), enc, cfg).data
+        return encoder_forward(tokens, curve_orders(centers, cfg), enc, cfg).data
 
     base = embed(pts, cols)
     for _ in range(3):
@@ -220,21 +248,21 @@ def test_encoder_rejects_bad_shapes():
     params = init_encoder(cfg, rng)
     with pytest.raises(ShapeError):
         encoder_forward(Tensor(rng.normal(size=(1, 6, 7))),
-                        *curve_orders(rng.uniform(-1, 1, (1, 6, 3)), cfg), params, cfg)
+                        curve_orders(rng.uniform(-1, 1, (1, 6, 3)), cfg), params, cfg)
     with pytest.raises(ShapeError):
         encoder_forward(Tensor(rng.normal(size=(1, 9, 5))),
-                        *curve_orders(rng.uniform(-1, 1, (1, 9, 3)), cfg), params, cfg)
+                        curve_orders(rng.uniform(-1, 1, (1, 9, 3)), cfg), params, cfg)
     fewer = init_encoder(toy_config(s_tokens=6, c_dim=5, l_blocks=1), rng)
     with pytest.raises(ShapeError):
         encoder_forward(Tensor(rng.normal(size=(1, 6, 5))),
-                        *curve_orders(rng.uniform(-1, 1, (1, 6, 3)), cfg), fewer, cfg)
+                        curve_orders(rng.uniform(-1, 1, (1, 6, 3)), cfg), fewer, cfg)
 
 
 def test_permutations_recomputed_match_cached():
     rng = np.random.default_rng(7)
     cfg = toy_config(s_tokens=10)
     centers = rng.uniform(-1, 1, size=(3, 10, 3))
-    fwd, _ = curve_orders(centers, cfg)
+    fwd = curve_orders(centers, cfg)
     assert np.array_equal(fwd[0], sort_by_curve(centers, cfg.curve_a, cfg.curve_bits))
     assert np.array_equal(fwd[1], sort_by_curve(centers, cfg.curve_b, cfg.curve_bits))
 
@@ -266,8 +294,8 @@ def test_ablation_configs_run_forward_and_backward(curve_a, curve_b, conv_mode):
     )
     params = init_encoder(cfg, rng)
     tokens = Tensor(rng.normal(size=(1, 6, 8)), requires_grad=False)
-    fwd, inv = curve_orders(rng.uniform(-1, 1, size=(1, 6, 3)), cfg)
-    z = encoder_forward(tokens, fwd, inv, params, cfg)
+    orders = curve_orders(rng.uniform(-1, 1, size=(1, 6, 3)), cfg)
+    z = encoder_forward(tokens, orders, params, cfg)
     loss = tensor_sum(square(z))
     loss.backward()
     from occpoint.encoder import named_parameters

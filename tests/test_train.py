@@ -21,6 +21,7 @@ from occpoint.training import (
     TrainConfig,
     adamw_step,
     build_cache,
+    curve_orders,
     init_model,
     lay_out,
     load_or_build_cache,
@@ -459,12 +460,12 @@ def random_tokens(config, clouds, seed):
     """Tokens of random patches and random curve orders, as embed_clouds reads them."""
     rng = np.random.default_rng(seed)
     s, k, d = config.s_tokens, config.k_neighbors, config.embed_dim
-    fwd = rng.permuted(np.tile(np.arange(s), (clouds, 2, 1)), axis=-1)
+    orders = rng.permuted(np.tile(np.arange(s), (clouds, 2, 1)), axis=-1)
     return training.Tokens(
         centers=rng.normal(size=(clouds, s, 3)),
         rel_points=rng.normal(scale=0.1, size=(clouds, s, k, 3)),
         patch_colors=rng.uniform(size=(clouds, s, k, 3)),
-        orders=np.stack([fwd, np.argsort(fwd, axis=-1)], axis=1),
+        orders=orders,
         labels=np.zeros(clouds, dtype=np.int64),
         object_ids=np.array([f"o{i}" for i in range(clouds)], dtype=object),
         image_features=np.zeros((clouds, d)), text_features=np.zeros((clouds, 1, d)))
@@ -623,7 +624,7 @@ def test_token_cache_file_holds_build_cache_bitwise(saved_dataset, tmp_path):
     r = len(dataset.records)
     assert {k: v.shape for k, v in entries.items()} == {
         "centers": (r, 8, 3), "rel_points": (r, 8, 6, 3), "patch_colors": (r, 8, 6, 3),
-        "orders": (r, 2, 2, 8)}
+        "orders": (r, 2, 8)}
     assert meta["records"] == r and meta["tokenizer"]["s_tokens"] == 8
     assert sidecar.name.startswith("tiny.occt.tokens-")
 
@@ -656,16 +657,13 @@ def test_build_cache_rows_unpack_and_iterate_as_records(saved_dataset):
     first, second, third = tokens
     assert first.centers.shape == (cfg.s_tokens, 3)
     assert first.rel_points.shape == first.patch_colors.shape == (cfg.s_tokens, 6, 3)
-    assert first.orders.shape == (2, 2, cfg.s_tokens)
+    assert first.orders.shape == (2, cfg.s_tokens)
     for i, (row, rec) in enumerate(zip(tokens, dataset.records, strict=True)):
         assert (row.labels, row.object_ids) == (rec.label, rec.object_id)
         assert np.array_equal(row.text_features, rec.text_features)
         for f in fields(tokens):
             assert np.array_equal(getattr(row, f.name), getattr(tokens, f.name)[i]), f.name
-    fwd, inv = np.moveaxis(tokens.orders, 0, 2)
-    assert fwd.shape == inv.shape == (2, 3, cfg.s_tokens)
-    assert np.array_equal(np.take_along_axis(fwd, inv, axis=-1),
-                          np.broadcast_to(np.arange(cfg.s_tokens), fwd.shape))
+    assert np.array_equal(tokens.orders, np.swapaxes(curve_orders(tokens.centers, cfg), 0, 1))
     assert len(tokens[1:]) == len(tokens[[0, 2]]) == 2 and len(tokens[:0]) == 0
 
 
@@ -720,7 +718,7 @@ def edit_container(edit):
 
 
 def set_first_order(entries, meta):
-    entries["orders"][0, 0, 0, 0] = 99
+    entries["orders"][0, 0, 0] = 99
 
 
 @pytest.mark.parametrize("damage", [
@@ -748,6 +746,32 @@ def test_damaged_cache_file_is_rebuilt_with_one_warning(saved_dataset, tmp_path,
     assert not again["token_cache"]["hit"] and len(err.splitlines()) == 1 and sidecar in err
     assert_tokens_equal(tokens, build_cache(dataset, cfg))
     assert load_or_build_cache(path, dataset, cfg)[1]["token_cache"]["hit"]
+
+
+def test_v1_cache_file_is_rebuilt_once_with_one_warning(saved_dataset, tmp_path, capsys):
+    """A file of the first format, which stored each curve order with its
+    inverse, (R, 2, 2, S), is rebuilt in the current format and hits after."""
+    path = tmp_path / saved_dataset.name
+    path.write_bytes(saved_dataset.read_bytes())
+    dataset = load_dataset(path)
+    cfg, _ = tiny_setup()
+    sidecar = Path(load_or_build_cache(path, dataset, cfg)[1]["token_cache"]["path"])
+    entries, meta = read_container_file(sidecar)
+    fwd = entries["orders"].view(np.int64)
+    inv = np.argsort(fwd, axis=-1)
+    entries["orders"] = np.stack([fwd, inv], axis=1).view(np.uint64)  # (R, 2, 2, S)
+    write_container_file(sidecar, entries, dict(meta, format="occpoint-tokens/1"))
+    capsys.readouterr()
+    tokens, again = load_or_build_cache(path, dataset, cfg)
+    err = capsys.readouterr().err
+    assert not again["token_cache"]["hit"] and len(err.splitlines()) == 1
+    assert str(sidecar) in err and "occpoint-tokens/1" in err
+    assert_tokens_equal(tokens, build_cache(dataset, cfg))
+    entries, meta = read_container_file(sidecar)
+    assert meta["format"] == "occpoint-tokens/2" and entries["orders"].shape == fwd.shape
+    warm, inputs = load_or_build_cache(path, dataset, cfg)
+    assert inputs["token_cache"]["hit"] and capsys.readouterr().err == ""
+    assert_tokens_equal(warm, tokens)
 
 
 def test_run_pretraining_with_given_tokens(tmp_path):

@@ -25,9 +25,9 @@ run beats every parent run, and "within bound" otherwise. Runs that are not
 `correct`, or that fail operations, are reported too, with each side's share
 of failed operations over all its runs. `--out` writes the raw runs and,
 per metric, the medians, quartiles, wins and both verdicts. When a run
-exits non-zero or prints no result, `--out` still gets the pairs run so
-far, with the failing command and its stderr tail under "failure", and the
-tool exits 1.
+exits non-zero or its last stdout line is not a result, `--out` still gets
+the pairs run so far, with the failing command, its stderr tail and that
+line under "failure", and the tool exits 1.
 Standard library only.
 """
 
@@ -67,13 +67,19 @@ def first_difference(parent: Path, change: Path) -> str | None:
 
 
 class RunFailed(Exception):
-    """A benchmark run that exited non-zero or printed no result; `record`
-    holds the command, the checkout, the exit code and the stderr tail."""
+    """A benchmark run that exited non-zero or whose last stdout line is not a
+    result; `record` holds the command, the checkout, the exit code, the
+    stderr tail and, for a run that exited 0, that last line."""
 
-    def __init__(self, cmd: list[str], checkout: Path, returncode: int, stderr: str):
+    def __init__(self, cmd: list[str], checkout: Path, returncode: int, stderr: str,
+                 last_line: str | None = None):
         self.record = {"command": cmd, "checkout": str(checkout),
                        "returncode": returncode, "stderr_tail": stderr[-2000:]}
-        super().__init__(f"{' '.join(cmd)} in {checkout} exited {returncode}:\n"
+        what = f"exited {returncode}"
+        if last_line is not None:
+            self.record["last_line"] = last_line
+            what += f" but printed no result, last line {last_line!r}"
+        super().__init__(f"{' '.join(cmd)} in {checkout} {what}:\n"
                          f"{self.record['stderr_tail']}")
 
 
@@ -82,9 +88,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0:
         raise RunFailed(cmd, checkout, proc.returncode, proc.stderr)
-    return json.loads(lines[-1])
+    last = lines[-1] if lines else ""
+    try:
+        result = json.loads(last)
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict) or "metrics" not in result:
+        raise RunFailed(cmd, checkout, proc.returncode, proc.stderr, last_line=last)
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
