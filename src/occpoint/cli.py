@@ -114,6 +114,16 @@ def _encoder_config(args) -> EncoderConfig:
     return EncoderConfig.from_dict(doc)
 
 
+def _refuse_overwrite(outputs: list[Path], data: str, *inputs: str | None) -> None:
+    """Refuse, before anything is written, an output path that is the dataset
+    `data`, the manifest `gen` wrote beside it, or another input file."""
+    kept = {Path(p).resolve(): p for p in (data, Path(data).with_suffix(".manifest.json"),
+                                           *inputs) if p is not None}
+    for out in outputs:
+        if out.resolve() in kept:
+            raise ConfigError(f"output {out} would overwrite {kept[out.resolve()]}")
+
+
 def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -160,6 +170,10 @@ def cmd_gen(args) -> int:
 
 def cmd_pretrain(args) -> int:
     started = _now()
+    out = Path(args.out)
+    manifest_path = out.with_suffix(".manifest.json")
+    metrics_path = out.with_suffix(".metrics.jsonl")
+    _refuse_overwrite([out, manifest_path, metrics_path], args.data, args.resume)
     dataset = load_dataset(args.data)
     encoder_config = _encoder_config(args)
     if encoder_config.embed_dim != dataset.feature_dim:
@@ -176,12 +190,11 @@ def cmd_pretrain(args) -> int:
     )
     if model is not None:
         check_resume(model, encoder_config, train_config)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     tokens, inputs = load_or_build_cache(args.data, dataset, encoder_config)
     tokens, _ = split_tokens(dataset, tokens, train_config.holdout_views)
-    epoch_steps(tokens, train_config)  # refuses an unusable split before any file is written
-    manifest_path = out.with_suffix(".manifest.json")
+    # Refuses an unusable split, or a resume past the run's end, before any file is written.
+    epoch_steps(tokens, train_config, model.step if model else 0)
     resolved = {
         "encoder_config": encoder_config.to_dict(),
         "train_config": train_config.to_dict(),
@@ -191,7 +204,6 @@ def cmd_pretrain(args) -> int:
     write_manifest(manifest_path, resolved, args.seed, started,
                    command_line=args._argv, inputs=inputs)
 
-    metrics_path = out.with_suffix(".metrics.jsonl")
     t0 = time.time()
     with open(metrics_path, "w") as fh:
         model, metrics = run_pretraining(
@@ -213,6 +225,9 @@ def cmd_pretrain(args) -> int:
 
 def cmd_eval(args) -> int:
     started = _now()
+    if args.out:
+        out = Path(args.out)
+        _refuse_overwrite([out, out.with_suffix(".manifest.json")], args.data, args.checkpoint)
     dataset = load_dataset(args.data)
     model = load_checkpoint(args.checkpoint)
     if model.encoder_config.embed_dim != dataset.feature_dim:

@@ -43,7 +43,7 @@ from .autodiff import Tensor
 from .curves import CurveKind
 from .errors import ConfigError, ShapeError
 from .ssm import S6Params, dt_rank, init_s6, selective_scan
-from .tokenizer import MiniPointNetParams, init_mini_pointnet
+from .tokenizer import POINTNET_HIDDEN, MiniPointNetParams, init_mini_pointnet
 
 CONV_WIDTH_STANDARD = 5  # symmetric padding 2: same length, bidirectional
 CONV_WIDTH_CAUSAL = 4    # left padding 3: strictly past-looking
@@ -74,12 +74,10 @@ class EncoderConfig:
     k_neighbors: int = 32
     n_state: int = 16
     expand: int = 2
-    pointnet_hidden: int = 64
     curve_a: CurveKind = CurveKind.HILBERT
     curve_b: CurveKind = CurveKind.TRANS_HILBERT
     conv_mode: str = "standard"  # one of CONV_MODES
     embed_dim: int = 64
-    curve_bits: int = 10
 
     def __post_init__(self):
         check_number_fields(self)
@@ -88,7 +86,7 @@ class EncoderConfig:
         if self.conv_mode not in CONV_MODES:
             raise ConfigError(f"unknown conv_mode {self.conv_mode!r}")
         if min(self.c_dim, self.s_tokens, self.k_neighbors, self.n_state,
-               self.expand, self.pointnet_hidden, self.embed_dim) < 1:
+               self.expand, self.embed_dim) < 1:
             raise ConfigError("encoder dimensions must be positive")
 
     @property
@@ -191,7 +189,7 @@ def init_block(config: EncoderConfig, rng: np.random.Generator) -> BlockParams:
 
 def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
     return EncoderParams(
-        pointnet=init_mini_pointnet(config.c_dim, rng, config.pointnet_hidden),
+        pointnet=init_mini_pointnet(config.c_dim, rng),
         blocks=[init_block(config, rng) for _ in range(config.l_blocks)],
         head_w=ad.parameter((config.c_dim, config.embed_dim), rng),
         head_b=Tensor(np.zeros(config.embed_dim), requires_grad=True),
@@ -308,7 +306,7 @@ def count_params(config: EncoderConfig) -> int:
     (tokenizer + blocks + head; the contrastive projection heads are separate)."""
     c, ci, n, w = config.c_dim, config.c_inner, config.n_state, config.conv_width
     r = dt_rank(ci)
-    hid = config.pointnet_hidden
+    hid = POINTNET_HIDDEN
     tokenizer = (6 * hid + hid) + (hid * c + c) + (c * c + c)
     # a_log + b/c projections + dt bottleneck (low, up, bias) + d_skip
     s6 = ci * n + 2 * (ci * n + n) + (ci * r + r * ci + ci) + ci
@@ -356,7 +354,7 @@ def count_flops(config: EncoderConfig, s_tokens: int) -> float:
     """
     c, ci, n, w = config.c_dim, config.c_inner, config.n_state, config.conv_width
     r = dt_rank(ci)
-    hid = config.pointnet_hidden
+    hid = POINTNET_HIDDEN
     k = config.k_neighbors
 
     tokenizer = s_tokens * k * (2 * 6 * hid + 2 * hid * c) + s_tokens * 2 * c * c

@@ -21,7 +21,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, InvalidInput, NumericalError, ShapeError
 
-COLOR_CONSTANT = 0.4  # substituted per channel when a cloud has no colors
+COLOR_CONSTANT = 0.4  # per channel, for a cloud without colors or with its colors dropped
+POINTNET_HIDDEN = 64  # the mini-PointNet's hidden width
 
 
 def _as_batch(points: np.ndarray) -> np.ndarray:
@@ -161,7 +162,7 @@ class MiniPointNetParams:
 
 
 def init_mini_pointnet(token_dim: int, rng: np.random.Generator,
-                       hidden: int = 64) -> MiniPointNetParams:
+                       hidden: int = POINTNET_HIDDEN) -> MiniPointNetParams:
     return MiniPointNetParams(
         w1=ad.parameter((6, hidden), rng),
         b1=Tensor(np.zeros(hidden), requires_grad=True),

@@ -74,19 +74,24 @@ from .tokenizer import (
 )
 
 
+# The one recipe every run trains with: AdamW (Loshchilov & Hutter, arXiv
+# 1711.05101) with these betas, eps and decoupled weight decay, an EMA shadow
+# of this decay, and colors replaced by tokenizer.COLOR_CONSTANT in this share
+# of each batch's clouds.
+WEIGHT_DECAY = 0.05
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+EMA_DECAY = 0.9995
+COLOR_DROP_PROB = 0.5
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 32
     epochs: int = 200  # desk runs use 50
     warmup_epochs: int = 10
     base_lr: float = 7e-4
-    weight_decay: float = 0.05
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    ema_decay: float = 0.9995
-    color_drop_prob: float = 0.5
-    color_constant: float = COLOR_CONSTANT
     holdout_views: int = 2
     seed: int = 0
 
@@ -99,18 +104,10 @@ class TrainConfig:
             raise ConfigError(
                 f"holdout_views must be in [1, {N_VIEWS - 1}], got {self.holdout_views}"
             )
-        if not 0.0 <= self.color_drop_prob <= 1.0:
-            raise ConfigError(f"color_drop_prob out of [0, 1]: {self.color_drop_prob}")
-        # A negative count or rate, a decay of 1 or more, or a zero eps would
-        # run (gradient ascent, frozen moments, a division by zero) and exit 0.
-        for name in ("epochs", "warmup_epochs", "base_lr", "weight_decay"):
+        # A negative count or rate would run (gradient ascent) and exit 0.
+        for name in ("epochs", "warmup_epochs", "base_lr"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("adam_beta1", "adam_beta2", "ema_decay"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} out of [0, 1): {getattr(self, name)}")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
         if self.warmup_epochs > self.epochs:
             raise ConfigError(
                 f"warmup_epochs {self.warmup_epochs} exceeds epochs {self.epochs}"
@@ -194,8 +191,7 @@ class AdamWState:
         return self.weights.zeros_like(), np.empty(self.weights.flat.size)
 
 
-def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
-               config: TrainConfig) -> None:
+def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float) -> None:
     """One decoupled-weight-decay Adam update of the whole parameter store;
     zero-grad tensors still decay. Per element it is, op for op, the
     per-tensor update in `tests/reference.py`."""
@@ -204,7 +200,7 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
     for name, t in params.items():
         grad[name][...] = 0.0 if t.grad is None else t.grad
     state.step += 1
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     g, m, v, p = grad.flat, state.m.flat, state.v.flat, state.weights.flat
@@ -217,7 +213,7 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
     denom += eps
     update = np.divide(np.divide(m, bc1, out=g), denom, out=g)   # g is spent
     update *= lr
-    update += np.multiply(p, lr * config.weight_decay, out=tmp)
+    update += np.multiply(p, lr * WEIGHT_DECAY, out=tmp)
     p -= update
 
 
@@ -291,7 +287,7 @@ def init_model(encoder_config: EncoderConfig, train_config: TrainConfig) -> Mode
     state = ModelState(encoder_config, train_config, encoder, heads)
     weights = lay_out(state.params())
     state.opt = AdamWState(weights)
-    state.ema = EmaState(weights, train_config.ema_decay)
+    state.ema = EmaState(weights, EMA_DECAY)
     return state
 
 
@@ -303,7 +299,7 @@ def init_model(encoder_config: EncoderConfig, train_config: TrainConfig) -> Mode
 def curve_orders(centers: np.ndarray, config: EncoderConfig) -> np.ndarray:
     """Sort orders of (B, S, 3) token centers along curve a, then curve b:
     (2, B, S). ``x[order]`` sorts a row; ``np.argsort(order)`` is its unsort."""
-    return np.stack([sort_by_curve(centers, kind, config.curve_bits)
+    return np.stack([sort_by_curve(centers, kind)
                      for kind in (config.curve_a, config.curve_b)])
 
 
@@ -405,7 +401,7 @@ def split_tokens(dataset: TripletDataset, tokens: Tokens,
 # count, and the file is used only when all of them match.
 
 _TOKENS_FORMAT = "occpoint-tokens/2"
-_TOKENIZER_FIELDS = ("s_tokens", "k_neighbors", "curve_a", "curve_b", "curve_bits")
+_TOKENIZER_FIELDS = ("s_tokens", "k_neighbors", "curve_a", "curve_b")
 
 
 def _tokenizer_fields(config: EncoderConfig) -> dict:
@@ -509,10 +505,10 @@ def train_step(batch: Tokens, model: ModelState, step: int,
     """One optimizer step over a batch of tokens; returns the metrics row."""
     cfg = model.train_config
     rng = np.random.Generator(np.random.PCG64([cfg.seed, 0xD207, step]))
-    drop_mask = rng.random(len(batch)) < cfg.color_drop_prob
+    drop_mask = rng.random(len(batch)) < COLOR_DROP_PROB
     text_pick = rng.integers(0, batch.text_features.shape[1], size=len(batch))
 
-    colors = np.where(drop_mask[:, None, None, None], cfg.color_constant, batch.patch_colors)
+    colors = np.where(drop_mask[:, None, None, None], COLOR_CONSTANT, batch.patch_colors)
     z_point = encode_batch(batch.rel_points, colors, batch.orders, model)
     text = batch.text_features[np.arange(len(batch)), text_pick]
     emb = build_embedding_batch(z_point, Tensor(batch.image_features), Tensor(text),
@@ -532,7 +528,7 @@ def train_step(batch: Tokens, model: ModelState, step: int,
     loss.backward()
 
     lr = lr_at(step, total_steps, cfg, steps_per_epoch)
-    adamw_step(params, model.opt, lr, cfg)
+    adamw_step(params, model.opt, lr)
     model.ema.update(params)
     model.step = step + 1
     return {
@@ -605,13 +601,18 @@ def make_batches(tokens: Tokens, batch_size: int, epoch: int,
     return batches
 
 
-def epoch_steps(tokens: Tokens, train_config: TrainConfig) -> int:
+def epoch_steps(tokens: Tokens, train_config: TrainConfig, start: int = 0) -> int:
     """Steps per epoch over a training split. A split that no epoch can be
     cut from is refused: one with no records (`InvalidInput`), and the ones
-    `make_batches` refuses (`ConfigError`)."""
+    `make_batches` refuses (`ConfigError`). So is a run of fewer steps than
+    the `start` step it resumes at (`ConfigError`)."""
     if not len(tokens):
         raise InvalidInput("no training records after the view split")
-    return len(make_batches(tokens, train_config.batch_size, 0, train_config.seed))
+    steps = len(make_batches(tokens, train_config.batch_size, 0, train_config.seed))
+    if start > steps * train_config.epochs:
+        raise ConfigError(f"cannot resume at step {start} with epochs={train_config.epochs}: "
+                          f"that run ends at step {steps * train_config.epochs}")
+    return steps
 
 
 def check_resume(model: ModelState, encoder_config: EncoderConfig,
@@ -652,11 +653,11 @@ def run_pretraining(dataset: TripletDataset, encoder_config: EncoderConfig,
         model = init_model(encoder_config, train_config)
     else:
         check_resume(model, encoder_config, train_config)
-        model.train_config = train_config
     if tokens is None:
         tokens = build_cache(train_set, encoder_config)
 
-    steps_per_epoch = epoch_steps(tokens, train_config)
+    steps_per_epoch = epoch_steps(tokens, train_config, model.step)
+    model.train_config = train_config
     total_steps = steps_per_epoch * train_config.epochs
     metrics = []
     step = model.step
@@ -788,8 +789,6 @@ def save_checkpoint(path, model: ModelState) -> None:
         "encoder_config": model.encoder_config.to_dict(),
         "train_config": model.train_config.to_dict(),
         "step": model.step,
-        "opt_step": model.opt.step,
-        "ema_updates": model.ema.updates,
     }
     write_container_file(path, entries, meta)
 
@@ -799,14 +798,12 @@ def load_checkpoint(path) -> ModelState:
     try:
         encoder_config = EncoderConfig.from_dict(meta["encoder_config"])
         train_config = TrainConfig(**meta["train_config"])
-        counters = {"step": meta["step"], "opt_step": meta["opt_step"],
-                    "ema_updates": meta.get("ema_updates", meta["step"])}
+        step = meta["step"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint {path}: missing or malformed metadata {exc}") from exc
-    for name, value in counters.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-            raise ConfigError(f"checkpoint {path}: {name} must be a non-negative integer, "
-                              f"got {value!r}")
+    if isinstance(step, bool) or not isinstance(step, numbers.Integral) or step < 0:
+        raise ConfigError(f"checkpoint {path}: step must be a non-negative integer, "
+                          f"got {step!r}")
     model = init_model(encoder_config, train_config)
     slots = _slots(model)
     extra = sorted(entries.keys() - {f"{slot}/{name}" for name in model.opt.weights
@@ -823,7 +820,6 @@ def load_checkpoint(path) -> ModelState:
                 raise ConfigError(f"checkpoint tensor {slot}/{name} is {found}, "
                                   f"the model expects {views[name].shape}")
             views[name][...] = stored
-    model.step = counters["step"]
-    model.opt.step = counters["opt_step"]
-    model.ema.updates = counters["ema_updates"]
+    # Every step runs one AdamW update and one EMA update.
+    model.step = model.opt.step = model.ema.updates = step
     return model

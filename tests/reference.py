@@ -18,6 +18,7 @@ from occpoint.container import _DTYPES, MAGIC, VERSION, _pad_to, dtype_name
 from occpoint.curves import sort_by_curve
 from occpoint.encoder import named_parameters
 from occpoint.errors import InvalidInput, NumericalError
+from occpoint import training
 from occpoint.ssm import S6Params, selective_scan
 from occpoint.tokenizer import (
     COLOR_CONSTANT,
@@ -165,9 +166,9 @@ def tokenize(points: np.ndarray, colors: np.ndarray | None, s_tokens: int,
 
 
 def adamw_step_reference(params: dict[str, Tensor], m: dict[str, np.ndarray],
-                         v: dict[str, np.ndarray], step: int, lr: float, config) -> None:
+                         v: dict[str, np.ndarray], step: int, lr: float) -> None:
     """The per-tensor AdamW update, in place; `step` counts this update."""
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
     bc1 = 1.0 - b1 ** step
     bc2 = 1.0 - b2 ** step
     for name, t in params.items():
@@ -177,7 +178,7 @@ def adamw_step_reference(params: dict[str, Tensor], m: dict[str, np.ndarray],
         v[name] *= b2
         v[name] += (1.0 - b2) * g * g
         update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
-        t.data -= lr * update + lr * config.weight_decay * t.data
+        t.data -= lr * update + lr * training.WEIGHT_DECAY * t.data
 
 
 def ema_update_reference(shadow: dict[str, np.ndarray], params: dict[str, Tensor],

@@ -202,3 +202,19 @@ def test_main_refuses_checkouts_with_other_benchmark_code(tmp_path, monkeypatch)
     monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a workload"))
     with pytest.raises(SystemExit, match="perfbench/run.py differs between"):
         bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1"])
+
+
+def test_seeds_are_single_seeds_and_closed_ranges():
+    assert bench_pairs.parse_seeds("7201-7203,7300") == [7201, 7202, 7203, 7300]
+    assert bench_pairs.parse_seeds("5-5") == [5]
+
+
+@pytest.mark.parametrize("seeds", ["", "9-1", "7201-", "1.5"],
+                         ids=["empty", "reversed", "open", "not-an-integer"])
+def test_seeds_that_name_no_range_are_a_usage_error(tmp_path, monkeypatch, capsys, seeds):
+    """`9-1` ran no pair and then failed in `report`; `7201-` meant [7201]."""
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a workload"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--seeds", seeds])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err

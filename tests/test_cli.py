@@ -542,7 +542,6 @@ def first_param(entries):
 
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda e, m: m.pop("step"), id="no-step"),
-    pytest.param(lambda e, m: m.pop("opt_step"), id="no-opt-step"),
     pytest.param(lambda e, m: m.pop("encoder_config"), id="no-encoder-config"),
     pytest.param(lambda e, m: m["encoder_config"].pop("curve_a"), id="no-curve"),
     pytest.param(lambda e, m: m["train_config"].__setitem__("surprise", 1), id="unknown-key"),
@@ -561,14 +560,13 @@ def first_param(entries):
     pytest.param(lambda e, m: m.__setitem__("step", -1), id="negative-step"),
     pytest.param(lambda e, m: m.__setitem__("step", True), id="bool-step"),
     pytest.param(lambda e, m: m.__setitem__("step", 2.7), id="float-step"),
-    pytest.param(lambda e, m: m.__setitem__("opt_step", -3), id="negative-opt-step"),
-    pytest.param(lambda e, m: m.__setitem__("ema_updates", -3), id="negative-ema-updates"),
+    pytest.param(lambda e, m: m["train_config"].__setitem__("base_lr", float("nan")),
+                 id="nan-base-lr"),
+    # Fields this version does not have: the recipe's constants are not settable.
     pytest.param(lambda e, m: m["train_config"].__setitem__("ema_decay", "x"), id="str-ema-decay"),
     pytest.param(lambda e, m: m["train_config"].__setitem__("ema_decay", 1.0), id="one-ema-decay"),
     pytest.param(lambda e, m: m["train_config"].__setitem__("weight_decay", None),
                  id="null-weight-decay"),
-    pytest.param(lambda e, m: m["train_config"].__setitem__("base_lr", float("nan")),
-                 id="nan-base-lr"),
     pytest.param(lambda e, m: m["encoder_config"].__setitem__("pointnet_hidden", 0),
                  id="zero-pointnet-hidden"),
 ])
@@ -583,6 +581,19 @@ def test_load_checkpoint_incomplete_is_config_error(small_checkpoint, small_data
     rc = main(["eval", "--data", str(small_dataset), "--checkpoint", str(broken)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_recipe_field_in_its_header_is_refused(small_checkpoint,
+                                                                 small_dataset, tmp_path,
+                                                                 capsys):
+    """The weight decay is a constant, not a config field: a header that still
+    sets it, as checkpoints of the earlier layout did, is refused by name."""
+    broken = rewrite(small_checkpoint, tmp_path / "earlier.occt",
+                     lambda e, m: m["train_config"].__setitem__("weight_decay", 0.05))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(small_dataset), "--checkpoint", str(broken)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "weight_decay" in captured.err
 
 
 def test_eval_of_a_zeroed_head_is_refused(small_dataset, small_checkpoint, tmp_path, capsys):
@@ -711,6 +722,8 @@ def test_eval_manifest_records_the_dataset_cache_and_heldout_views(data_copy,
                  id="resume-other-curve"),
     pytest.param(["--epochs", "2", "--resume", "FIRST", "--k-neighbors", "5"],
                  id="resume-other-k"),
+    # FIRST ran 1 epoch: a run of 0 would be written back as 0 epochs at its step.
+    pytest.param(["--epochs", "0", "--resume", "FIRST"], id="resume-fewer-epochs"),
 ])
 def test_refused_pretrain_writes_nothing_not_even_a_cache(data_copy, tmp_path, capsys,
                                                           refused):
@@ -723,6 +736,35 @@ def test_refused_pretrain_writes_nothing_not_even_a_cache(data_copy, tmp_path, c
     assert main(base + argv + ["--out", str(tmp_path / "second.occt")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["pretrain", "--data", "DATA", "--out", "DATA"], id="pretrain-out-is-the-data"),
+    pytest.param(["pretrain", "--data", "DATA", "--out", "DIR/small.ckpt"],
+                 id="pretrain-manifest-is-gens"),
+    pytest.param(["pretrain", "--data", "DATA", "--resume", "CKPT", "--out", "CKPT"],
+                 id="pretrain-out-is-the-resumed-checkpoint"),
+    pytest.param(["eval", "--data", "DATA", "--checkpoint", "CKPT", "--out", "DIR/small.json"],
+                 id="eval-manifest-is-gens"),
+    pytest.param(["eval", "--data", "DATA", "--checkpoint", "CKPT", "--out", "CKPT"],
+                 id="eval-out-is-the-checkpoint"),
+])
+def test_an_output_may_not_replace_an_input(data_copy, small_dataset, small_checkpoint,
+                                           tmp_path, capsys, argv):
+    """Every output is refused, before anything is written, when it or its
+    manifest (`<out>.manifest.json`) is an input or gen's dataset manifest."""
+    manifest = data_copy.with_suffix(".manifest.json")
+    manifest.write_bytes(small_dataset.with_suffix(".manifest.json").read_bytes())
+    ckpt = tmp_path / "m.occt"
+    ckpt.write_bytes(small_checkpoint.read_bytes())
+    names = {"DATA": str(data_copy), "CKPT": str(ckpt)}
+    argv = [names.get(a, a.replace("DIR", str(data_copy.parent))) for a in argv]
+    if argv[0] == "pretrain":
+        argv += [*TOY_SMALL, "--epochs", "0", "--warmup-epochs", "0"]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(argv) == 1
+    assert "would overwrite" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def test_inspect_prints_version_metadata_and_tensors(data_copy, small_checkpoint, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from occpoint.curves import (
+    DEFAULT_BITS,
     CurveKind,
     curve_codes,
     hilbert_index,
@@ -197,11 +198,11 @@ def test_curve_orders_match_each_cloud_sorted_alone(curve_a, curve_b):
     rng = np.random.default_rng(6)
     centers = rng.uniform(-1, 1, size=(5, 21, 3))
     centers[2, 7] = centers[2, 3]              # a code tie inside one cloud
-    cfg = toy_config(curve_a=curve_a, curve_b=curve_b, curve_bits=6)
+    cfg = toy_config(curve_a=curve_a, curve_b=curve_b)
     orders = curve_orders(centers, cfg)
     assert orders.shape == (2, 5, 21) and orders.dtype == np.int64
     for z, kind in enumerate((curve_a, curve_b)):
         for b, cloud in enumerate(centers):
             order = orders[z, b]
             assert np.array_equal(order[np.argsort(order)], np.arange(21))
-            assert np.array_equal(order, sort_one(cloud, kind, 6))
+            assert np.array_equal(order, sort_one(cloud, kind, DEFAULT_BITS))

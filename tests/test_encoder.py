@@ -263,8 +263,8 @@ def test_permutations_recomputed_match_cached():
     cfg = toy_config(s_tokens=10)
     centers = rng.uniform(-1, 1, size=(3, 10, 3))
     fwd = curve_orders(centers, cfg)
-    assert np.array_equal(fwd[0], sort_by_curve(centers, cfg.curve_a, cfg.curve_bits))
-    assert np.array_equal(fwd[1], sort_by_curve(centers, cfg.curve_b, cfg.curve_bits))
+    assert np.array_equal(fwd[0], sort_by_curve(centers, cfg.curve_a))
+    assert np.array_equal(fwd[1], sort_by_curve(centers, cfg.curve_b))
 
 
 # --- ablation configurations ---------------------------------------------------
@@ -315,7 +315,7 @@ def test_invalid_conv_mode_rejected():
 
 
 @pytest.mark.parametrize("field,value", [("c_dim", 16.5), ("expand", 1.5), ("l_blocks", True),
-                                         ("s_tokens", 32.0), ("curve_bits", "10")])
+                                         ("s_tokens", 32.0), ("n_state", "16")])
 def test_integer_fields_refuse_other_values(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         EncoderConfig(**{field: value})
@@ -333,8 +333,8 @@ def test_param_count_closed_form_matches_enumeration():
 
 def test_single_affine_param_count():
     # With no blocks the count is tokenizer + one 4 -> 3 affine head (4*3+3 = 15).
-    cfg = toy_config(l_blocks=0, c_dim=4, embed_dim=3, pointnet_hidden=2)
-    tokenizer = (6 * 2 + 2) + (2 * 4 + 4) + (4 * 4 + 4)
+    cfg = toy_config(l_blocks=0, c_dim=4, embed_dim=3)
+    tokenizer = (6 * 64 + 64) + (64 * 4 + 4) + (4 * 4 + 4)
     assert count_params(cfg) == tokenizer + 15
 
 

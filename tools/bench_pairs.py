@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -42,11 +43,16 @@ from pathlib import Path
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'7201-7205,7300' -> [7201, ..., 7205, 7300]."""
+    """'7201-7205,7300' -> [7201, ..., 7205, 7300], for argparse: a part that
+    is empty, open ('7201-'), reversed ('9-1') or not an integer is a usage
+    error, so that no run starts with fewer seeds than were meant."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        match = re.fullmatch(r"([0-9]+)(?:-([0-9]+))?", part.strip())
+        lo, hi = (int(match[1]), int(match[2] or match[1])) if match else (1, 0)
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"{part!r} is not a seed or a range LO-HI, LO <= HI")
+        seeds.extend(range(lo, hi + 1))
     return seeds
 
 
@@ -199,7 +205,8 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True,
                         help="a workload of BENCHMARK.json; repeat for several")
-    parser.add_argument("--seeds", required=True, help="e.g. 7201-7210 or 1,5,9")
+    parser.add_argument("--seeds", type=parse_seeds, required=True,
+                        help="e.g. 7201-7210 or 1,5,9")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, help="write every run's result and each "
                         "metric's summary here as JSON")
@@ -211,13 +218,12 @@ def main(argv=None) -> int:
                          f"{args.change}; both must run the same benchmark code")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    seeds = parse_seeds(args.seeds)
     results = {}
     try:
         for workload in args.workload:
             pairs = []
-            results[workload] = {"seeds": seeds, "pairs": pairs}
-            for i, seed in enumerate(seeds):
+            results[workload] = {"seeds": args.seeds, "pairs": pairs}
+            for i, seed in enumerate(args.seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 runs = {}
                 for side in order:
