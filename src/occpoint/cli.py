@@ -114,11 +114,11 @@ def _encoder_config(args) -> EncoderConfig:
     return EncoderConfig.from_dict(doc)
 
 
-def _refuse_overwrite(outputs: list[Path], data: str, *inputs: str | None) -> None:
-    """Refuse, before anything is written, an output path that is the dataset
-    `data`, the manifest `gen` wrote beside it, or another input file."""
-    kept = {Path(p).resolve(): p for p in (data, Path(data).with_suffix(".manifest.json"),
-                                           *inputs) if p is not None}
+def _refuse_overwrite(outputs: list[Path], *inputs: str | None) -> None:
+    """Refuse, before anything is written, an output path that is an input
+    file or the manifest written beside one."""
+    kept = {Path(p).resolve(): p for i in inputs if i is not None
+            for p in (i, Path(i).with_suffix(".manifest.json"))}
     for out in outputs:
         if out.resolve() in kept:
             raise ConfigError(f"output {out} would overwrite {kept[out.resolve()]}")

@@ -11,8 +11,8 @@ trajectory.
 float64 vector, the parameter store: each tensor's `.data` is a view of its
 span, and the AdamW moments and the EMA shadow are vectors of the same layout
 (`FlatViews`, indexable by name). AdamW and the EMA are whole-vector ops,
-`use_ema_weights` swaps the one vector, and checkpoints read and write the
-named views. Parameter values are therefore written in place: a tensor whose
+`use_ema_weights` swaps the one vector, and a checkpoint holds the four
+vectors whole. Parameter values are therefore written in place: a tensor whose
 `.data` is rebound is cut off from the store, and the optimizer, the EMA and
 `save_checkpoint` refuse it with a `ConfigError`.
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .container import read_container_file, write_container_file
+from .container import dtype_name, read_container_file, write_container_file
 from .contrastive import (
     AlignmentHeads,
     build_embedding_batch,
@@ -774,23 +774,27 @@ def linear_probe(train_features: np.ndarray, train_labels: np.ndarray,
 # Checkpointing
 
 
-def _slots(model: ModelState) -> dict[str, FlatViews]:
-    """The four stores a checkpoint holds, by entry-name prefix."""
-    return {"param": model.opt.weights, "ema": model.ema.shadow,
-            "opt/m": model.opt.m, "opt/v": model.opt.v}
+def _stores(model: ModelState) -> dict[str, np.ndarray]:
+    """The four (P,) float64 vectors a checkpoint holds, by entry name."""
+    return {"param": model.opt.weights.flat, "ema": model.ema.shadow.flat,
+            "opt/m": model.opt.m.flat, "opt/v": model.opt.v.flat}
+
+
+def _layout_sha256(weights: FlatViews) -> str:
+    """sha256 of the JSON list [[name, shape], ...] of the store, in order."""
+    layout = [[name, list(view.shape)] for name, view in weights.items()]
+    return hashlib.sha256(json.dumps(layout).encode("utf-8")).hexdigest()
 
 
 def save_checkpoint(path, model: ModelState) -> None:
-    """Per parameter name, in store order: param/, ema/, opt/m/, opt/v/ entries."""
+    """Write the `_stores` whole, each from its `.flat`, so the file is the
+    only copy made; the header holds both configs, the step and the
+    `layout_sha256` that names the spans of the four vectors."""
     _check_views(model.params(), model.opt.weights)
-    entries = {f"{slot}/{name}": views[name]
-               for name in model.opt.weights for slot, views in _slots(model).items()}
-    meta = {
+    write_container_file(path, _stores(model), {
         "encoder_config": model.encoder_config.to_dict(),
         "train_config": model.train_config.to_dict(),
-        "step": model.step,
-    }
-    write_container_file(path, entries, meta)
+        "step": model.step, "layout_sha256": _layout_sha256(model.opt.weights)})
 
 
 def load_checkpoint(path) -> ModelState:
@@ -798,28 +802,23 @@ def load_checkpoint(path) -> ModelState:
     try:
         encoder_config = EncoderConfig.from_dict(meta["encoder_config"])
         train_config = TrainConfig(**meta["train_config"])
-        step = meta["step"]
+        step, layout = meta["step"], meta["layout_sha256"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint {path}: missing or malformed metadata {exc}") from exc
     if isinstance(step, bool) or not isinstance(step, numbers.Integral) or step < 0:
         raise ConfigError(f"checkpoint {path}: step must be a non-negative integer, "
                           f"got {step!r}")
     model = init_model(encoder_config, train_config)
-    slots = _slots(model)
-    extra = sorted(entries.keys() - {f"{slot}/{name}" for name in model.opt.weights
-                                     for slot in slots})
-    if extra:
-        shown = ", ".join(extra[:4]) + (", ..." if len(extra) > 4 else "")
-        raise ConfigError(f"checkpoint {path} holds {len(extra)} tensors the model "
-                          f"does not expect: {shown}")
-    for name in model.opt.weights:
-        for slot, views in slots.items():
-            stored = entries.get(f"{slot}/{name}")
-            if stored is None or stored.shape != views[name].shape:
-                found = "missing" if stored is None else f"of shape {stored.shape}"
-                raise ConfigError(f"checkpoint tensor {slot}/{name} is {found}, "
-                                  f"the model expects {views[name].shape}")
-            views[name][...] = stored
+    if layout != _layout_sha256(model.opt.weights):
+        raise ConfigError(f"checkpoint {path}: layout_sha256 {layout!r} is not the "
+                          f"layout of its encoder_config's parameters")
+    stores = _stores(model)
+    found = {name: f"{dtype_name(a)} {list(a.shape)}" for name, a in entries.items()}
+    wanted = {name: f"f64 {list(flat.shape)}" for name, flat in stores.items()}
+    if found != wanted:
+        raise ConfigError(f"checkpoint {path} holds {found}, not {wanted}")
+    for name, flat in stores.items():
+        flat[...] = entries[name]
     # Every step runs one AdamW update and one EMA update.
     model.step = model.opt.step = model.ema.updates = step
     return model

@@ -3,8 +3,12 @@ tools/bench_pairs.py, on synthetic runs."""
 
 import importlib.util
 import json
+import os
+import platform
+import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -95,6 +99,35 @@ def test_out_writes_each_metric_summary_beside_the_runs(tmp_path, monkeypatch, c
     assert row["wins"] == 0 and row["pairs"] == 4
     assert row["gain"].startswith("no gain: 0/4 wins")
     assert row["regression"].startswith("within bound: median worse by 2, bound 2.5,")
+
+
+def test_out_records_the_commits_and_the_environment(tmp_path, monkeypatch):
+    """The parent is a git checkout and the change is not: its commit reads
+    "unknown". The environment is the one the runs inherit."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        root.mkdir()
+        (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]}))
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    git = ["git", "-C", str(parent), "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "parent"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                          text=True).stdout.strip()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: fake_run(10.0))
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1-2",
+                             "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(head) == 40 and doc["commits"] == {"parent": head, "change": "unknown"}
+    env = doc["environment"]
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    assert env["threads"] == {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None,
+                              "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS")}
+    assert env["cpu_count"] == os.cpu_count()
 
 
 def test_out_keeps_the_pairs_run_before_a_failing_run(tmp_path, monkeypatch, capsys):

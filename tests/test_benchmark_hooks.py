@@ -5,6 +5,7 @@ tracing table by path without changing anything."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,20 @@ from occpoint.cameras import camera_ring
 from occpoint.encoder import toy_config
 from occpoint.meshio import normalize_mesh
 from occpoint.synthetic import make_class_mesh
-from occpoint.training import TrainConfig, build_cache, init_model, make_batches, train_step
+from occpoint.training import (
+    TrainConfig,
+    build_cache,
+    init_model,
+    load_checkpoint,
+    make_batches,
+    save_checkpoint,
+    train_step,
+)
 
 from composed import mul, tensor_sum
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -91,3 +101,27 @@ def test_toy_train_step_graph_has_at_most_112_nodes():
         train_step(tokens[rows], model, 0, 1, 1)
     assert tracer.calls["autodiff.backward"] == 1
     assert tracer.counters["autodiff.graph_nodes"] <= 112
+
+
+def test_round_trip_check_compares_every_store_by_parameter_name(tmp_path, monkeypatch):
+    """perfbench's `pretrain.checkpoint_round_trip` reads the parameters, the
+    EMA shadow and both AdamW moments of a model and its reloaded checkpoint
+    name by name, with `workloads.same_model`: it holds after a save and load,
+    and fails once one element of the second moment differs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports its siblings
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    model = init_model(toy_config(embed_dim=16), TrainConfig(batch_size=3, epochs=1,
+                                                             warmup_epochs=0))
+    rng = np.random.default_rng(3)
+    for store in (model.ema.shadow, model.opt.m, model.opt.v):
+        store.flat[...] = rng.random(store.flat.size)
+    model.step = model.opt.step = model.ema.updates = 3
+    save_checkpoint(tmp_path / "m.occt", model)
+    reloaded = load_checkpoint(tmp_path / "m.occt")
+    assert workloads.same_model(model, reloaded)
+    reloaded.opt.v.flat[7] += 1.0
+    assert not workloads.same_model(model, reloaded)

@@ -536,8 +536,26 @@ def small_checkpoint(small_dataset, tmp_path_factory):
     return ckpt
 
 
-def first_param(entries):
-    return next(k for k in entries if k.startswith("param/"))[len("param/"):]
+def store_views(entries, meta):
+    """A checkpoint's four stores, each as named views of its entry's vector."""
+    from occpoint.encoder import EncoderConfig
+    from occpoint.training import FlatViews, TrainConfig, init_model
+
+    shapes = init_model(EncoderConfig.from_dict(meta["encoder_config"]),
+                        TrainConfig(**meta["train_config"])).opt.weights
+    return {store: FlatViews(entries[store], ((k, v.shape) for k, v in shapes.items()))
+            for store in ("param", "ema", "opt/m", "opt/v")}
+
+
+def per_name_layout(entries, meta):
+    """Rewrite a checkpoint into the layout it had before it held the four
+    stores whole: one `<store>/<parameter name>` entry per parameter and
+    store, in store order, and a header without `layout_sha256`."""
+    stores = store_views(entries, meta)
+    entries.clear()
+    entries.update((f"{store}/{name}", views[name])
+                   for name in stores["param"] for store, views in stores.items())
+    meta.pop("layout_sha256")
 
 
 @pytest.mark.parametrize("edit", [
@@ -546,10 +564,13 @@ def first_param(entries):
     pytest.param(lambda e, m: m["encoder_config"].pop("curve_a"), id="no-curve"),
     pytest.param(lambda e, m: m["train_config"].__setitem__("surprise", 1), id="unknown-key"),
     pytest.param(lambda e, m: m.__setitem__("train_config", [1, 2]), id="list-config"),
-    pytest.param(lambda e, m: e.pop(f"ema/{first_param(e)}"), id="no-ema-tensor"),
-    pytest.param(lambda e, m: e.pop(f"param/{first_param(e)}"), id="no-param-tensor"),
-    pytest.param(lambda e, m: e.__setitem__(f"opt/v/{first_param(e)}", np.zeros(3)),
-                 id="wrong-shape-moment"),
+    pytest.param(lambda e, m: e.pop("ema"), id="no-ema-tensor"),
+    pytest.param(lambda e, m: e.pop("param"), id="no-param-tensor"),
+    pytest.param(lambda e, m: e.__setitem__("opt/v", e["opt/v"][:-1]), id="wrong-shape-moment"),
+    pytest.param(lambda e, m: e.__setitem__("extra", np.zeros(3)), id="fifth-tensor"),
+    pytest.param(lambda e, m: m.__setitem__("layout_sha256", "0" * 64), id="edited-layout"),
+    pytest.param(lambda e, m: e.__setitem__("ema", e["ema"].astype(np.float32)), id="f32-ema"),
+    pytest.param(per_name_layout, id="per-name-layout"),
     # The checksum covers the tensors, not the header: edits to it must be refused.
     pytest.param(lambda e, m: m["encoder_config"].__setitem__("c_dim", 16.5), id="float-c-dim"),
     pytest.param(lambda e, m: m["encoder_config"].__setitem__("expand", 1.5), id="float-expand"),
@@ -600,9 +621,10 @@ def test_eval_of_a_zeroed_head_is_refused(small_dataset, small_checkpoint, tmp_p
     """A zeroed encoder head embeds every cloud as the zero vector, which has
     no direction: eval exits 1 rather than ranking classes by NaN."""
     def zero_head(entries, meta):
+        stores = store_views(entries, meta)
         for name in ("head_w", "head_b"):
             for store in ("param", "ema"):
-                entries[f"{store}/encoder.{name}"][...] = 0.0
+                stores[store][f"encoder.{name}"][...] = 0.0
 
     broken = rewrite(small_checkpoint, tmp_path / "zero-head.occt", zero_head)
     capsys.readouterr()
@@ -748,17 +770,22 @@ def test_refused_pretrain_writes_nothing_not_even_a_cache(data_copy, tmp_path, c
                  id="eval-manifest-is-gens"),
     pytest.param(["eval", "--data", "DATA", "--checkpoint", "CKPT", "--out", "CKPT"],
                  id="eval-out-is-the-checkpoint"),
+    pytest.param(["eval", "--data", "DATA", "--checkpoint", "CKPT", "--out", "RUN/m.json"],
+                 id="eval-manifest-is-the-checkpoints"),
+    pytest.param(["pretrain", "--data", "DATA", "--resume", "CKPT", "--out", "RUN/m.ckpt"],
+                 id="pretrain-manifest-is-the-resumed-checkpoints"),
 ])
 def test_an_output_may_not_replace_an_input(data_copy, small_dataset, small_checkpoint,
                                            tmp_path, capsys, argv):
     """Every output is refused, before anything is written, when it or its
-    manifest (`<out>.manifest.json`) is an input or gen's dataset manifest."""
-    manifest = data_copy.with_suffix(".manifest.json")
-    manifest.write_bytes(small_dataset.with_suffix(".manifest.json").read_bytes())
-    ckpt = tmp_path / "m.occt"
-    ckpt.write_bytes(small_checkpoint.read_bytes())
-    names = {"DATA": str(data_copy), "CKPT": str(ckpt)}
-    argv = [names.get(a, a.replace("DIR", str(data_copy.parent))) for a in argv]
+    manifest (`<out>.manifest.json`) is an input or the manifest beside one."""
+    for src, dst in ((small_dataset, data_copy), (small_checkpoint, tmp_path / "m.occt")):
+        dst.write_bytes(src.read_bytes())
+        manifest = src.with_suffix(".manifest.json")
+        dst.with_suffix(".manifest.json").write_bytes(manifest.read_bytes())
+    names = {"DATA": str(data_copy), "CKPT": str(tmp_path / "m.occt")}
+    argv = [names.get(a, a.replace("DIR", str(data_copy.parent)).replace("RUN", str(tmp_path)))
+            for a in argv]
     if argv[0] == "pretrain":
         argv += [*TOY_SMALL, "--epochs", "0", "--warmup-epochs", "0"]
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
@@ -769,11 +796,14 @@ def test_an_output_may_not_replace_an_input(data_copy, small_dataset, small_chec
 
 def test_inspect_prints_version_metadata_and_tensors(data_copy, small_checkpoint, capsys):
     from occpoint.container import VERSION
+    from occpoint.training import load_checkpoint
 
     eval_stdout(data_copy, small_checkpoint, capsys)
     (sidecar,) = sidecars(data_copy)
+    p = load_checkpoint(small_checkpoint).opt.weights.flat.size
     for path, meta_key, tensor in ((data_copy, '"class_names"', "rec00000/points  f32"),
-                                   (small_checkpoint, '"train_config"', "param/"),
+                                   (small_checkpoint, '"train_config"',
+                                    f"\n  param  f64  [{p}]  {8 * p} bytes\n"),
                                    (sidecar, '"dataset_sha256"', "orders  u64")):
         assert main(["inspect", str(path)]) == 0
         out = capsys.readouterr().out

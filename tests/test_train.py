@@ -323,9 +323,13 @@ def test_checkpoint_header_holds_the_configs_and_one_step_count(tmp_path):
     model, metrics = run_pretraining(dataset, cfg, tc)
     path = tmp_path / "m.occt"
     save_checkpoint(path, model)
-    _, meta = read_container_file(path)
-    assert sorted(meta) == ["encoder_config", "step", "train_config"]
+    entries, meta = read_container_file(path)
+    assert sorted(meta) == ["encoder_config", "layout_sha256", "step", "train_config"]
     assert meta["step"] == len(metrics) > 0 and meta["train_config"] == tc.to_dict()
+    assert len(meta["layout_sha256"]) == 64
+    p = model.opt.weights.flat.size
+    assert list(entries) == ["param", "ema", "opt/m", "opt/v"]
+    assert all(e.dtype == np.float64 and e.shape == (p,) for e in entries.values())
     loaded = load_checkpoint(path)
     assert loaded.step == loaded.opt.step == loaded.ema.updates == meta["step"]
 

@@ -24,7 +24,9 @@ parent's interquartile range is wider than the bound, unless every change
 run beats every parent run, and "within bound" otherwise. Runs that are not
 `correct`, or that fail operations, are reported too, with each side's share
 of failed operations over all its runs. `--out` writes the raw runs and,
-per metric, the medians, quartiles, wins and both verdicts. When a run
+per metric, the medians, quartiles, wins and both verdicts, beside where
+they came from: each checkout's commit, and the python, numpy, BLAS thread
+settings and CPU count the runs saw. When a run
 exits non-zero or its last stdout line is not a result, `--out` still gets
 the pairs run so far, with the failing command, its stderr tail and that
 line under "failure", and the tool exits 1.
@@ -34,12 +36,17 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -70,6 +77,28 @@ def first_difference(parent: Path, change: Path) -> str | None:
     old, new = benchmark_files(parent), benchmark_files(change)
     return next((name for name in sorted(old.keys() | new.keys())
                  if old.get(name) != new.get(name)), None)
+
+
+def commit(checkout: Path) -> str:
+    """`git rev-parse HEAD` in a checkout, or "unknown" when it fails."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                              capture_output=True, text=True)
+    except OSError:
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def environment() -> dict:
+    """What the runs of both checkouts share: the interpreter they run under,
+    its numpy, the BLAS thread settings they inherit and the CPU count."""
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = "unknown"
+    return {"python": platform.python_version(), "numpy": numpy,
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+            "cpu_count": os.cpu_count()}
 
 
 class RunFailed(Exception):
@@ -218,7 +247,8 @@ def main(argv=None) -> int:
                          f"{args.change}; both must run the same benchmark code")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    results = {}
+    results = {"commits": {"parent": commit(args.parent), "change": commit(args.change)},
+               "environment": environment()}
     try:
         for workload in args.workload:
             pairs = []
