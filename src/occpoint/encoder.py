@@ -187,12 +187,17 @@ def init_block(config: EncoderConfig, rng: np.random.Generator) -> BlockParams:
     )
 
 
-def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
+def init_encoder(config: EncoderConfig, rng: np.random.Generator,
+                 place=lambda name, piece: piece) -> EncoderParams:
+    """Draw the encoder one piece at a time, in `named_parameters` order: the
+    mini-PointNet, each block, `head_w`, `head_b`. Each piece is handed to
+    `place(name, piece)` as soon as it is drawn, and the encoder holds what
+    `place` returns."""
     return EncoderParams(
-        pointnet=init_mini_pointnet(config.c_dim, rng),
-        blocks=[init_block(config, rng) for _ in range(config.l_blocks)],
-        head_w=ad.parameter((config.c_dim, config.embed_dim), rng),
-        head_b=Tensor(np.zeros(config.embed_dim), requires_grad=True),
+        pointnet=place("pointnet", init_mini_pointnet(config.c_dim, rng)),
+        blocks=[place(f"blocks.{i}", init_block(config, rng)) for i in range(config.l_blocks)],
+        head_w=place("head_w", ad.parameter((config.c_dim, config.embed_dim), rng)),
+        head_b=place("head_b", Tensor(np.zeros(config.embed_dim), requires_grad=True)),
     )
 
 

@@ -7,14 +7,17 @@ given (config, seed): all randomness flows from per-(purpose, step) child
 generators of the run seed, so resuming from a checkpoint continues the exact
 trajectory.
 
-`init_model` lays the tree out once, in `named_parameters` order, in one
-float64 vector, the parameter store: each tensor's `.data` is a view of its
-span, and the AdamW moments and the EMA shadow are vectors of the same layout
-(`FlatViews`, indexable by name). AdamW and the EMA are whole-vector ops,
-`use_ema_weights` swaps the one vector, and a checkpoint holds the four
-vectors whole. Parameter values are therefore written in place: a tensor whose
-`.data` is rebound is cut off from the store, and the optimizer, the EMA and
-`save_checkpoint` refuse it with a `ConfigError`.
+The parameters live in one float64 vector, the parameter store, in
+`named_parameters` order: each tensor's `.data` is a view of its span, and
+the AdamW moments and the EMA shadow are vectors of the same layout
+(`FlatViews`, indexable by name). `init_model` allocates the store once and
+fills it as the model is drawn, each block copied into its span as soon as it
+is drawn; `load_checkpoint` lays the model and its four vectors over the
+buffer it reads the file into, with no copy. AdamW and the EMA are
+whole-vector ops, `use_ema_weights` swaps the one vector, and a checkpoint
+holds the four vectors whole. Parameter values are therefore written in
+place: a tensor whose `.data` is rebound is cut off from the store, and the
+optimizer, the EMA and `save_checkpoint` refuse it with a `ConfigError`.
 
 Training and evaluation read one table, `Tokens`: every cloud's patches
 and its two curve orders, with its label, object id and features, stacked
@@ -38,7 +41,7 @@ import math
 import numbers
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -61,6 +64,7 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     check_number_fields,
+    count_params,
     encoder_forward,
     init_encoder,
     named_parameters,
@@ -138,29 +142,27 @@ def lr_at(step: int, total_steps: int, config: TrainConfig,
 
 class FlatViews(dict):
     """Name -> reshaped view of its span of one float64 vector, `flat`, with
-    the spans laid out in the order of `shapes`."""
+    the spans laid out in the order they are added, from `shapes` on."""
 
-    def __init__(self, flat: np.ndarray, shapes):
+    def __init__(self, flat: np.ndarray, shapes=()):
         super().__init__()
-        self.flat = flat
-        start = 0
+        self.flat, self.end = flat, 0
         for name, shape in shapes:
-            self[name] = flat[start : start + math.prod(shape)].reshape(shape)
-            start += math.prod(shape)
+            self.add(name, shape)
+
+    def add(self, name: str, shape) -> np.ndarray:
+        """The view of the next span, of `shape`, under `name`."""
+        size = math.prod(shape)
+        self[name] = self.flat[self.end : self.end + size].reshape(shape)
+        self.end += size
+        return self[name]
+
+    def like(self, flat: np.ndarray) -> "FlatViews":
+        """These spans, over another vector."""
+        return FlatViews(flat, ((k, a.shape) for k, a in self.items()))
 
     def zeros_like(self) -> "FlatViews":
-        return FlatViews(np.zeros(self.flat.size), ((k, a.shape) for k, a in self.items()))
-
-
-def lay_out(params: dict[str, Tensor]) -> FlatViews:
-    """The parameter store: the parameters copied, in order, into one new
-    float64 vector, with each tensor's `.data` rebound to its view of it."""
-    weights = FlatViews(np.empty(sum(t.data.size for t in params.values())),
-                        ((k, t.data.shape) for k, t in params.items()))
-    for name, t in params.items():
-        weights[name][...] = t.data
-        t.data = weights[name]
-    return weights
+        return self.like(np.zeros(self.flat.size))
 
 
 def _check_views(params: dict[str, Tensor], weights: FlatViews) -> None:
@@ -174,15 +176,17 @@ def _check_views(params: dict[str, Tensor], weights: FlatViews) -> None:
 
 @dataclass
 class AdamWState:
-    """AdamW moments laid out as the parameter store `weights` they update."""
+    """AdamW moments laid out as the parameter store `weights` they update;
+    zero unless given."""
 
     weights: FlatViews
-    m: FlatViews = field(init=False)
-    v: FlatViews = field(init=False)
+    m: FlatViews = None
+    v: FlatViews = None
     step: int = 0
 
     def __post_init__(self):
-        self.m, self.v = self.weights.zeros_like(), self.weights.zeros_like()
+        self.m = self.weights.zeros_like() if self.m is None else self.m
+        self.v = self.weights.zeros_like() if self.v is None else self.v
 
     @cached_property
     def scratch(self) -> tuple[FlatViews, np.ndarray]:
@@ -219,7 +223,7 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float) -> None:
 
 @dataclass
 class EmaState:
-    """Zero-initialized shadow of the parameter store `weights`, with the
+    """Shadow of the parameter store `weights`, zero unless given, with the
     update shadow <- d*shadow + (1-d)*param.
 
     `use_ema_weights` debiases it by 1/(1 - d^t) so the average is
@@ -230,11 +234,11 @@ class EmaState:
 
     weights: FlatViews
     decay: float
-    shadow: FlatViews = field(init=False)
+    shadow: FlatViews = None
     updates: int = 0
 
     def __post_init__(self):
-        self.shadow = self.weights.zeros_like()
+        self.shadow = self.weights.zeros_like() if self.shadow is None else self.shadow
 
     @cached_property
     def scratch(self) -> np.ndarray:
@@ -280,15 +284,43 @@ class ModelState:
         return dict(named_parameters(tree))
 
 
-def init_model(encoder_config: EncoderConfig, train_config: TrainConfig) -> ModelState:
+def store_size(config: EncoderConfig) -> int:
+    """P, the length of the parameter store: the encoder's parameters and the
+    alignment heads' (two D -> D heads, one 2D -> D head and the temperature)."""
+    d = config.embed_dim
+    return count_params(config) + 2 * (d * d + d) + (2 * d * d + d) + 1
+
+
+def _build(encoder_config: EncoderConfig, train_config: TrainConfig, flat: np.ndarray,
+           fill: bool) -> tuple[ModelState, FlatViews]:
+    """The model drawn from its seed, one piece at a time, with each piece's
+    parameters laid over the next spans of the (P,) vector `flat` as soon as
+    it is drawn, so that the pieces are never all held at once. With `fill`
+    the drawn values are copied in; without it `flat` keeps its own. Returns
+    the model, without optimizer and EMA, and the parameter store."""
     rng = np.random.Generator(np.random.PCG64([train_config.seed, 0x10D3]))
-    encoder = init_encoder(encoder_config, rng)
-    heads = init_alignment_heads(encoder_config.embed_dim, rng)
-    state = ModelState(encoder_config, train_config, encoder, heads)
-    weights = lay_out(state.params())
-    state.opt = AdamWState(weights)
-    state.ema = EmaState(weights, EMA_DECAY)
-    return state
+    weights = FlatViews(flat)
+
+    def place(name, piece):
+        for key, t in named_parameters(piece, name):
+            view = weights.add(key, t.data.shape)
+            if fill:
+                view[...] = t.data
+            t.data = view
+        return piece
+
+    encoder = init_encoder(encoder_config, rng,
+                           lambda name, piece: place(f"encoder.{name}", piece))
+    heads = place("heads", init_alignment_heads(encoder_config.embed_dim, rng))
+    return ModelState(encoder_config, train_config, encoder, heads), weights
+
+
+def init_model(encoder_config: EncoderConfig, train_config: TrainConfig) -> ModelState:
+    model, weights = _build(encoder_config, train_config,
+                            np.empty(store_size(encoder_config)), fill=True)
+    model.opt = AdamWState(weights)
+    model.ema = EmaState(weights, EMA_DECAY)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -808,17 +840,21 @@ def load_checkpoint(path) -> ModelState:
     if isinstance(step, bool) or not isinstance(step, numbers.Integral) or step < 0:
         raise ConfigError(f"checkpoint {path}: step must be a non-negative integer, "
                           f"got {step!r}")
-    model = init_model(encoder_config, train_config)
-    if layout != _layout_sha256(model.opt.weights):
+    # Checked before anything is built: a header is not covered by the
+    # checksum, and its config may ask for any size of model.
+    p = store_size(encoder_config)
+    found = {name: f"{dtype_name(a)} {list(a.shape)}" for name, a in entries.items()}
+    wanted = {name: f"f64 [{p}]" for name in ("param", "ema", "opt/m", "opt/v")}
+    if found != wanted:
+        raise ConfigError(f"checkpoint {path}: its encoder_config has {p} parameters, "
+                          f"so its entries must be {wanted}, not {found}")
+    model, weights = _build(encoder_config, train_config, entries["param"], fill=False)
+    if layout != _layout_sha256(weights):
         raise ConfigError(f"checkpoint {path}: layout_sha256 {layout!r} is not the "
                           f"layout of its encoder_config's parameters")
-    stores = _stores(model)
-    found = {name: f"{dtype_name(a)} {list(a.shape)}" for name, a in entries.items()}
-    wanted = {name: f"f64 {list(flat.shape)}" for name, flat in stores.items()}
-    if found != wanted:
-        raise ConfigError(f"checkpoint {path} holds {found}, not {wanted}")
-    for name, flat in stores.items():
-        flat[...] = entries[name]
     # Every step runs one AdamW update and one EMA update.
-    model.step = model.opt.step = model.ema.updates = step
+    model.opt = AdamWState(weights, weights.like(entries["opt/m"]),
+                           weights.like(entries["opt/v"]), step)
+    model.ema = EmaState(weights, EMA_DECAY, weights.like(entries["ema"]), step)
+    model.step = step
     return model

@@ -1,8 +1,9 @@
 """Test-only oracles and helpers: the literal scan recurrence, the
-discretization formulas, a parameter count by enumeration, the per-tensor
-AdamW and EMA updates, one-cloud adapters of the batched geometry, and a
-container writer that builds the file from per-tensor blobs, each written
-independently of the batched, flat or one-copy code it checks.
+discretization formulas, a parameter count by enumeration, the model drawn
+whole and then copied into its parameter store, the per-tensor AdamW and EMA
+updates, one-cloud adapters of the batched geometry, and a container writer
+that builds the file from per-tensor blobs, each written independently of the
+batched, flat or one-copy code it checks.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import numpy as np
 
 from occpoint.autodiff import Tensor
 from occpoint.container import _DTYPES, MAGIC, VERSION, _pad_to, dtype_name
+from occpoint.contrastive import init_alignment_heads
 from occpoint.curves import sort_by_curve
-from occpoint.encoder import named_parameters
+from occpoint.encoder import init_encoder, named_parameters
 from occpoint.errors import InvalidInput, NumericalError
 from occpoint import training
 from occpoint.ssm import S6Params, selective_scan
@@ -163,6 +165,27 @@ def tokenize(points: np.ndarray, colors: np.ndarray | None, s_tokens: int,
     colors = np.asarray(cloud_colors(points[0], colors))[None]
     patches = knn_group(points, colors, farthest_point_sampling(points, s_tokens), k_neighbors)
     return mini_pointnet_embed(Tensor(patch_features(patches)), params), patches.centers
+
+
+def lay_out(params: dict[str, Tensor]) -> training.FlatViews:
+    """A parameter store made after the fact: the parameters copied, in
+    order, into one new float64 vector, with each tensor's `.data` rebound to
+    its view of it."""
+    weights = training.FlatViews(np.empty(sum(t.data.size for t in params.values())),
+                                 ((k, t.data.shape) for k, t in params.items()))
+    for name, t in params.items():
+        weights[name][...] = t.data
+        t.data = weights[name]
+    return weights
+
+
+def init_store_reference(encoder_config, train_config) -> training.FlatViews:
+    """The parameter store of `training.init_model` made the long way: every
+    tensor of the model drawn first, then the whole tree copied by `lay_out`."""
+    rng = np.random.Generator(np.random.PCG64([train_config.seed, 0x10D3]))
+    tree = {"encoder": init_encoder(encoder_config, rng),
+            "heads": init_alignment_heads(encoder_config.embed_dim, rng)}
+    return lay_out(dict(named_parameters(tree)))
 
 
 def adamw_step_reference(params: dict[str, Tensor], m: dict[str, np.ndarray],

@@ -604,6 +604,39 @@ def test_load_checkpoint_incomplete_is_config_error(small_checkpoint, small_data
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("c_dim", 100000), ("l_blocks", 400)])
+def test_a_header_that_asks_for_another_model_is_refused_before_it_is_built(
+        small_checkpoint, small_dataset, tmp_path, capsys, field, value):
+    """The checksum does not cover the header, so an edited config may ask
+    for any size of model: a 74.5 GiB one, or a 342 MB one. The entries'
+    length is checked against the config's parameter count first, and the
+    refusal names both counts without drawing any of that model."""
+    import tracemalloc
+
+    from occpoint.container import read_container_file
+    from occpoint.encoder import EncoderConfig
+    from occpoint.errors import ConfigError
+    from occpoint.training import load_checkpoint, store_size
+
+    broken = rewrite(small_checkpoint, tmp_path / "edited.occt",
+                     lambda e, m: m["encoder_config"].__setitem__(field, value))
+    entries, meta = read_container_file(broken)
+    stored, wanted = entries["param"].size, store_size(EncoderConfig.from_dict(meta["encoder_config"]))
+    del entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=rf"has {wanted} parameters.*f64 \[{wanted}\].*f64 \[{stored}\]"):
+            load_checkpoint(broken)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20 < 8 * wanted
+    capsys.readouterr()
+    assert main(["eval", "--data", str(small_dataset), "--checkpoint", str(broken)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"has {wanted} parameters" in captured.err
+
+
 def test_checkpoint_with_a_recipe_field_in_its_header_is_refused(small_checkpoint,
                                                                  small_dataset, tmp_path,
                                                                  capsys):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -24,7 +25,6 @@ from occpoint.training import (
     build_cache,
     curve_orders,
     init_model,
-    lay_out,
     load_or_build_cache,
     linear_probe,
     load_checkpoint,
@@ -41,7 +41,12 @@ from occpoint.training import (
 )
 
 from gradcheck import grad_check
-from reference import adamw_step_reference, ema_update_reference
+from reference import (
+    adamw_step_reference,
+    ema_update_reference,
+    init_store_reference,
+    lay_out,
+)
 
 
 def tiny_dataset(n_classes=3, feature_dim=16, seed=5):
@@ -205,6 +210,22 @@ def test_flat_store_matches_the_per_tensor_oracle_bitwise():
         assert np.array_equal(params[k].data, ref[k].data)
 
 
+@pytest.mark.parametrize("config", [
+    toy_config(), desk_config(), toy_config(conv_mode="none"), toy_config(conv_mode="causal"),
+    toy_config(expand=1), toy_config(l_blocks=0),
+], ids=["toy", "desk", "conv-none", "conv-causal", "expand-1", "no-blocks"])
+def test_init_store_is_the_draw_then_copy_stores_bitwise(config):
+    """init_model fills the store one piece at a time as it draws; the store
+    and its [[name, shape], ...] layout are those of drawing the whole model
+    first and then copying it in."""
+    tc = TrainConfig(seed=7)
+    weights = init_model(config, tc).opt.weights
+    ref = init_store_reference(config, tc)
+    assert weights.flat.shape == (training.store_size(config),)
+    assert weights.flat.tobytes() == ref.flat.tobytes()
+    assert [[k, v.shape] for k, v in weights.items()] == [[k, v.shape] for k, v in ref.items()]
+
+
 def test_rebound_parameter_is_refused_by_the_store():
     cfg, tc = tiny_setup()
     model = init_model(cfg, tc)
@@ -332,6 +353,54 @@ def test_checkpoint_header_holds_the_configs_and_one_step_count(tmp_path):
     assert all(e.dtype == np.float64 and e.shape == (p,) for e in entries.values())
     loaded = load_checkpoint(path)
     assert loaded.step == loaded.opt.step == loaded.ema.updates == meta["step"]
+
+
+def buffer_of(array: np.ndarray):
+    """The object at the root of an array's chain of views."""
+    while True:
+        if isinstance(array, np.ndarray) and array.base is not None:
+            array = array.base
+        elif isinstance(array, memoryview):
+            array = array.obj
+        else:
+            return array
+
+
+def test_load_lays_the_model_over_the_files_buffer(tmp_path):
+    """A load builds the model over the buffer it reads the file into: its
+    traced peak is the file plus one block's draw, its four stores are
+    writable views of that buffer, and a second load shares nothing with it."""
+    model = init_model(desk_config(l_blocks=4), TrainConfig(seed=2))
+    rng = np.random.default_rng(4)
+    for store in (model.ema.shadow, model.opt.m, model.opt.v):
+        store.flat[...] = rng.random(store.flat.size)
+    model.step = model.opt.step = model.ema.updates = 5
+    path = tmp_path / "m.occt"
+    save_checkpoint(path, model)
+    del model
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * path.stat().st_size
+    stores = [loaded.opt.weights, loaded.ema.shadow, loaded.opt.m, loaded.opt.v]
+    buffer = buffer_of(stores[0].flat)
+    assert isinstance(buffer, bytearray)
+    for store in stores:
+        assert store.flat.flags.writeable and buffer_of(store.flat) is buffer
+    for a, b in itertools.combinations(stores, 2):
+        assert not np.shares_memory(a.flat, b.flat)
+    for k, t in loaded.params().items():
+        assert t.data is loaded.opt.weights[k] and buffer_of(t.data) is buffer
+    again = load_checkpoint(path)
+    assert buffer_of(again.opt.weights.flat) is not buffer
+    for a, b in itertools.product(stores, [again.opt.weights, again.ema.shadow,
+                                           again.opt.m, again.opt.v]):
+        assert not np.shares_memory(a.flat, b.flat)
+    again.opt.v.flat[0] += 1.0
+    assert again.opt.v.flat[0] != loaded.opt.v.flat[0]
 
 
 @pytest.mark.parametrize("extra", [0, 2], ids=["on-epoch-boundary", "mid-epoch"])
