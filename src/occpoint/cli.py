@@ -1,10 +1,10 @@
 """Command-line entry points: gen, pretrain, eval, bench, synth, inspect.
 
-Every command writes a run manifest (resolved config, seed, command line,
-git description, timestamps) next to its primary output, and every command
-taking --seed is bit-for-bit reproducible. Exit codes: 0 success, 1 user
-or environment error (a bad input or command line, or a path that cannot be
-read or written), 2 internal failure.
+gen, pretrain, and eval and bench given --out, write a run manifest (resolved
+config, seed, command line, git description, timestamps) beside their output,
+as `<out name>.manifest.json`. Every command taking --seed is bit-for-bit
+reproducible. Exit codes: 0 success, 1 user or environment error (a bad input
+or command line, or a path that cannot be read or written), 2 internal failure.
 """
 
 from __future__ import annotations
@@ -114,14 +114,30 @@ def _encoder_config(args) -> EncoderConfig:
     return EncoderConfig.from_dict(doc)
 
 
-def _refuse_overwrite(outputs: list[Path], *inputs: str | None) -> None:
-    """Refuse, before anything is written, an output path that is an input
-    file or the manifest written beside one."""
-    kept = {Path(p).resolve(): p for i in inputs if i is not None
-            for p in (i, Path(i).with_suffix(".manifest.json"))}
-    for out in outputs:
-        if out.resolve() in kept:
-            raise ConfigError(f"output {out} would overwrite {kept[out.resolve()]}")
+def _file_ids(files) -> dict:
+    """The existing ones of `files` by (device, inode), which all names of a file share."""
+    return {(st.st_dev, st.st_ino): f for f in files if os.path.exists(f)
+            for st in [os.stat(f)]}
+
+
+def _outputs(args, input_files, *suffixes: str) -> list:
+    """A command's files, declared before any work starts: the output `args.out`,
+    a function writing its run manifest `<out name>.manifest.json`, and
+    `<out name><suffix>` per suffix. An output that is an input file or the
+    manifest beside one is refused; then the output's directory is made."""
+    started, out = _now(), Path(args.out)
+    paths = [out] + [Path(f"{out}{s}") for s in (".manifest.json", *suffixes)]
+    written = _file_ids(paths)  # only an output that exists already can be an input
+    kept = _file_ids(k for i in input_files if i and written for k in (i, f"{i}.manifest.json"))
+    for key, path in written.items():
+        if key in kept:
+            raise ConfigError(f"output {path} would overwrite {kept[key]}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+
+    def manifest(config: dict, finished: str | None = None, inputs: dict | None = None):
+        write_manifest(paths[1], config, args.seed, started, finished,
+                       command_line=args._argv, inputs=inputs)
+    return [out, manifest, *paths[2:]]
 
 
 def cmd_synth(args) -> int:
@@ -134,13 +150,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    started = _now()
     mesh_dir = Path(args.meshes)
     if not mesh_dir.is_dir():
-        print(f"error: mesh directory {mesh_dir} does not exist", file=sys.stderr)
-        return 1
+        raise ConfigError(f"mesh directory {mesh_dir} does not exist")
+    paths = sorted(mesh_dir.glob("*.obj"))
+    out, manifest = _outputs(args, paths)
     meshes = []
-    for path in sorted(mesh_dir.glob("*.obj")):
+    for path in paths:
         # Class label is the filename up to the last underscore-separated tag.
         class_name = path.stem.rsplit("_", 1)[0]
         try:
@@ -148,20 +164,15 @@ def cmd_gen(args) -> int:
         except OccPointError as exc:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
     if not meshes:
-        print("error: no readable meshes", file=sys.stderr)
-        return 1
+        raise ConfigError("no readable meshes")
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     dataset, visible = generate_triplets(
         meshes, feature_dim=args.embed_dim, resolution=args.resolution,
         n_points=args.points, seed=args.seed, with_summary=True,
     )
     save_dataset(out, dataset)
-    write_manifest(out.with_suffix(".manifest.json"),
-                   {"resolution": args.resolution, "points": args.points,
-                    "embed_dim": args.embed_dim, "meshes": len(meshes)},
-                   args.seed, started, _now(), command_line=args._argv)
+    manifest({"resolution": args.resolution, "points": args.points,
+              "embed_dim": args.embed_dim, "meshes": len(meshes)}, _now())
     print(f"objects: {len(meshes)}  views: {N_VIEWS}  points/cloud: {args.points}  "
           f"mean visible fraction: {visible:.3f}")
     print(f"wrote {out}")
@@ -169,11 +180,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    started = _now()
-    out = Path(args.out)
-    manifest_path = out.with_suffix(".manifest.json")
-    metrics_path = out.with_suffix(".metrics.jsonl")
-    _refuse_overwrite([out, manifest_path, metrics_path], args.data, args.resume)
+    out, manifest, metrics_path = _outputs(args, [args.data, args.resume], ".metrics.jsonl")
     dataset = load_dataset(args.data)
     encoder_config = _encoder_config(args)
     if encoder_config.embed_dim != dataset.feature_dim:
@@ -190,7 +197,6 @@ def cmd_pretrain(args) -> int:
     )
     if model is not None:
         check_resume(model, encoder_config, train_config)
-    out.parent.mkdir(parents=True, exist_ok=True)
     tokens, inputs = load_or_build_cache(args.data, dataset, encoder_config)
     tokens, _ = split_tokens(dataset, tokens, train_config.holdout_views)
     # Refuses an unusable split, or a resume past the run's end, before any file is written.
@@ -201,8 +207,7 @@ def cmd_pretrain(args) -> int:
         "full_scale_params": count_params(full_scale_config()),
         "preset_params": count_params(encoder_config),
     }
-    write_manifest(manifest_path, resolved, args.seed, started,
-                   command_line=args._argv, inputs=inputs)
+    manifest(resolved, inputs=inputs)
 
     t0 = time.time()
     with open(metrics_path, "w") as fh:
@@ -211,8 +216,7 @@ def cmd_pretrain(args) -> int:
             log=lambda row: fh.write(json.dumps(row) + "\n"), tokens=tokens,
         )
     save_checkpoint(out, model)
-    write_manifest(manifest_path, resolved, args.seed, started, _now(),
-                   command_line=args._argv, inputs=inputs)
+    manifest(resolved, _now(), inputs)
     if metrics:
         print(f"trained {len(metrics)} steps in {time.time() - t0:.1f}s; "
               f"final loss {metrics[-1]['loss']:.4f}")
@@ -224,10 +228,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    started = _now()
     if args.out:
-        out = Path(args.out)
-        _refuse_overwrite([out, out.with_suffix(".manifest.json")], args.data, args.checkpoint)
+        out, manifest = _outputs(args, [args.data, args.checkpoint])
     dataset = load_dataset(args.data)
     model = load_checkpoint(args.checkpoint)
     if model.encoder_config.embed_dim != dataset.feature_dim:
@@ -262,12 +264,9 @@ def cmd_eval(args) -> int:
     for key, value in report.items():
         print(f"{key}: {value:.4f}")
     if args.out:
-        write_atomic(args.out, json.dumps(report, indent=2) + "\n")
+        write_atomic(out, json.dumps(report, indent=2) + "\n")
         inputs["heldout_view_ids"] = sorted({r.view_id for r in heldout.records})
-        write_manifest(Path(args.out).with_suffix(".manifest.json"),
-                       {"checkpoint": str(args.checkpoint), "mode": args.mode},
-                       args.seed, started, _now(), command_line=args._argv,
-                       inputs=inputs)
+        manifest({"checkpoint": str(args.checkpoint), "mode": args.mode}, _now(), inputs)
     return 0
 
 
@@ -282,15 +281,14 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    started = _now()
     config = _encoder_config(args)
+    if args.out:
+        out, manifest = _outputs(args, [])
     rows = run_benchmark(config, sizes=args.sizes, runs=args.runs, seed=args.seed)
     print(format_table(rows))
     if args.out:
-        write_atomic(args.out, format_csv(rows))
-        write_manifest(Path(args.out).with_suffix(".manifest.json"),
-                       {"config": config.to_dict(), "sizes": args.sizes, "runs": args.runs},
-                       args.seed, started, _now(), command_line=args._argv)
+        write_atomic(out, format_csv(rows))
+        manifest({"config": config.to_dict(), "sizes": args.sizes, "runs": args.runs}, _now())
     return 0
 
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .container import write_atomic
 from .errors import DegenerateMesh, InvalidMesh
 
 
@@ -113,14 +113,14 @@ def load_obj(path) -> TriangleMesh:
 
 
 def save_obj(path, mesh: TriangleMesh) -> None:
-    """Write the same OBJ subset load_obj reads (vertex RGB inline when present)."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, v in enumerate(mesh.vertices):
-            if mesh.vertex_colors is not None:
-                c = mesh.vertex_colors[i]
-                fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g} {c[0]:.6g} {c[1]:.6g} {c[2]:.6g}\n")
-            else:
-                fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+    """Write the same OBJ subset load_obj reads (vertex RGB inline when present),
+    atomically: a failed write leaves no truncated mesh behind."""
+    lines = []
+    for i, v in enumerate(mesh.vertices):
+        if mesh.vertex_colors is not None:
+            c = mesh.vertex_colors[i]
+            lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g} {c[0]:.6g} {c[1]:.6g} {c[2]:.6g}\n")
+        else:
+            lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+    lines.extend(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in mesh.faces)
+    write_atomic(path, "".join(lines))

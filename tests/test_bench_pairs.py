@@ -67,14 +67,19 @@ def test_failed_share_sums_over_runs():
     assert bench_pairs.failed_share([fake_run(1.0, attempted=0)]) == "0/0 operations failed"
 
 
+def one_metric_checkouts(root):
+    parent, change = root / "parent", root / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]}))
+    return parent, change
+
+
 def test_out_writes_each_metric_summary_beside_the_runs(tmp_path, monkeypatch, capsys):
     """Four alternating pairs with stubbed runs: the change is 20 % slower and
     fails one operation in 50 per run."""
-    parent, change = tmp_path / "parent", tmp_path / "change"
-    for root in (parent, change):
-        root.mkdir()
-        (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-            {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]}))
+    parent, change = one_metric_checkouts(tmp_path)
     values = {parent: [10.0, 11.0, 9.0, 10.0], change: [12.0, 13.2, 10.8, 12.0]}
     calls = []
 
@@ -104,11 +109,7 @@ def test_out_writes_each_metric_summary_beside_the_runs(tmp_path, monkeypatch, c
 def test_out_records_the_commits_and_the_environment(tmp_path, monkeypatch):
     """The parent is a git checkout and the change is not: its commit reads
     "unknown". The environment is the one the runs inherit."""
-    parent, change = tmp_path / "parent", tmp_path / "change"
-    for root in (parent, change):
-        root.mkdir()
-        (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-            {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]}))
+    parent, change = one_metric_checkouts(tmp_path)
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
     git = ["git", "-C", str(parent), "-c", "user.name=t", "-c", "user.email=t@example.com"]
     subprocess.run(git + ["init", "-q"], check=True)
@@ -130,14 +131,32 @@ def test_out_records_the_commits_and_the_environment(tmp_path, monkeypatch):
     assert env["cpu_count"] == os.cpu_count()
 
 
+def test_out_in_a_new_directory_is_written(tmp_path, monkeypatch):
+    parent, change = one_metric_checkouts(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: fake_run(10.0))
+    out = tmp_path / "new" / "p.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1-2",
+                             "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["w"]["pairs"]) == 2
+    assert sorted(p.name for p in out.parent.iterdir()) == ["p.json"]
+
+
+def test_out_under_a_regular_file_fails_before_the_first_run(tmp_path, monkeypatch):
+    parent, change = one_metric_checkouts(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a workload"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(SystemExit, match=f"error: cannot create the directory of --out "
+                                         f"{blocker / 'p.json'}"):
+        bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1",
+                          "--out", str(blocker / "p.json")])
+    assert blocker.read_text() == ""
+
+
 def test_out_keeps_the_pairs_run_before_a_failing_run(tmp_path, monkeypatch, capsys):
     """The change's run of the third seed fails: the two finished pairs and
     the failing command with its stderr tail are written, and main exits 1."""
-    parent, change = tmp_path / "parent", tmp_path / "change"
-    for root in (parent, change):
-        root.mkdir()
-        (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-            {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]}))
+    parent, change = one_metric_checkouts(tmp_path)
 
     def run_once(checkout, workload, seed, seconds):
         if checkout == change and seed == 3:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ import pytest
 from occpoint.cli import main, write_manifest
 from occpoint.dataset import generate_triplets, load_dataset, save_dataset
 from occpoint.synthetic import make_class_mesh, toy_object_set
+
+
+def beside(path, suffix=".manifest.json"):
+    """A file the CLI names from an output's full name: `<out name><suffix>`."""
+    return path.with_name(path.name + suffix)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +66,7 @@ def test_gen_deterministic_bytes(small_mesh_dir, tmp_path):
 
 
 def test_gen_writes_manifest(small_dataset):
-    manifest = small_dataset.with_suffix(".manifest.json")
+    manifest = beside(small_dataset)
     doc = json.loads(manifest.read_text())
     assert doc["seed"] == 7
     assert doc["finished"] is not None
@@ -68,7 +74,7 @@ def test_gen_writes_manifest(small_dataset):
 
 
 def test_gen_manifest_records_the_environment(small_dataset):
-    env = json.loads(small_dataset.with_suffix(".manifest.json").read_text())["environment"]
+    env = json.loads(beside(small_dataset).read_text())["environment"]
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
     assert set(env["blas"]) == {"name", "version"}
@@ -126,9 +132,9 @@ def test_pretrain_eval_round_trip(small_dataset, tmp_path):
     assert rc == 0
     assert ckpt.exists()
     metrics = [json.loads(line) for line in
-               ckpt.with_suffix(".metrics.jsonl").read_text().splitlines()]
+               beside(ckpt, ".metrics.jsonl").read_text().splitlines()]
     assert {"step", "lr", "loss", "tau", "point_image"} <= set(metrics[0])
-    manifest = json.loads(ckpt.with_suffix(".manifest.json").read_text())
+    manifest = json.loads(beside(ckpt).read_text())
     assert manifest["finished"] is not None
     assert manifest["config"]["train_config"]["epochs"] == 2
 
@@ -167,11 +173,11 @@ def test_pretrain_resume_continues_steps(small_dataset, tmp_path):
             "--k-neighbors", "6", "--c-dim", "16", "--warmup-epochs", "0",
             "--batch-size", "4", "--seed", "2"]
     assert main(["pretrain", *base, "--epochs", "1", "--out", str(ckpt)]) == 0
-    first = [json.loads(l) for l in ckpt.with_suffix(".metrics.jsonl").read_text().splitlines()]
+    first = [json.loads(l) for l in beside(ckpt, ".metrics.jsonl").read_text().splitlines()]
     ckpt2 = tmp_path / "m2.occt"
     assert main(["pretrain", *base, "--epochs", "2", "--out", str(ckpt2),
                  "--resume", str(ckpt)]) == 0
-    second = [json.loads(l) for l in ckpt2.with_suffix(".metrics.jsonl").read_text().splitlines()]
+    second = [json.loads(l) for l in beside(ckpt2, ".metrics.jsonl").read_text().splitlines()]
     assert second[0]["step"] == first[-1]["step"] + 1
 
 
@@ -216,7 +222,7 @@ def test_pretrain_resume_refuses_other_config(small_dataset, tmp_path, capsys, f
     assert err.startswith("error: ") and f"{field}=" in err
     # Refused before anything is written: no checkpoint, no manifest.
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "m.manifest.json", "m.metrics.jsonl", "m.occt"]
+        "m.occt", "m.occt.manifest.json", "m.occt.metrics.jsonl"]
 
 
 def test_eval_dimension_mismatch_is_config_error(small_dataset, tmp_path, capsys):
@@ -316,7 +322,7 @@ def test_pretrain_refuses_objects_with_unequal_view_counts(small_dataset, tmp_pa
 
 def assert_nothing_written(ckpt):
     """A refused training split leaves no checkpoint, manifest or metrics file."""
-    for path in (ckpt, ckpt.with_suffix(".manifest.json"), ckpt.with_suffix(".metrics.jsonl")):
+    for path in (ckpt, beside(ckpt), beside(ckpt, ".metrics.jsonl")):
         assert not path.exists(), path
 
 
@@ -426,7 +432,7 @@ def test_failed_report_write_leaves_old_files_and_no_temp_file(tmp_path, monkeyp
     argv = ["bench", "--preset", "toy", "--sizes", "16", "--runs", "1", "--out", str(csv_path)]
     assert main(argv) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    assert sorted(before) == ["bench.csv", "bench.manifest.json"]
+    assert sorted(before) == ["bench.csv", "bench.csv.manifest.json"]
 
     def fail(src, dst):
         raise OSError("disk full")
@@ -434,7 +440,7 @@ def test_failed_report_write_leaves_old_files_and_no_temp_file(tmp_path, monkeyp
     monkeypatch.setattr("occpoint.container.os.replace", fail)
     assert main(argv) == 1
     assert f"error: {csv_path}: disk full" in capsys.readouterr().err
-    manifest = tmp_path / "bench.manifest.json"
+    manifest = tmp_path / "bench.csv.manifest.json"
     with pytest.raises(OSError, match="disk full"):
         write_manifest(manifest, {"runs": 2}, 0, "start", "end", command_line=["bench"])
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -711,7 +717,7 @@ def test_pretrain_checkpoint_is_the_same_with_a_warm_cache(data_copy, tmp_path):
     assert len(sidecars(data_copy)) == 1
     assert main(argv + ["--out", str(tmp_path / "warm.occt")]) == 0
     assert (tmp_path / "cold.occt").read_bytes() == (tmp_path / "warm.occt").read_bytes()
-    hits = [json.loads((tmp_path / f"{name}.manifest.json").read_text())["inputs"]
+    hits = [json.loads((tmp_path / f"{name}.occt.manifest.json").read_text())["inputs"]
             for name in ("cold", "warm")]
     assert [doc["token_cache"]["hit"] for doc in hits] == [False, True]
     assert hits[0]["token_cache"]["path"] == str(sidecars(data_copy)[0])
@@ -763,7 +769,7 @@ def test_eval_manifest_records_the_dataset_cache_and_heldout_views(data_copy,
     for _ in range(2):
         assert main(["eval", "--data", str(data_copy), "--checkpoint",
                      str(small_checkpoint), "--out", str(report)]) == 0
-    inputs = json.loads(report.with_suffix(".manifest.json").read_text())["inputs"]
+    inputs = json.loads(beside(report).read_text())["inputs"]
     assert inputs == {
         "dataset_sha256": hashlib.sha256(data_copy.read_bytes()).hexdigest(),
         "token_cache": {"path": str(sidecars(data_copy)[0]), "hit": True},
@@ -793,38 +799,120 @@ def test_refused_pretrain_writes_nothing_not_even_a_cache(data_copy, tmp_path, c
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.fixture
+def beside_inputs(data_copy, small_dataset, small_checkpoint, small_mesh_dir, tmp_path):
+    """A run directory: the dataset DATA in DIR, the checkpoint CKPT in RUN,
+    each with the files written beside it, a second name RUN/link.occt of
+    the dataset, and the four meshes in MESHES. Returns a function that
+    fills those names into a command line and adds the command's small
+    settings."""
+    ckpt = tmp_path / "m.occt"
+    for src, dst in ((small_dataset, data_copy), (small_checkpoint, ckpt)):
+        dst.write_bytes(src.read_bytes())
+        beside(dst).write_bytes(beside(src).read_bytes())
+    # The checkpoint ran no step; a row tells its metrics from a fresh empty file.
+    beside(ckpt, ".metrics.jsonl").write_text('{"step": 1}\n')
+    os.link(data_copy, tmp_path / "link.occt")
+    meshes = tmp_path / "meshes"
+    meshes.mkdir()
+    for mesh in small_mesh_dir.glob("*.obj"):
+        (meshes / mesh.name).write_bytes(mesh.read_bytes())
+    places = {"DATA": data_copy, "CKPT": ckpt, "DIR": data_copy.parent, "RUN": tmp_path,
+              "MESHES": meshes}
+    settings = {"pretrain": [*TOY_SMALL, "--epochs", "0", "--warmup-epochs", "0"],
+                "gen": ["--resolution", "32", "--points", "64", "--embed-dim", "16"],
+                "eval": []}
+
+    def fill(argv):
+        argv = [str(places[head]) + sep + tail if head in places else a
+                for a in argv for head, sep, tail in [a.partition("/")]]
+        return argv + settings[argv[0]]
+    return fill
+
+
+def snapshot(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["pretrain", "--data", "DATA", "--out", "DATA"], id="pretrain-out-is-the-data"),
-    pytest.param(["pretrain", "--data", "DATA", "--out", "DIR/small.ckpt"],
-                 id="pretrain-manifest-is-gens"),
     pytest.param(["pretrain", "--data", "DATA", "--resume", "CKPT", "--out", "CKPT"],
                  id="pretrain-out-is-the-resumed-checkpoint"),
-    pytest.param(["eval", "--data", "DATA", "--checkpoint", "CKPT", "--out", "DIR/small.json"],
-                 id="eval-manifest-is-gens"),
     pytest.param(["eval", "--data", "DATA", "--checkpoint", "CKPT", "--out", "CKPT"],
                  id="eval-out-is-the-checkpoint"),
-    pytest.param(["eval", "--data", "DATA", "--checkpoint", "CKPT", "--out", "RUN/m.json"],
-                 id="eval-manifest-is-the-checkpoints"),
-    pytest.param(["pretrain", "--data", "DATA", "--resume", "CKPT", "--out", "RUN/m.ckpt"],
-                 id="pretrain-manifest-is-the-resumed-checkpoints"),
+    pytest.param(["pretrain", "--data", "DATA", "--out", "RUN/link.occt"],
+                 id="pretrain-out-is-another-name-of-the-data"),
+    pytest.param(["eval", "--data", "DATA", "--checkpoint", "CKPT",
+                  "--out", "DIR/small.occt.manifest.json"], id="eval-out-is-the-datas-manifest"),
+    pytest.param(["pretrain", "--data", "DATA", "--resume", "CKPT",
+                  "--out", "RUN/m.occt.manifest.json"],
+                 id="pretrain-out-is-the-checkpoints-manifest"),
+    pytest.param(["gen", "--meshes", "MESHES", "--out", "MESHES/cube_00.obj"],
+                 id="gen-out-is-an-input-mesh"),
 ])
-def test_an_output_may_not_replace_an_input(data_copy, small_dataset, small_checkpoint,
-                                           tmp_path, capsys, argv):
-    """Every output is refused, before anything is written, when it or its
-    manifest (`<out>.manifest.json`) is an input or the manifest beside one."""
-    for src, dst in ((small_dataset, data_copy), (small_checkpoint, tmp_path / "m.occt")):
-        dst.write_bytes(src.read_bytes())
-        manifest = src.with_suffix(".manifest.json")
-        dst.with_suffix(".manifest.json").write_bytes(manifest.read_bytes())
-    names = {"DATA": str(data_copy), "CKPT": str(tmp_path / "m.occt")}
-    argv = [names.get(a, a.replace("DIR", str(data_copy.parent)).replace("RUN", str(tmp_path)))
-            for a in argv]
-    if argv[0] == "pretrain":
-        argv += [*TOY_SMALL, "--epochs", "0", "--warmup-epochs", "0"]
-    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-    assert main(argv) == 1
+def test_an_output_may_not_replace_an_input(beside_inputs, tmp_path, capsys, monkeypatch,
+                                           argv):
+    """Every output is refused, before anything is read or written, when it
+    or a file named from it is an input or the manifest beside one."""
+    def no_load(path):
+        raise AssertionError(f"gen loaded {path} before checking its output")
+
+    monkeypatch.setattr("occpoint.cli.load_obj", no_load)
+    before = snapshot(tmp_path)
+    assert main(beside_inputs(argv)) == 1
     assert "would overwrite" in capsys.readouterr().err
-    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["pretrain", "--data", "DATA", "--out", "DIR/small.ckpt"],
+                 id="pretrain-beside-the-data"),
+    pytest.param(["eval", "--data", "DATA", "--checkpoint", "CKPT", "--out", "DIR/small.json"],
+                 id="eval-beside-the-data"),
+    pytest.param(["eval", "--data", "DATA", "--checkpoint", "CKPT", "--out", "RUN/m.json"],
+                 id="eval-beside-the-checkpoint"),
+    pytest.param(["pretrain", "--data", "DATA", "--resume", "CKPT", "--out", "RUN/m.ckpt"],
+                 id="pretrain-beside-the-resumed-checkpoint"),
+    pytest.param(["pretrain", "--data", "DATA", "--out", "RUN/m.ckpt"],
+                 id="pretrain-beside-another-checkpoint"),
+])
+def test_an_output_beside_an_input_is_written(beside_inputs, tmp_path, argv):
+    """An output that shares its stem with an input, or with another run's
+    output, names its files from its full name: the run succeeds, and every
+    file that was there keeps its bytes."""
+    before = snapshot(tmp_path)
+    argv = beside_inputs(argv)
+    assert main(argv) == 0
+    after = snapshot(tmp_path)
+    assert {p: after[p] for p in before} == before
+    out = Path(argv[argv.index("--out") + 1])
+    written = [out, beside(out)] + ([beside(out, ".metrics.jsonl")] if argv[0] == "pretrain"
+                                    else [])
+    assert set(written) <= set(after) - set(before)
+    assert json.loads(beside(out).read_text())["command_line"][1] == argv[0]
+
+
+@pytest.mark.parametrize("command, first_step", [("eval", "load_dataset"),
+                                                 ("bench", "run_benchmark")])
+def test_an_output_in_a_new_directory_is_written(data_copy, small_checkpoint, tmp_path,
+                                                monkeypatch, command, first_step):
+    """The output's directory is made before the command's first step, so a
+    path that cannot be written fails before the work, not after it."""
+    from occpoint import cli
+
+    out = tmp_path / "new" / "deeper" / "out.txt"
+    step = getattr(cli, first_step)
+
+    def after_the_directory(*args, **kwargs):
+        assert out.parent.is_dir(), f"{first_step} ran before {out.parent} was made"
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(cli, first_step, after_the_directory)
+    argv = {"eval": ["eval", "--data", str(data_copy), "--checkpoint", str(small_checkpoint)],
+            "bench": ["bench", "--preset", "toy", "--sizes", "16", "--runs", "1"]}[command]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text()
+    assert json.loads(beside(out).read_text())["command_line"][1] == command
 
 
 def test_inspect_prints_version_metadata_and_tensors(data_copy, small_checkpoint, capsys):

@@ -303,6 +303,20 @@ def test_obj_round_trip(tmp_path):
     assert np.allclose(loaded.vertex_colors, mesh.vertex_colors, atol=1e-5)
 
 
+def test_failed_obj_write_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.obj"
+    save_obj(path, make_icosphere(1))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("occpoint.container.os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_obj(path, make_cube())
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_obj_fan_triangulation(tmp_path):
     path = tmp_path / "quad.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")

@@ -29,7 +29,9 @@ they came from: each checkout's commit, and the python, numpy, BLAS thread
 settings and CPU count the runs saw. When a run
 exits non-zero or its last stdout line is not a result, `--out` still gets
 the pairs run so far, with the failing command, its stderr tail and that
-line under "failure", and the tool exits 1.
+line under "failure", and the tool exits 1. The directory of `--out` is
+created before the first run, and the file is written to a temporary name
+and then renamed over it.
 Standard library only.
 """
 
@@ -245,6 +247,13 @@ def main(argv=None) -> int:
     if differs is not None:
         raise SystemExit(f"error: {differs} differs between {args.parent} and "
                          f"{args.change}; both must run the same benchmark code")
+    if args.out:
+        # Made before the first run, so a bad --out costs no run.
+        try:
+            args.out.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SystemExit(f"error: cannot create the directory of --out {args.out}: "
+                             f"{exc.strerror or exc}") from exc
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     results = {"commits": {"parent": commit(args.parent), "change": commit(args.change)},
@@ -268,7 +277,10 @@ def main(argv=None) -> int:
         results["failure"] = failure.record
         print(f"error: {failure}", file=sys.stderr)
     if args.out:
-        args.out.write_text(json.dumps(results, indent=1) + "\n")
+        # A temporary file, then a rename: an old --out is whole until the new one is.
+        tmp = args.out.with_name(f".{args.out.name}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(results, indent=1) + "\n")
+        os.replace(tmp, args.out)
     return 1 if "failure" in results else 0
 
 
